@@ -1,17 +1,26 @@
 """Multiplicative number-theory kernel.
 
-Primes and least-factor sieve, factorizations with Bohr exponent vectors,
-the binomial-series coefficients c_alpha(j), generalized divisor functions
+Primes and least-factor sieve, one vectorized factoring kernel, the
+binomial-series coefficients c_alpha(j), generalized divisor functions
 d_alpha(n), the hybrid weight Phi_alpha(n) = d_floor(alpha)(n) * (alpha/floor(alpha))^Omega(n),
 truncated Euler products with certified tail bounds, and counts of integers
 by number of prime factors.
+
+`prime_power_passes` is the one loop that factors: it strips the least prime
+power from every index of an array per pass, so each index meets its prime
+powers in ascending order. Every multiplicative quantity (d_alpha, Phi_alpha,
+mu, Omega, Bohr exponents, the coefficient-functional bound) is a fold over
+those passes, bit-identical to the scalar loop over a factorization because
+the per-exponent table is built from Python scalars (`binomial_series_coefficient`,
+`(alpha/m)**j`) and the fold combines left to right in ascending prime order
+from 1 (products) or 0 (sums).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,6 +85,89 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
 
 
+# indices factored together: bounds the working arrays and keeps the table lookups cache-local
+_BLOCK = 1 << 16
+# working bytes per index of a block: row ids, cofactors, primes, exponents, masks, temporaries
+_PASS_BYTES = 48
+
+
+def prime_power_passes(
+    n, table: PrimeTable, out_itemsize: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Factor every index of the array `n` by stripping least prime powers in vectorized passes.
+
+    Yields (rows, p, e) per pass: p[i]**e[i] exactly divides n[rows[i]], and
+    each row meets its primes in ascending order (n = 1 never appears). Works
+    through `n` in blocks of _BLOCK indices, so working memory stays bounded.
+    Checks eagerly that 1 <= n <= table.limit and that the working arrays,
+    plus `out_itemsize` bytes per index for the caller's result, fit the cap.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and int(n.min()) < 1:
+        raise ValueError(f"cannot factor {int(n.min())}: need n >= 1")
+    if n.size and int(n.max()) > table.limit:
+        raise SieveLimitError(f"{int(n.max())} exceeds sieve limit {table.limit}; re-sieve with a larger table")
+    cap = memory_cap_bytes()
+    need = n.size * (n.itemsize + out_itemsize) + min(n.size, _BLOCK) * _PASS_BYTES
+    if need > cap:
+        raise ResourceLimitError(f"factoring {n.size} indices needs {need} bytes", cap)
+    return _strip_passes(n, table.smallest_factor)
+
+
+def _strip_passes(n: np.ndarray, spf: np.ndarray):
+    for lo in range(0, n.size, _BLOCK):
+        rows = lo + np.flatnonzero(n[lo : lo + _BLOCK] > 1)
+        rest = n[rows].astype(spf.dtype)
+        p = spf[rest]
+        while rows.size:
+            rest //= p
+            e = np.ones(rows.size, dtype=np.uint8)
+            # p still divides rest exactly when it is still rest's least prime factor
+            spf_rest = spf[rest]
+            more = np.flatnonzero(spf_rest == p)
+            while more.size:
+                q = p[more]
+                r = rest[more] // q
+                rest[more] = r
+                e[more] += 1
+                s = spf[r]
+                spf_rest[more] = s
+                more = more[s == q]
+            yield rows, p, e
+            left = np.flatnonzero(rest > 1)
+            rows, rest, p = rows[left], rest[left], spf_rest[left]
+
+
+def multiplicative(n, table: PrimeTable, rule: Callable, ufunc=np.multiply, start=None) -> np.ndarray:
+    """Fold rule(e) over the prime powers p^e || n, for every index of the array `n`.
+
+    The table rule(1), rule(2), ... is built once from Python scalars and sets
+    the result dtype: int64 for an int rule, float64 for a float rule. Each
+    fold starts from `start` (default: the ufunc identity, 1 for products and
+    0 for sums) and applies `ufunc` left to right in ascending prime order.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    top = max(int(n.max(initial=1)).bit_length() - 1, 1)  # p^e <= n forces e <= log2 n
+    values = np.array([rule(e) for e in range(1, top + 1)])
+    passes = prime_power_passes(n, table, values.itemsize)
+    out = np.full(n.shape, ufunc.identity if start is None else start, dtype=values.dtype)
+    for rows, _, e in passes:
+        out[rows] = ufunc(out[rows], values[e - 1])
+    return out
+
+
+def bohr_exponents(n, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse Bohr exponent vectors of the indices `n` as (rows, j, e).
+
+    kappa(n[row]) has entry e at the 0-based prime position j; pairs not
+    listed are 0. The entries of one row appear in ascending j.
+    """
+    empty = np.zeros(0, dtype=np.intp)
+    parts = zip((empty, empty, empty), *prime_power_passes(n, table))
+    rows, p, e = (np.concatenate(part) for part in parts)
+    return rows, np.searchsorted(table.primes, p), e
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization of n with the derived arithmetic data.
@@ -98,26 +190,13 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     if n > table.limit:
         raise SieveLimitError(f"{n} exceeds sieve limit {table.limit}; re-sieve with a larger table")
-    spf = table.smallest_factor
-    factors: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
+    factors = [(int(p[0]), int(e[0])) for _, p, e in prime_power_passes([n], table)]
     big_omega = sum(e for _, e in factors)
     small_omega = len(factors)
     mobius = 0 if any(e >= 2 for _, e in factors) else (-1) ** small_omega
-    if factors:
-        top = table.prime_index(factors[-1][0])
-        kappa = [0] * top
-        for p, e in factors:
-            kappa[table.prime_index(p) - 1] = e
-    else:
-        kappa = []
+    kappa = [0] * (table.prime_index(factors[-1][0]) if factors else 0)
+    for p, e in factors:
+        kappa[table.prime_index(p) - 1] = e
     return Factorization(
         n=n,
         factors=tuple(factors),
@@ -152,11 +231,12 @@ def divisor_function(n: int, alpha: float, table: PrimeTable) -> float:
     d_alpha(p^e) = c_alpha(e); for integer alpha this counts ordered
     alpha-tuples of positive integers with product n.
     """
-    fac = factorize(n, table)
-    value = 1.0
-    for _, e in fac.factors:
-        value *= binomial_series_coefficient(e, alpha)
-    return value
+    return float(divisor_values([n], alpha, table)[0])
+
+
+def divisor_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
+    """d_alpha at every index of the array `n`, as float64."""
+    return multiplicative(n, table, lambda e: binomial_series_coefficient(e, alpha))
 
 
 def divisor_weight_prime_power(j: int, alpha: float) -> float:
@@ -173,14 +253,19 @@ def divisor_weight(n: int, alpha: float, table: PrimeTable) -> float:
     Multiplicative; agrees with d_alpha(n) when alpha is an integer or n is
     square-free, and has the same average order as d_alpha in general.
     """
+    return float(divisor_weight_values([n], alpha, table)[0])
+
+
+def divisor_weight_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
+    """Phi_alpha at every index of `n`: (alpha/m)^Omega(n), then times c_m(e) per p^e || n."""
     if alpha < 1:
         raise ValueError(f"weight defined only for alpha >= 1, got {alpha}")
-    fac = factorize(n, table)
     m = math.floor(alpha)
-    value = (alpha / m) ** fac.big_omega
-    for _, e in fac.factors:
-        value *= binomial_series_coefficient(e, m)
-    return value
+    big_omega = multiplicative(n, table, lambda e: e, np.add)
+    ratio_powers = np.array([(alpha / m) ** j for j in range(int(big_omega.max(initial=0)) + 1)])
+    return multiplicative(
+        n, table, lambda e: binomial_series_coefficient(e, m), start=ratio_powers[big_omega]
+    )
 
 
 def average_order_factor(x: float, alpha: float) -> float:
@@ -370,79 +455,37 @@ def pseudomoment_leading_factor(
 
 
 def omega_sieve(x: int, table: PrimeTable) -> np.ndarray:
-    """Omega(n) for all 0 <= n <= x as a uint8 array (Omega(0)=Omega(1)=0).
-
-    Strips least prime factors in vectorized passes; the number of passes is
-    max Omega(n) <= log2(x).
-    """
+    """Omega(n) for all 0 <= n <= x as a uint8 array (Omega(0)=Omega(1)=0)."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > table.limit:
         raise SieveLimitError(f"{x} exceeds sieve limit {table.limit}")
-    cap = memory_cap_bytes()
-    if 9 * (x + 1) > cap:
-        raise ResourceLimitError(f"prime-factor-count sieve of size {x} needs {9 * (x + 1)} bytes", cap)
-    spf = table.smallest_factor
-    cur = np.arange(x + 1, dtype=np.int64)
-    cur[0] = 1
     omega = np.zeros(x + 1, dtype=np.uint8)
-    active = np.nonzero(cur > 1)[0]
-    while active.size:
-        vals = cur[active]
-        vals //= spf[vals]
-        cur[active] = vals
-        omega[active] += 1
-        active = active[vals > 1]
+    omega[1:] = multiplicative(np.arange(1, x + 1), table, lambda e: e, np.add)
     return omega
 
 
 def divisor_sieve(x: int, order: int, table: PrimeTable) -> np.ndarray:
-    """d_order(n) for all 0 <= n <= x (order a positive integer), as int64.
-
-    Per prime power p^e the running factor is updated from c_order(e-1) to
-    c_order(e) with exact integer arithmetic.
-    """
+    """d_order(n) for all 0 <= n <= x (order a positive integer), as exact int64 (d(0) = 0)."""
     if order < 1 or int(order) != order:
         raise ValueError(f"order must be a positive integer, got {order}")
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > table.limit:
         raise SieveLimitError(f"{x} exceeds sieve limit {table.limit}")
-    cap = memory_cap_bytes()
-    if 8 * (x + 1) > cap:
-        raise ResourceLimitError(f"divisor sieve of size {x} needs {8 * (x + 1)} bytes", cap)
     order = int(order)
-    d = np.ones(x + 1, dtype=np.int64)
-    d[0] = 0
-    if order == 1:
-        return d
-    for p in table.primes[table.primes <= x]:
-        p = int(p)
-        e = 1
-        pe = p
-        while pe <= x:
-            prev = math.comb(e - 2 + order, e - 1)
-            cur = math.comb(e - 1 + order, e)
-            seg = d[pe::pe]
-            seg //= prev
-            seg *= cur
-            e += 1
-            pe *= p
+    d = np.zeros(x + 1, dtype=np.int64)
+    d[1:] = multiplicative(np.arange(1, x + 1), table, lambda e: math.comb(e + order - 1, e))
     return d
 
 
 def divisor_weight_sum(x: int, alpha: float, table: PrimeTable) -> float:
-    """sum_{n<=x} Phi_alpha(n), computed from sieved Omega (and d_floor(alpha)) arrays."""
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    m = math.floor(alpha)
-    omega = omega_sieve(x, table)
-    ratio_powers = (alpha / m) ** np.arange(256, dtype=np.float64)
-    if m == 1:
-        counts = np.bincount(omega[1:])
-        return float(counts @ ratio_powers[: counts.size])
-    d = divisor_sieve(x, m, table).astype(np.float64)
-    return float(np.sum(d[1:] * ratio_powers[omega[1:]]))
+    """sum_{n<=x} Phi_alpha(n), from the Phi_alpha values of the whole range."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if x > table.limit:
+        raise SieveLimitError(f"{x} exceeds sieve limit {table.limit}")
+    return float(np.sum(divisor_weight_values(np.arange(1, x + 1), alpha, table)))
 
 
 def omega_class_counts(x: int, table: PrimeTable) -> np.ndarray:

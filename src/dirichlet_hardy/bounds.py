@@ -15,7 +15,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .arith import PrimeTable, binomial_series_coefficient, divisor_weight, factorize
+import numpy as np
+
+from .arith import (
+    PrimeTable,
+    binomial_series_coefficient,
+    bohr_exponents,
+    divisor_weight_values,
+    multiplicative,
+)
 from .dseries import DirichletPolynomial
 from .norms import NormEstimate
 
@@ -24,18 +32,16 @@ def hl_upper_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
     """sum |a_n|^2 Phi_{p/2}(n); its square root dominates the p-quasi-norm for p >= 2."""
     if p < 2:
         raise ValueError(f"upper weighted sum needs p >= 2, got {p}")
-    return math.fsum(
-        abs(c) ** 2 * divisor_weight(n, p / 2, table) for n, c in f.coefficients.items()
-    )
+    weights = divisor_weight_values(list(f.coefficients), p / 2, table).tolist()
+    return math.fsum(abs(c) ** 2 * w for c, w in zip(f.coefficients.values(), weights))
 
 
 def hl_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
     """sum |a_n|^2 / Phi_{2/p}(n); its square root is below the p-quasi-norm for 0 < p <= 2."""
     if not 0 < p <= 2:
         raise ValueError(f"lower weighted sum needs 0 < p <= 2, got {p}")
-    return math.fsum(
-        abs(c) ** 2 / divisor_weight(n, 2 / p, table) for n, c in f.coefficients.items()
-    )
+    weights = divisor_weight_values(list(f.coefficients), 2 / p, table).tolist()
+    return math.fsum(abs(c) ** 2 / w for c, w in zip(f.coefficients.values(), weights))
 
 
 def squarefree_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
@@ -46,17 +52,10 @@ def squarefree_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable) ->
     """
     if not 0 < p <= 2:
         raise ValueError(f"lower weighted sum needs 0 < p <= 2, got {p}")
-    total = 0.0
-    parts = []
-    for n, c in f.coefficients.items():
-        fac = factorize(n, table)
-        if fac.mobius == 0:
-            continue
-        d = 1.0
-        for _, e in fac.factors:
-            d *= binomial_series_coefficient(e, 2 / p)
-        parts.append(abs(c) ** 2 / d)
-    return math.fsum(parts)
+    # d_{2/p}(n) on square-free n, 0 where a squared prime divides n
+    c1 = binomial_series_coefficient(1, 2 / p)
+    d = multiplicative(list(f.coefficients), table, lambda e: c1 if e == 1 else 0.0).tolist()
+    return math.fsum(abs(c) ** 2 / dn for c, dn in zip(f.coefficients.values(), d) if dn)
 
 
 def coeff_functional_exact(p: float) -> float:
@@ -147,6 +146,11 @@ def coeff_functional_bound(k: int, p: float) -> CoefficientBound:
     return CoefficientBound(k=k, p=p, value=value, method="best", candidates=candidates)
 
 
+def coeff_functional_prime_power(e: int, p: float) -> float:
+    """Factor at p_j^e of `coeff_functional_multiplicative`: C(1, p) if e = 1, else the bound on C(e, p)."""
+    return coeff_functional_exact(p) if e == 1 else coeff_functional_bound(e, p).value
+
+
 def coeff_functional_multiplicative(n: int, p: float, table: PrimeTable) -> float:
     """Upper bound on the n-th coefficient functional: product over prime powers p_j^k || n.
 
@@ -155,14 +159,7 @@ def coeff_functional_multiplicative(n: int, p: float, table: PrimeTable) -> floa
     """
     if not 0 < p < 1:
         raise ValueError(f"multiplicative bound requires 0 < p < 1, got {p}")
-    fac = factorize(n, table)
-    value = 1.0
-    for _, e in fac.factors:
-        if e == 1:
-            value *= coeff_functional_exact(p)
-        else:
-            value *= coeff_functional_bound(e, p).value
-    return value
+    return float(multiplicative([n], table, lambda e: coeff_functional_prime_power(e, p))[0])
 
 
 def point_evaluation_margin(
@@ -185,16 +182,13 @@ def point_evaluation_margin(
     growth = 1.0
     for w in zs:
         growth *= (1 - abs(w) ** 2) ** (-1 / p)
-    value = 0j
-    for n, c in f.coefficients.items():
-        kappa = factorize(n, table).kappa
-        if len(kappa) > len(zs) and any(e for e in kappa[len(zs):]):
-            continue  # a coordinate beyond the supplied point is 0
-        term = c
-        for j, e in enumerate(kappa):
-            if e:
-                term *= zs[j] ** e
-        value += term
+    # coordinates beyond the supplied point are 0, so monomials that use them vanish
+    rows, j, e = bohr_exponents(list(f.coefficients), table)
+    point = np.zeros(max(len(zs), int(j.max(initial=-1)) + 1), dtype=np.complex128)
+    point[: len(zs)] = zs
+    monomials = np.ones(len(f), dtype=np.complex128)
+    np.multiply.at(monomials, rows, point[j] ** e)
+    value = np.dot(list(f.coefficients.values()), monomials)
     return growth * norm.value - abs(value)
 
 

@@ -5,7 +5,7 @@ omega-hist, euler-const, fuzz. Every run echoes its resolved parameters,
 including the seed, and writes json, jsonl, or csv atomically.
 
 Exit codes: 0 success, 1 fuzz violations beyond slack, 2 usage error,
-3 resource limit.
+3 resource limit, 4 internal error (a library invariant check failed).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .experiments import (
     partial_sum_witness,
     pseudomoment,
     pseudomoment_scan,
-    random_dirichlet,
 )
 from .norms import even_norm_exact, l2_norm, mc_norm
 from .report import ResultDocument, render, write_atomic
@@ -427,9 +426,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"{TOOL}: usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"{TOOL}: invalid arguments: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"{TOOL}: internal error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"{TOOL}: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .arith import PrimeTable, binomial_series_coefficient, factorize
+import numpy as np
+
+from .arith import PrimeTable, binomial_series_coefficient, bohr_exponents, divisor_values, multiplicative
 from .errors import ResourceLimitError, memory_cap_bytes
 
 # rough bytes per dict entry used to convert the memory cap into an entry cap
@@ -110,13 +112,8 @@ def zeta_power_partial(N: int, alpha: float, table: PrimeTable) -> DirichletPoly
         raise ValueError(f"truncation must be >= 1, got {N}")
     if N > table.limit:
         raise ValueError(f"truncation {N} exceeds sieve limit {table.limit}")
-    coeffs = {}
-    for n in range(1, N + 1):
-        d = 1.0
-        for _, e in factorize(n, table).factors:
-            d *= binomial_series_coefficient(e, alpha)
-        coeffs[n] = d * n**-0.5
-    return DirichletPolynomial(coeffs)
+    d = divisor_values(np.arange(1, N + 1), alpha, table).tolist()
+    return DirichletPolynomial({n: dn * n**-0.5 for n, dn in enumerate(d, start=1)})
 
 
 def euler_factor_power(
@@ -262,26 +259,34 @@ def dirichlet_multiply(
 ) -> DirichletPolynomial:
     """Dirichlet convolution: coefficient at m is sum over d*e = m of f_d g_e.
 
+    Each coefficient is correctly rounded (math.fsum over real and imaginary
+    parts), so it does not depend on term order and f*g == g*f bit for bit.
     Indices beyond `truncation` are dropped; dropping is safe at intermediate
     stages because indices only grow under convolution.
     """
     cap_entries = memory_cap_bytes() // _BYTES_PER_COEFF
-    out: dict[int, complex] = {}
+    terms: dict[int, list[complex]] = {}
     for d, fd in f.coefficients.items():
         for e, ge in g.coefficients.items():
             m = d * e
             if truncation is not None and m > truncation:
                 continue
-            if m in out:
-                out[m] += fd * ge
+            ts = terms.get(m)
+            if ts is not None:
+                ts.append(fd * ge)
             else:
-                out[m] = fd * ge
-                if len(out) > cap_entries:
+                terms[m] = [fd * ge]
+                if len(terms) > cap_entries:
                     raise ResourceLimitError(
                         f"convolution support exceeded {cap_entries} coefficients",
                         memory_cap_bytes(),
                     )
-    return DirichletPolynomial(out)
+    return DirichletPolynomial(
+        {
+            m: complex(math.fsum([t.real for t in ts]), math.fsum([t.imag for t in ts]))
+            for m, ts in terms.items()
+        }
+    )
 
 
 def dirichlet_power(
@@ -312,8 +317,9 @@ def homogeneous_projection(f: DirichletPolynomial, m: int, table: PrimeTable) ->
     """Keep the coefficients with Omega(n) = m; the projections over m partition f."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    big_omega = multiplicative(list(f.coefficients), table, lambda e: e, np.add)
     return DirichletPolynomial(
-        {n: c for n, c in f.coefficients.items() if factorize(n, table).big_omega == m}
+        {n: c for (n, c), om in zip(f.coefficients.items(), big_omega.tolist()) if om == m}
     )
 
 
@@ -324,13 +330,11 @@ def smooth_truncation(f: DirichletPolynomial, m: int, table: PrimeTable) -> Diri
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    pm = table.prime(m) if m <= table.prime_count else int(table.primes[-1])
-    kept = {}
-    for n, c in f.coefficients.items():
-        fac = factorize(n, table)
-        if all(p <= pm for p, _ in fac.factors):
-            kept[n] = c
-    return DirichletPolynomial(kept)
+    rows, j, _ = bohr_exponents(list(f.coefficients), table)
+    rough = set(rows[j >= m].tolist())
+    return DirichletPolynomial(
+        {n: c for i, (n, c) in enumerate(f.coefficients.items()) if i not in rough}
+    )
 
 
 @dataclass(frozen=True)
@@ -350,7 +354,12 @@ class BohrMonomial:
 
 def bohr_lift(f: DirichletPolynomial, table: PrimeTable) -> list[BohrMonomial]:
     """The polynomial as monomials in the prime exponent vectors, sorted by index."""
+    support = f.support
+    rows, j, e = bohr_exponents(support, table)
+    kappas: list[list[int]] = [[] for _ in support]
+    for row, col, exp in zip(rows.tolist(), j.tolist(), e.tolist()):  # ascending col per row
+        kappas[row] += [0] * (col - len(kappas[row])) + [exp]
     return [
-        BohrMonomial(kappa=factorize(n, table).kappa, coefficient=f.coefficients[n])
-        for n in f.support
+        BohrMonomial(kappa=tuple(kappa), coefficient=f.coefficients[n])
+        for n, kappa in zip(support, kappas)
     ]

@@ -20,23 +20,22 @@ import numpy as np
 
 from .arith import (
     PrimeTable,
-    binomial_series_coefficient,
+    divisor_values,
     divisor_weight_prime_power,
-    factorize,
+    multiplicative,
     omega_class_counts,
     pseudomoment_ratio_bounds,
+    sieve_primes,
 )
 from .bounds import (
-    coeff_functional_bound,
     coeff_functional_exact,
-    coeff_functional_multiplicative,
+    coeff_functional_prime_power,
     hl_lower_sum,
     hl_upper_sum,
     squarefree_lower_sum,
 )
 from .dseries import (
     DirichletPolynomial,
-    dirichlet_power,
     extremal_product,
     homogeneous_projection,
     partial_sum,
@@ -88,22 +87,6 @@ def harmonic_number(N: int) -> float:
     return math.fsum(1.0 / n for n in range(1, N + 1))
 
 
-def _mobius_sieve(N: int) -> np.ndarray:
-    # flip sign at each prime, zero out square multiples
-    mu = np.ones(N + 1, dtype=np.int64)
-    mu[0] = 0
-    is_comp = np.zeros(N + 1, dtype=bool)
-    for p in range(2, N + 1):
-        if not is_comp[p]:
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= N:
-                mu[sq::sq] = 0
-                is_comp[sq::sq] = True
-            is_comp[2 * p :: p] = True
-    return mu
-
-
 def _pair_correlation_moment(N: int) -> float:
     """Exact fourth pseudomoment of Z_N via the coprime parametrization of ab = cd.
 
@@ -114,7 +97,8 @@ def _pair_correlation_moment(N: int) -> float:
     """
     H = np.zeros(N + 1)
     H[1:] = np.cumsum(1.0 / np.arange(1, N + 1))
-    mu = _mobius_sieve(N)
+    mu = np.zeros(N + 1, dtype=np.int64)
+    mu[1:] = multiplicative(np.arange(1, N + 1), sieve_primes(N), lambda e: -1 if e == 1 else 0)
     # T[m] = sum over v <= m coprime to m of 1/v, by Moebius over common divisors
     T = np.zeros(N + 1)
     for d in range(1, N + 1):
@@ -132,13 +116,8 @@ def _exact_pseudomoment(N: int, k: int, alpha: float, table: PrimeTable) -> tupl
     if k == 1:
         if alpha == 1.0:
             return harmonic_number(N), "harmonic"
-        total = []
-        for n in range(1, N + 1):
-            d = 1.0
-            for _, e in factorize(n, table).factors:
-                d *= binomial_series_coefficient(e, alpha)
-            total.append(d * d / n)
-        return math.fsum(total), "l2"
+        d = divisor_values(np.arange(1, N + 1), alpha, table)
+        return math.fsum(d * d / np.arange(1, N + 1)), "l2"
     if k == 2 and alpha == 1.0:
         return _pair_correlation_moment(N), "pair-correlation"
     f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table)
@@ -391,20 +370,13 @@ def maximal_order_scan(X: int, p: float, table: PrimeTable) -> ExperimentRecord:
     if not 0 < p < 1:
         raise ValueError(f"scan requires 0 < p < 1, got {p}")
     log_c1 = math.log(coeff_functional_exact(p))
-    bound_cache: dict[int, float] = {1: coeff_functional_exact(p)}
-
-    def log_cnp(n: int) -> float:
-        total = 0.0
-        for _, e in factorize(n, table).factors:
-            if e not in bound_cache:
-                bound_cache[e] = coeff_functional_bound(e, p).value
-            total += math.log(bound_cache[e])
-        return total
-
+    log_cnp = multiplicative(
+        np.arange(2, X + 1), table, lambda e: math.log(coeff_functional_prime_power(e, p)), np.add
+    )
     best, best_n = -math.inf, 0
-    for n in range(2, X + 1):
+    for n, log_c in enumerate(log_cnp.tolist(), start=2):
         denom = math.log(n) / math.log(math.log(n)) if n > 2 else math.log(2) / math.log(math.log(2))
-        val = log_cnp(n) / denom
+        val = log_c / denom
         if val > best:
             best, best_n = val, n
     # primorial reference values
@@ -485,16 +457,13 @@ def homogeneous_energy(
         raise SieveLimitError(f"N={N} exceeds sieve limit {table.limit}")
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    coeffs = {}
-    max_m = 0
-    for n in range(N // 2 + 1, N + 1):
-        fac = factorize(n, table)
-        d = 1.0
-        for _, e in fac.factors:
-            d *= binomial_series_coefficient(e, alpha)
-        coeffs[n] = d * alpha**-fac.big_omega * n**-0.5
-        max_m = max(max_m, fac.big_omega)
-    D = DirichletPolynomial(coeffs)
+    ns = np.arange(N // 2 + 1, N + 1)
+    d = divisor_values(ns, alpha, table).tolist()
+    big_omega = multiplicative(ns, table, lambda e: e, np.add).tolist()
+    D = DirichletPolynomial(
+        {n: dn * alpha**-om * n**-0.5 for n, dn, om in zip(ns.tolist(), d, big_omega)}
+    )
+    max_m = max(big_omega)
     est_D, = mc_norm_many(D, [p], samples, seed, table, workers)
     records = []
     reconstructed: dict[int, complex] = {}
@@ -692,12 +661,8 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
                              "squarefree-lower", p, case, repro, est.std_error)
             if "divisor-chain" in dirich_checks:
                 est = ests[1.0]
-                max_sqrt_d = 1.0
-                for n in f.support:
-                    d = 1.0
-                    for _, e in factorize(n, table).factors:
-                        d *= e + 1
-                    max_sqrt_d = max(max_sqrt_d, math.sqrt(d))
+                # d_2(n) counts the divisors of n
+                max_sqrt_d = math.sqrt(divisor_values(list(f.coefficients), 2.0, table).max(initial=1.0))
                 lhs = l2_norm(f).value / max_sqrt_d
                 classify(lhs, est.value, config.slack_sigma * est.value_std_error,
                          "divisor-chain", 1.0, case, repro, est.std_error)

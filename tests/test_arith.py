@@ -9,13 +9,17 @@ from dirichlet_hardy.arith import (
     average_order_constant,
     average_order_factor,
     binomial_series_coefficient,
+    bohr_exponents,
     divisor_function,
     divisor_sieve,
+    divisor_values,
     divisor_weight,
     divisor_weight_prime_power,
     divisor_weight_sum,
+    divisor_weight_values,
     euler_product,
     factorize,
+    multiplicative,
     omega_class_counts,
     omega_sieve,
     pseudomoment_leading_factor,
@@ -364,10 +368,35 @@ class TestOmegaCounts:
             assert counts[0] == 1
 
     def test_omega_sieve_matches_factorize(self, table_20k):
-        om = omega_sieve(5000, table_20k)
-        rng = np.random.default_rng(3)
-        for n in rng.integers(1, 5001, size=100):
-            assert om[n] == factorize(int(n), table_20k).big_omega
+        # every fold over the factoring kernel equals the scalar definition
+        # on factorize, bit for bit, for all n <= 5000
+        ns = np.arange(1, 5001)
+        facs = [factorize(int(n), table_20k) for n in ns]
+        assert np.array_equal(omega_sieve(5000, table_20k)[1:], [f.big_omega for f in facs])
+        mu = multiplicative(ns, table_20k, lambda e: -1 if e == 1 else 0)
+        assert np.array_equal(mu, [f.mobius for f in facs])
+        rows, j, e = bohr_exponents(ns, table_20k)
+        kappas = [[0] * len(f.kappa) for f in facs]
+        for row, col, exp in zip(rows.tolist(), j.tolist(), e.tolist()):
+            kappas[row][col] = exp
+        assert [tuple(k) for k in kappas] == [f.kappa for f in facs]
+        for alpha in (2 / 0.3, 0.7):
+            expected = []
+            for f in facs:
+                d = 1.0
+                for _, e in f.factors:
+                    d *= binomial_series_coefficient(e, alpha)
+                expected.append(d)
+            assert np.array_equal(divisor_values(ns, alpha, table_20k), expected)
+        alpha = 2 / 0.3
+        m = math.floor(alpha)
+        expected = []
+        for f in facs:
+            w = (alpha / m) ** f.big_omega
+            for _, e in f.factors:
+                w *= binomial_series_coefficient(e, m)
+            expected.append(w)
+        assert np.array_equal(divisor_weight_values(ns, alpha, table_20k), expected)
 
 
 class TestDivisorWeightSum:
@@ -387,12 +416,18 @@ class TestDivisorWeightSum:
         assert c.log_value == pytest.approx(direct, abs=1e-12)
 
 
-def test_sieve_memory_cap(monkeypatch):
+def test_sieve_memory_cap(monkeypatch, table_2k):
     from dirichlet_hardy.errors import ResourceLimitError
 
     monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", "1000")
     with pytest.raises(ResourceLimitError):
         sieve_primes(10_000)
+    # the factoring kernel sizes its working arrays against the same cap
+    with pytest.raises(ResourceLimitError):
+        omega_sieve(2000, table_2k)
+    with pytest.raises(ResourceLimitError):
+        divisor_values(np.arange(1, 100), 1.5, table_2k)
+    assert divisor_function(360, 2.0, table_2k) == 24.0
 
 
 def test_ratio_bounds_fractional_k():

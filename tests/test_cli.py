@@ -214,3 +214,14 @@ class TestErrorExits:
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2
+
+    def test_internal_invariant_exit_4(self, capsys, monkeypatch):
+        import dirichlet_hardy.cli as cli
+
+        def broken_scan(*args, **kwargs):
+            raise AssertionError("scan maximum fell below its primorial floor")
+
+        monkeypatch.setattr(cli, "maximal_order_scan", broken_scan)
+        assert main(["cnp-scan", "--p", "0.5", "--X", "100", "--seed", "1"]) == 4
+        err = capsys.readouterr().err
+        assert "internal error" in err and "primorial floor" in err
