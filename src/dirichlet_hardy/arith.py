@@ -9,11 +9,11 @@ by number of prime factors.
 `prime_power_passes` is the one loop that factors: it strips the least prime
 power from every index of an array per pass, so each index meets its prime
 powers in ascending order. Every multiplicative quantity (d_alpha, Phi_alpha,
-mu, Omega, Bohr exponents, the coefficient-functional bound) is a fold over
-those passes, bit-identical to the scalar loop over a factorization because
-the per-exponent table is built from Python scalars (`binomial_series_coefficient`,
-`(alpha/m)**j`) and the fold combines left to right in ascending prime order
-from 1 (products) or 0 (sums).
+mu, Omega, Bohr exponents, the coefficient-functional bound, the `dseries`
+generators) is a fold over those passes, bit-identical to the scalar loop over
+a factorization because the per-exponent table is built from Python scalars
+(`binomial_series_coefficient`, `(alpha/m)**j`) and the fold combines left to
+right in ascending prime order from 1 (products) or 0 (sums).
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ A Dirichlet polynomial sum a_n n^(-s) is stored as a sparse map n -> complex
 coefficient. The operators here act by filtering indices: truncation to n <= N,
 restriction to Omega(n) = m, and restriction to p_m-smooth indices. The Bohr
 lift re-expresses a polynomial as monomials in the prime exponent vectors.
+Every multiplicative generator is a fold of the `arith` kernel over the smooth
+indices of a truncated Euler product; none convolves.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, binomial_series_coefficient, bohr_exponents, divisor_values, multiplicative
-from .errors import ResourceLimitError, memory_cap_bytes
+from .arith import PrimeTable, bohr_exponents, divisor_values, multiplicative
+from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 
-# rough bytes per dict entry used to convert the memory cap into an entry cap
+# rough bytes per dict entry, counted against the memory cap
 _BYTES_PER_COEFF = 150
+# rough bytes per product that a convolution keeps until its coefficient is summed
+_BYTES_PER_TERM = 40
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,6 @@ class DirichletPolynomial:
         return cls({int(n): complex(re, im) for n, re, im in data["coeffs"]})
 
 
-ZERO = DirichletPolynomial({})
-ONE = DirichletPolynomial({1: 1.0})
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Tagged description of a named generator, dispatched by `generate`.
@@ -107,13 +107,26 @@ def zeta_partial(N: int) -> DirichletPolynomial:
 
 
 def zeta_power_partial(N: int, alpha: float, table: PrimeTable) -> DirichletPolynomial:
-    """Coefficients d_alpha(n) n^(-1/2) for n <= N (partial sum of the alpha-th zeta power, half-shifted)."""
-    if N < 1:
-        raise ValueError(f"truncation must be >= 1, got {N}")
-    if N > table.limit:
-        raise ValueError(f"truncation {N} exceeds sieve limit {table.limit}")
-    d = divisor_values(np.arange(1, N + 1), alpha, table).tolist()
-    return DirichletPolynomial({n: dn * n**-0.5 for n, dn in enumerate(d, start=1)})
+    """Coefficients d_alpha(n) n^(-1/2) for n <= N <= table.limit: the alpha-th Euler-product power over p <= N, truncated."""
+    return euler_factor_power(N, alpha, N, table)
+
+
+def _smooth_indices(primes: np.ndarray, N: int) -> np.ndarray:
+    """Every n <= N whose prime factors all lie in the ascending int64 array `primes`, ascending.
+
+    Each n > 1 is reached once, from n / P(n) with P(n) its largest prime
+    factor, one Omega layer at a time, so the work is linear in the output.
+    """
+    n = np.ones(1, dtype=np.int64)
+    low = np.zeros(1, dtype=np.intp)  # position of P(n) in `primes`: the least prime that may extend n
+    layers = [n]
+    while n.size:
+        count = np.maximum(np.searchsorted(primes, N // n, side="right") - low, 0)
+        parent = np.repeat(np.arange(n.size), count)
+        low = low[parent] + np.arange(parent.size) - (np.cumsum(count) - count)[parent]
+        n = n[parent] * primes[low]
+        layers.append(n)
+    return np.sort(np.concatenate(layers))
 
 
 def euler_factor_power(
@@ -121,26 +134,18 @@ def euler_factor_power(
 ) -> DirichletPolynomial:
     """Truncation to n <= N of the alpha-th power of the Euler product over p <= prime_bound.
 
-    Coefficients are d_alpha(n) n^(-1/2) supported on prime_bound-smooth n;
-    the smooth indices are enumerated directly, one prime at a time.
+    Coefficients are d_alpha(n) n^(-1/2) on the prime_bound-smooth n <= N:
+    the kernel fold of d_alpha over the smooth indices, so N must be <= table.limit.
     """
     if N < 1:
         raise ValueError(f"truncation must be >= 1, got {N}")
+    if N > table.limit:
+        raise SieveLimitError(f"truncation {N} exceeds sieve limit {table.limit}")
     if alpha <= 0:
         raise ValueError(f"exponent must be positive, got {alpha}")
-    primes = [int(p) for p in table.primes[table.primes <= prime_bound]]
-    # map smooth n -> d_alpha(n)
-    dvals = {1: 1.0}
-    for p in primes:
-        additions = {}
-        for n, d in dvals.items():
-            pe, e = p, 1
-            while n * pe <= N:
-                additions[n * pe] = d * binomial_series_coefficient(e, alpha)
-                pe *= p
-                e += 1
-        dvals.update(additions)
-    return DirichletPolynomial({n: d * n**-0.5 for n, d in dvals.items()})
+    smooth = _smooth_indices(table.primes[table.primes <= prime_bound], N)
+    d = divisor_values(smooth, alpha, table).tolist()
+    return DirichletPolynomial({n: dn * n**-0.5 for n, dn in zip(smooth.tolist(), d)})
 
 
 def extremal_product(
@@ -148,13 +153,14 @@ def extremal_product(
 ) -> tuple[DirichletPolynomial, float]:
     """Product over the first `prime_count` primes of the unit-norm extremal factors.
 
-    Each factor is (sqrt(1-p/2) + p_j^(-s) sqrt(p/2))^(2/p), a one-variable
-    function of unit H^p norm; its series in p_j^(-s) is expanded to the largest
-    exponent e with p_j^e <= N and the full product is truncated to n <= N.
+    Each factor is (a + b p_j^(-s))^c with a = sqrt(1-p/2), b = sqrt(p/2) and
+    c = 2/p, a one-variable function of unit H^p norm whose coefficient at
+    p_j^e is binom(c, e) a^(c-e) b^e. The product truncated to n <= N is
+    a^(c k) times the kernel fold of binom(c, e) (b/a)^e over the p_k-smooth
+    n <= N, k = prime_count, so N must be <= table.limit.
 
-    Returns the polynomial together with the total squared-coefficient mass
-    discarded by the per-factor truncations (0 when every factor terminates,
-    e.g. when 2/p is an integer).
+    Also returns the squared-coefficient mass of the dropped factor terms
+    p_j^e > N: 0 when 2/p is an integer, inf for 1 < p < 2 (where b > a).
     """
     if not 0 < p < 2:
         raise ValueError(f"p must lie in (0, 2), got {p}")
@@ -162,46 +168,42 @@ def extremal_product(
         raise ValueError(f"prime_count must be >= 1, got {prime_count}")
     if N < 1:
         raise ValueError(f"truncation must be >= 1, got {N}")
+    if N > table.limit:
+        raise SieveLimitError(f"truncation {N} exceeds sieve limit {table.limit}")
     if prime_count > table.prime_count:
         raise ValueError(f"table holds only {table.prime_count} primes")
     c = 2.0 / p
     a = math.sqrt(1 - p / 2)
     b = math.sqrt(p / 2)
-    integral_power = float(c).is_integer()
+    binom = [1.0]  # binom(c, e) as a running product, up to the first exponent with 2^e > N
+    for e in range(1, N.bit_length() + 1):
+        binom.append(binom[-1] * ((c - e + 1) / e))
+    smooth = _smooth_indices(table.primes[:prime_count], N)
+    coeffs = multiplicative(
+        smooth, table, lambda e: binom[e] * (b / a) ** e, start=a ** (c * prime_count)
+    )
+    poly = DirichletPolynomial(dict(zip(smooth.tolist(), coeffs.tolist())))
+    if b > a:  # binom(c, e) decays only polynomially, so the dropped terms grow like (b/a)^e
+        return poly, math.inf
 
-    poly = ONE
     tail_l2 = 0.0
-    for j in range(1, prime_count + 1):
-        pj = table.prime(j)
-        factor = {}
-        e = 0
-        pe = 1
-        coef = 1.0  # binom(c, e) so far
-        # coefficient at exponent e: binom(c, e) a^(c-e) b^e
-        while pe <= N:
-            factor[pe] = coef * a ** (c - e) * b**e
+    for pj in table.primes[:prime_count].tolist():
+        e = next(e for e in range(1, len(binom)) if pj**e > N)  # the least dropped exponent
+        # l2 mass of the dropped exponents; binom(c, e) = 0 past c when 2/p is an integer
+        coef = binom[e]
+        t = coef * a ** (c - e) * b**e
+        mass = 0.0
+        while True:
+            mass += t * t
             e += 1
-            pe *= pj
             coef *= (c - e + 1) / e
-        # l2 mass of the dropped exponents; terminates unless 2/p is fractional
-        if not integral_power or e < c + 1:
-            mass = 0.0
             t = coef * a ** (c - e) * b**e
-            while True:
-                mass += t * t
-                e += 1
-                coef *= (c - e + 1) / e
-                t = coef * a ** (c - e) * b**e
-                if integral_power and e > c:
-                    break
-                if t * t < 1e-30 * (1 + mass):
-                    break
-                if e > 5000:
-                    # series diverges on the boundary when b >= a (p >= 1, 2/p fractional)
-                    mass += t * t / (1 - (b / a) ** 2) if b < a else math.inf
-                    break
-            tail_l2 += mass
-        poly = dirichlet_multiply(poly, DirichletPolynomial(factor), truncation=N)
+            if t * t < 1e-30 * (1 + mass):
+                break
+            if e > 5000:  # geometric tail: the terms shrink like (b/a)^e
+                mass += t * t / (1 - (b / a) ** 2)
+                break
+        tail_l2 += mass
     return poly, tail_l2
 
 
@@ -218,7 +220,7 @@ def fractional_primitive(beta: float, N: int) -> DirichletPolynomial:
 
 
 def duality_witness(p: float, prime_bound: int, N: int, table: PrimeTable) -> DirichletPolynomial:
-    """The (2/p)-th power of the truncated Euler product: the unbounded-pairing witness."""
+    """The unbounded-pairing witness: the (2/p)-th power of the Euler product over p <= prime_bound, n <= N <= table.limit."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     return euler_factor_power(prime_bound, 2.0 / p, N, table)
@@ -264,23 +266,22 @@ def dirichlet_multiply(
     Indices beyond `truncation` are dropped; dropping is safe at intermediate
     stages because indices only grow under convolution.
     """
-    cap_entries = memory_cap_bytes() // _BYTES_PER_COEFF
+    cap = memory_cap_bytes()
     terms: dict[int, list[complex]] = {}
+    kept = 0
     for d, fd in f.coefficients.items():
         for e, ge in g.coefficients.items():
             m = d * e
             if truncation is not None and m > truncation:
                 continue
+            kept += 1
             ts = terms.get(m)
             if ts is not None:
                 ts.append(fd * ge)
             else:
                 terms[m] = [fd * ge]
-                if len(terms) > cap_entries:
-                    raise ResourceLimitError(
-                        f"convolution support exceeded {cap_entries} coefficients",
-                        memory_cap_bytes(),
-                    )
+        if len(terms) * _BYTES_PER_COEFF + kept * _BYTES_PER_TERM > cap:
+            raise ResourceLimitError(f"convolution keeps {kept} products on {len(terms)} coefficients", cap)
     return DirichletPolynomial(
         {
             m: complex(math.fsum([t.real for t in ts]), math.fsum([t.imag for t in ts]))

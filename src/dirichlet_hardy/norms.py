@@ -191,10 +191,8 @@ def mc_norm_many(
     out = []
     for p in ps:
         x = absF**p
-        total = pairwise_sum(x)
-        mean = total / samples
-        sumsq = pairwise_sum(x * x)
-        var = max(sumsq - samples * mean * mean, 0.0) / (samples - 1)
+        mean = pairwise_sum(x) / samples
+        var = pairwise_sum((x - mean) ** 2) / (samples - 1)
         se = math.sqrt(var / samples)
         out.append(
             NormEstimate(

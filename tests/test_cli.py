@@ -197,6 +197,12 @@ class TestNormExtras:
         # the full product has unit norm but truncation inflates it for p < 1
         assert 1.0 < doc.records[0]["value"] < 3.0
 
+    def test_extremal_with_divergent_tail(self, capsys):
+        # 1 < gen-p < 2: the dropped mass diverges, the truncated product is still a polynomial
+        assert main(["norm", "--p", "1", "--generator", "extremal-product", "--gen-p", "1.5",
+                     "--N", "100", "--prime-count", "2", "--seed", "1"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_probe_mode(self):
         doc, _ = execute(parse(["partial-sum", "--mode", "probe", "--p", "2",
                                 "--probe-N", "10", "--N", "30", "--seed", "3",

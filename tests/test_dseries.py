@@ -25,7 +25,7 @@ from dirichlet_hardy.dseries import (
     zeta_partial,
     zeta_power_partial,
 )
-from dirichlet_hardy.errors import ResourceLimitError
+from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
 from dirichlet_hardy.norms import DiscPolynomial, disc_norm
 
 _HYP_TABLE = sieve_primes(12000)  # covers products of two indices up to 100
@@ -36,6 +36,14 @@ sparse_polys = st.dictionaries(
     min_size=0,
     max_size=8,
 ).map(DirichletPolynomial)
+
+
+def largest_prime_factor(n, table):
+    q = 1
+    while n > 1:
+        q = int(table.smallest_factor[n])
+        n //= q
+    return q
 
 
 class TestPolynomial:
@@ -87,6 +95,13 @@ class TestGenerators:
         assert f.coeff(12) == pytest.approx(12**-0.5)
         g = euler_factor_power(7, 2.5, 50, table_2k)
         assert g.coeff(12) == pytest.approx(divisor_function(12, 2.5, table_2k) * 12**-0.5)
+        # every smooth n <= N appears, with d_alpha(n) n^(-1/2) to the bit
+        for bound, alpha in ((2, 1.5), (13, 2.5), (97, 2 / 0.3), (2000, 4.0)):
+            f = euler_factor_power(bound, alpha, 2000, table_2k)
+            smooth = [n for n in range(1, 2001) if largest_prime_factor(n, table_2k) <= bound]
+            assert f.support == tuple(smooth)
+            for n in smooth:
+                assert f.coeff(n) == divisor_function(n, alpha, table_2k) * n**-0.5
 
     def test_extremal_product_k1(self, table_2k):
         f, tail = extremal_product(0.5, 1, 2, table_2k)
@@ -105,6 +120,47 @@ class TestGenerators:
             assert f.coeff(M).real == pytest.approx(
                 coeff_functional_exact(0.5) ** k, abs=1e-12
             )
+
+    def test_extremal_product_matches_factor_convolution(self, table_2k):
+        # the truncated product of the one-variable factors, one convolution per prime
+        for p, k, N in ((0.25, 3, 30), (0.5, 4, 210), (0.7, 4, 1000), (1.0, 3, 500)):
+            c, a, b = 2 / p, math.sqrt(1 - p / 2), math.sqrt(p / 2)
+            expect = DirichletPolynomial({1: 1})
+            for j in range(1, k + 1):
+                factor, coef, e = {}, 1.0, 0
+                while table_2k.prime(j) ** e <= N:
+                    factor[table_2k.prime(j) ** e] = coef * a ** (c - e) * b**e
+                    e += 1
+                    coef *= (c - e + 1) / e
+                expect = dirichlet_multiply(expect, DirichletPolynomial(factor), truncation=N)
+            f, _ = extremal_product(p, k, N, table_2k)
+            assert f.support == expect.support
+            for n in f.support:
+                assert f.coeff(n) == pytest.approx(expect.coeff(n), rel=1e-14)
+
+    def test_extremal_product_divergent_tail(self, table_2k):
+        # 1 < p < 2: 2/p is fractional and b > a, so the dropped terms grow without bound
+        for p in (1.01, 1.5, 1.99):
+            f, tail = extremal_product(p, 2, 100, table_2k)
+            assert tail == math.inf
+            assert f.support == tuple(n for n in range(1, 101) if largest_prime_factor(n, table_2k) <= 3)
+            assert all(math.isfinite(abs(c)) for c in f.coefficients.values())
+
+    def test_generators_need_truncation_within_table(self, table_2k):
+        # each generator factors its smooth indices with the kernel, so N must fit the table,
+        # even where the output is small (7-smooth n <= 10^6: about a thousand indices)
+        N = table_2k.limit + 1
+        for build in (
+            lambda: euler_factor_power(7, 1.5, 10**6, table_2k),
+            lambda: euler_factor_power(1, 1.5, N, table_2k),
+            lambda: duality_witness(0.5, 7, N, table_2k),
+            lambda: extremal_product(0.5, 2, N, table_2k),
+            lambda: zeta_power_partial(N, 1.5, table_2k),
+        ):
+            with pytest.raises(SieveLimitError):
+                build()
+        f = euler_factor_power(7, 1.5, table_2k.limit, table_2k)
+        assert len(f) == sum(largest_prime_factor(n, table_2k) <= 7 for n in range(1, table_2k.limit + 1))
 
     def test_extremal_rejects_bad_p(self, table_2k):
         for p in (0.0, 2.0, 2.5, -1.0):
@@ -179,6 +235,14 @@ class TestConvolution:
     def test_memory_cap(self, monkeypatch, table_2k):
         monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", "10000")
         f = zeta_partial(500)
+        with pytest.raises(ResourceLimitError):
+            dirichlet_multiply(f, f)
+
+    def test_memory_cap_counts_kept_products(self, monkeypatch):
+        # a cap that holds the output support but not the products kept for the fsums
+        f = zeta_partial(60)
+        support = len(dirichlet_multiply(f, f))
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(150 * support + 100))
         with pytest.raises(ResourceLimitError):
             dirichlet_multiply(f, f)
 

@@ -1,0 +1,42 @@
+"""Every name a library module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dirichlet_hardy"
+
+# perfbench's tracer test rebinds norms.factorize and checks that it is restored
+ALLOWED_UNUSED = {("norms", "factorize")}
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            while isinstance(node, ast.Attribute):
+                node = node.value
+            if isinstance(node, ast.Name):
+                yield node.id
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set(referenced_names(tree))
+    unused = {name for name in imported_names(tree) if name not in used}
+    assert unused <= {name for module, name in ALLOWED_UNUSED if module == path.stem}, unused

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_norm(f, 2.0, 1, 1, table_2k)
 
+    def test_std_error_centred(self, table_2k):
+        # |F| = |1e8 + z|: |F|^p is nearly constant, so sumsq - n*mean^2 cancels to nothing
+        samples = 20_000
+        u = steinhaus_uniforms(3, 0, samples, 1)[:, 0]
+        absF = np.abs(1e8 + np.exp(2j * np.pi * u))
+        f = DirichletPolynomial({1: 1e8, 2: 1})
+        for p in (1.0, 2.0):
+            est = mc_norm(f, p, samples, 3, table_2k)
+            reference = np.std(absF**p, ddof=1) / math.sqrt(samples)
+            assert est.std_error == pytest.approx(reference, rel=1e-6)
+
     def test_deterministic_across_workers(self, table_2k):
         f = random_sparse(np.random.default_rng(3))
         runs = [mc_norm(f, 1.5, 50_000, 99, table_2k, workers=w) for w in (1, 1, 8)]
@@ -128,7 +140,9 @@ class TestMonteCarlo:
                     if lo.value and hi.value
                     else 0.0
                 )
-                assert lo.value <= hi.value * (1 + rel)
+                # where the 3-SE bound is below rounding level (a single-term f has |F|
+                # constant up to rounding), allow the few ulps the two means can cross by
+                assert lo.value <= hi.value * (1 + max(rel, 4 * sys.float_info.epsilon))
 
     def test_smooth_truncation_monotone(self, table_2k):
         # truncation to fewer prime variables never increases the quasi-norm
