@@ -20,12 +20,11 @@ import numpy as np
 from .arith import (
     PrimeTable,
     binomial_series_coefficient,
-    bohr_exponents,
     divisor_weight_values,
     multiplicative,
 )
 from .dseries import DirichletPolynomial
-from .norms import NormEstimate
+from .norms import NormEstimate, _lift_plan, _lift_values
 
 
 def hl_upper_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
@@ -183,12 +182,9 @@ def point_evaluation_margin(
     for w in zs:
         growth *= (1 - abs(w) ** 2) ** (-1 / p)
     # coordinates beyond the supplied point are 0, so monomials that use them vanish
-    rows, j, e = bohr_exponents(list(f.coefficients), table)
-    point = np.zeros(max(len(zs), int(j.max(initial=-1)) + 1), dtype=np.complex128)
-    point[: len(zs)] = zs
-    monomials = np.ones(len(f), dtype=np.complex128)
-    np.multiply.at(monomials, rows, point[j] ** e)
-    value = np.dot(list(f.coefficients.values()), monomials)
+    plan = _lift_plan(f, table)
+    point = np.array([zs[j] if j < len(zs) else 0j for j in plan.columns.tolist()], dtype=np.complex128)
+    value = _lift_values(plan, point[:, None])[0]
     return growth * norm.value - abs(value)
 
 

@@ -3,9 +3,9 @@
 Exact routes: the l2 norm from coefficients, and even-exponent norms via
 convolution (the 2k-norm of f is the l2 norm of f^k to the power 1/k).
 Everything else is Monte Carlo over random completely multiplicative unit
-coefficients (Steinhaus variables), with a counter-based generator so that a
-fixed (seed, samples) pair yields bit-identical estimates no matter how the
-samples are partitioned across workers.
+coefficients (Steinhaus variables) from a counter-based generator. The lift
+F = sum a_n z(n) is evaluated elementwise by z(n) = z(spf n) z(n/spf n), so |F|
+for sample i depends only on (seed, i), whatever the chunk, the worker count or BLAS.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -17,15 +17,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 # factorize is unused here; perfbench's tracer tests rebind and restore it in this module
-from .arith import PrimeTable, bohr_exponents, factorize
+from .arith import PrimeTable, factorize, multiplicative
 from .dseries import DirichletPolynomial, dirichlet_power
+from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 
-_CHUNK = 8192  # fixed sample chunk; part of the determinism contract
+_CHUNK = 8192  # samples evaluated together; bounds working memory
 
 # splitmix64 increments (odd 64-bit constants)
 _GAMMA_SAMPLE = np.uint64(0x9E3779B97F4A7C15)
@@ -126,26 +127,52 @@ def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
     return NormEstimate(p=2.0 * k, value=total ** (1.0 / (2 * k)), method="exact_even")
 
 
-def _lift_matrices(f: DirichletPolynomial, table: PrimeTable):
-    """Support coefficients, the needed prime indices, and the exponent matrix."""
-    support = f.support
-    coeffs = np.array([f.coefficients[n] for n in support], dtype=np.complex128)
-    cols, j, e = bohr_exponents(support, table)
-    used = np.unique(j)
-    K = np.zeros((used.size, len(support)))
-    K[np.searchsorted(used, j), cols] = e
-    return coeffs, (used + 1).tolist(), K
+class _LiftPlan(NamedTuple):
+    """Node rows ordered by (Omega(n), n): 1, the primes used, then a slice per Omega layer."""
+
+    columns: np.ndarray  # 0-based table positions of the primes used, ascending
+    rows: int
+    layers: list  # (lo, hi, spf rows, cofactor rows) for Omega = 2, 3, ...
+    terms: list  # (row, a_n) in ascending n
 
 
-def _abs_values_chunk(seed, start, count, prime_indices, K, coeffs) -> np.ndarray:
-    if not prime_indices:
-        # constant polynomial: F is a_1 for every sample
-        return np.full(count, abs(complex(coeffs.sum())) if coeffs.size else 0.0)
-    u_all = steinhaus_uniforms(seed, start, count, prime_indices[-1])
-    u = u_all[:, np.asarray(prime_indices, dtype=np.intp) - 1]
-    theta = u @ K
-    F = np.exp(2j * np.pi * theta) @ coeffs
-    return np.abs(F)
+def _lift_plan(f: DirichletPolynomial, table: PrimeTable) -> _LiftPlan:
+    """The nodes of the Bohr lift of f: its support closed under n -> spf(n) and n -> n/spf(n)."""
+    if f.length > table.limit:
+        raise SieveLimitError(f"support reaches {f.length}, beyond sieve limit {table.limit}")
+    spf = table.smallest_factor
+    support = np.array(f.support, dtype=np.int64)
+    nodes = np.union1d(support, [1])
+    while (grown := np.union1d(nodes, np.r_[spf[nodes], nodes // spf[nodes]])).size > nodes.size:
+        nodes = grown
+    omega = multiplicative(nodes, table, lambda e: e, np.add)
+    order = np.argsort(omega, kind="stable")
+    row, n = np.argsort(order), nodes[order]  # nodes[i] sits in row[i]; row r holds n[r]
+    left, right = row[np.searchsorted(nodes, spf[n])], row[np.searchsorted(nodes, n // spf[n])]
+    bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
+    return _LiftPlan(
+        columns=np.searchsorted(table.primes, nodes[omega == 1]),
+        rows=nodes.size,
+        layers=[(lo, hi, left[lo:hi], right[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        terms=list(zip(row[np.searchsorted(nodes, support)].tolist(), map(f.coeff, f.support))),
+    )
+
+
+def _lift_values(plan: _LiftPlan, z: np.ndarray) -> np.ndarray:
+    """F = sum a_n z(n) at each point, from z on the plan's primes (rows) at the points (columns).
+
+    Fills z(n) = z(spf n) z(n/spf n) layer by layer and adds the terms in ascending n, all
+    elementwise along the points, so a point's F does not depend on the points beside it.
+    """
+    Z = np.empty((plan.rows, z.shape[1]), dtype=np.complex128)
+    Z[0] = 1
+    Z[1 : 1 + plan.columns.size] = z
+    for lo, hi, left, right in plan.layers:
+        np.multiply(Z[left], Z[right], out=Z[lo:hi])
+    F = np.zeros(z.shape[1], dtype=np.complex128)
+    for r, a in plan.terms:
+        F += a * Z[r]
+    return F
 
 
 def mc_norm_many(
@@ -161,7 +188,7 @@ def mc_norm_many(
     Draws `samples` independent Steinhaus samples (one angle per prime up to the
     largest prime factor in the support), evaluates |F| once per sample, and
     forms each p-th power mean from the same |F| values. Deterministic for
-    fixed (seed, samples) regardless of `workers`.
+    fixed (seed, samples) regardless of `workers`. Checks the memory cap before sampling.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -169,17 +196,23 @@ def mc_norm_many(
             raise ValueError(f"p must be positive, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if f.length > table.limit:
-        raise ValueError(f"support reaches {f.length}, beyond sieve limit {table.limit}")
-    coeffs, prime_indices, K = _lift_matrices(f, table)
-    absF = np.empty(samples, dtype=np.float64)
+    plan = _lift_plan(f, table)
+    prime_count = int(plan.columns.max(initial=-1)) + 1
     starts = range(0, samples, _CHUNK)
+    # per chunk sample: complex node values, phases and the widest layer's two gathers, and
+    # the uniform block with its mixing temporaries (24 B per column); per sample of the
+    # whole run: |F|, |F|^p and the deviations with their temporary (32 B)
+    widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
+    per_sample = 16 * (plan.rows + plan.columns.size + 2 * widest) + 24 * prime_count
+    need = min(workers, len(starts)) * min(_CHUNK, samples) * per_sample + 32 * samples
+    if need > (cap := memory_cap_bytes()):
+        raise ResourceLimitError(f"Monte Carlo sampling needs {need} bytes", cap)
+    absF = np.empty(samples, dtype=np.float64)
 
     def fill(start: int) -> None:
         count = min(_CHUNK, samples - start)
-        absF[start : start + count] = _abs_values_chunk(
-            seed, start, count, prime_indices, K, coeffs
-        )
+        u = steinhaus_uniforms(seed, start, count, prime_count)[:, plan.columns]
+        absF[start : start + count] = np.abs(_lift_values(plan, np.exp(2j * np.pi * u).T))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -242,15 +275,11 @@ def evaluate_at_sample(
     f: DirichletPolynomial, sample: SteinhausSample, table: PrimeTable
 ) -> complex:
     """sum a_n z(n) with z(n) the multiplicative extension of the sampled z(p_j)."""
+    plan = _lift_plan(f, table)
     z = sample.values
-    support = list(f.coefficients)
-    rows, j, e = bohr_exponents(support, table)
-    if j.size and j.max() >= z.size:
-        n = support[int(rows[j.argmax()])]
-        raise ValueError(f"sample covers {z.size} primes but index {n} needs {int(j.max()) + 1}")
-    zn = np.ones(len(support), dtype=np.complex128)
-    np.multiply.at(zn, rows, z[j] ** e)
-    return complex(np.dot(list(f.coefficients.values()), zn))
+    if plan.columns.size and plan.columns[-1] >= z.size:
+        raise ValueError(f"sample covers {z.size} primes but the support needs {plan.columns[-1] + 1}")
+    return complex(_lift_values(plan, z[plan.columns, None])[0])
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+from dirichlet_hardy import norms
 from dirichlet_hardy.arith import binomial_series_coefficient
 from dirichlet_hardy.dseries import (
     DirichletPolynomial,
     smooth_truncation,
     zeta_partial,
 )
+from dirichlet_hardy.errors import ResourceLimitError
 from dirichlet_hardy.norms import (
     DiscPolynomial,
     SteinhausSample,
@@ -117,6 +119,40 @@ class TestMonteCarlo:
         assert runs[0].value == runs[1].value == runs[2].value
         assert runs[0].std_error == runs[2].std_error
 
+    def test_chunk_size_leaves_outputs_unchanged(self, table_2k, monkeypatch):
+        # |F| of sample i depends only on (seed, i), not on the chunk that evaluates it.
+        # A last-bit change in a few samples can vanish from the means, so the
+        # arrays handed to the reduction (|F|^p and the squared deviations) are compared too.
+        runs, reduced = [], []
+
+        def recording_sum(values):
+            reduced[-1].append(np.array(values))
+            return pairwise_sum(values)
+
+        monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
+        for chunk in (1024, 4096, 8192):
+            monkeypatch.setattr(norms, "_CHUNK", chunk)
+            reduced.append([])
+            ests = mc_norm_many(zeta_partial(350), [1.0, 3.0], 16384, 5, table_2k)
+            runs.append([(e.value, e.std_error) for e in ests])
+        assert runs[0] == runs[1] == runs[2]
+        for arrays in reduced[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(reduced[0], arrays, strict=True))
+
+    def test_memory_cap(self, table_2k, monkeypatch):
+        # Z_350 needs about 98 MB per 8192-sample chunk: one chunk at a time fits, two do not
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(150_000_000))
+        with pytest.raises(ResourceLimitError):
+            mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k, workers=2)
+        assert mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k).value > 0
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(10_000_000))
+        with pytest.raises(ResourceLimitError):
+            mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k)
+        # a tiny chunk, but |F| and the reductions over 2M samples need about 64 MB
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
+        with pytest.raises(ResourceLimitError):
+            mc_norm(DirichletPolynomial({1: 1, 2: 1}), 1.0, 2_000_000, 1, table_2k)
+
     def test_oracle_equivalence(self, table_2k):
         # spec tolerates the 3-sigma tail: expect ~99.7% of checks to pass
         rng = np.random.default_rng(12)
@@ -187,16 +223,16 @@ class TestSteinhausSamples:
             )
 
     def test_matches_mc_stream(self, table_2k):
-        # scalar evaluation at the published per-index samples reproduces the
-        # vectorized |F| stream up to rounding
+        # evaluation at the published per-index samples reproduces the engine's
+        # |F| stream bit for bit (the engine takes numpy's modulus)
         f = DirichletPolynomial({1: 1, 2: 1j, 12: -0.5, 35: 2})
         ests = mc_norm_many(f, [1.0], 16, 77, table_2k)
         mean_abs = ests[0].power_mean
         direct = []
         for i in range(16):
-            s = steinhaus_sample(77, i, 11)  # primes up to 31 cover index 35? 35=5*7 -> 4 primes
-            direct.append(abs(evaluate_at_sample(f, s, table_2k)))
-        assert np.mean(direct) == pytest.approx(mean_abs, rel=1e-12)
+            s = steinhaus_sample(77, i, 11)  # the first 11 primes, up to 31, cover 35 = 5 * 7
+            direct.append(np.abs(evaluate_at_sample(f, s, table_2k)))
+        assert pairwise_sum(np.array(direct)) / 16 == mean_abs
 
 
 class TestDiscNorm:
