@@ -184,7 +184,7 @@ def point_evaluation_margin(
     # coordinates beyond the supplied point are 0, so monomials that use them vanish
     plan = _lift_plan(f, table)
     point = np.array([zs[j] if j < len(zs) else 0j for j in plan.columns.tolist()], dtype=np.complex128)
-    value = _lift_values(plan, point[:, None])[0]
+    value = _lift_values(plan, point[None, :])[0]
     return growth * norm.value - abs(value)
 
 

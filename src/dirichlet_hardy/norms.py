@@ -4,8 +4,9 @@ Exact routes: the l2 norm from coefficients, and even-exponent norms via
 convolution (the 2k-norm of f is the l2 norm of f^k to the power 1/k).
 Everything else is Monte Carlo over random completely multiplicative unit
 coefficients (Steinhaus variables) from a counter-based generator. The lift
-F = sum a_n z(n) is evaluated elementwise by z(n) = z(spf n) z(n/spf n), so |F|
-for sample i depends only on (seed, i), whatever the chunk, the worker count or BLAS.
+F = sum a_n z(n) is evaluated point by point through z(n) = z(spf n) z(n/spf n), in
+cache-sized blocks of points, so |F| for sample i depends only on (seed, i), whatever
+the chunk, the block, the worker count or BLAS.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -26,7 +27,8 @@ from .arith import PrimeTable, factorize, multiplicative
 from .dseries import DirichletPolynomial, dirichlet_power
 from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 
-_CHUNK = 8192  # samples evaluated together; bounds working memory
+_CHUNK = 8192  # samples drawn together; bounds working memory
+_BLOCK_BYTES = 1 << 20  # node values of the points evaluated together; sized to stay in cache
 
 # splitmix64 increments (odd 64-bit constants)
 _GAMMA_SAMPLE = np.uint64(0x9E3779B97F4A7C15)
@@ -37,11 +39,14 @@ _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place: callers pass a fresh array."""
     # uint64 arithmetic wraps mod 2^64 by design
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _M1
-        x = (x ^ (x >> np.uint64(27))) * _M2
-        return x ^ (x >> np.uint64(31))
+        for shift, mult in ((30, _M1), (27, _M2)):
+            x ^= x >> np.uint64(shift)
+            x *= mult
+        x ^= x >> np.uint64(31)
+    return x
 
 
 def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
@@ -50,12 +55,15 @@ def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: in
     Entry (i, j) depends only on (seed, first_sample + i, j), so any partition
     of the sample range reproduces the same values.
     """
-    s0 = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    s0 = _mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
     idx = np.arange(first_sample + 1, first_sample + count + 1, dtype=np.uint64)
     per_sample = _mix64(s0 + idx * _GAMMA_SAMPLE)
     jdx = np.arange(1, prime_count + 1, dtype=np.uint64)
     h = _mix64(per_sample[:, None] + jdx[None, :] * _GAMMA_PRIME)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -128,12 +136,13 @@ def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
 
 
 class _LiftPlan(NamedTuple):
-    """Node rows ordered by (Omega(n), n): 1, the primes used, then a slice per Omega layer."""
+    """Node slots ordered by (Omega(n), n): 1, the primes used, then a slice per Omega layer."""
 
     columns: np.ndarray  # 0-based table positions of the primes used, ascending
-    rows: int
-    layers: list  # (lo, hi, spf rows, cofactor rows) for Omega = 2, 3, ...
-    terms: list  # (row, a_n) in ascending n
+    size: int  # number of nodes
+    layers: list  # (lo, hi, spf slots, cofactor slots) for Omega = 2, 3, ...
+    terms: np.ndarray  # slots of the support in ascending n
+    coeffs: np.ndarray  # a_n in the same order
 
 
 def _lift_plan(f: DirichletPolynomial, table: PrimeTable) -> _LiftPlan:
@@ -147,32 +156,31 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable) -> _LiftPlan:
         nodes = grown
     omega = multiplicative(nodes, table, lambda e: e, np.add)
     order = np.argsort(omega, kind="stable")
-    row, n = np.argsort(order), nodes[order]  # nodes[i] sits in row[i]; row r holds n[r]
-    left, right = row[np.searchsorted(nodes, spf[n])], row[np.searchsorted(nodes, n // spf[n])]
+    slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
+    left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
     bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
     return _LiftPlan(
         columns=np.searchsorted(table.primes, nodes[omega == 1]),
-        rows=nodes.size,
+        size=nodes.size,
         layers=[(lo, hi, left[lo:hi], right[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
-        terms=list(zip(row[np.searchsorted(nodes, support)].tolist(), map(f.coeff, f.support))),
+        terms=slot[np.searchsorted(nodes, support)],
+        coeffs=np.array([f.coeff(m) for m in f.support], dtype=np.complex128),
     )
 
 
 def _lift_values(plan: _LiftPlan, z: np.ndarray) -> np.ndarray:
-    """F = sum a_n z(n) at each point, from z on the plan's primes (rows) at the points (columns).
+    """F = sum a_n z(n) at each point, from z at the points (rows) on the plan's primes (columns).
 
-    Fills z(n) = z(spf n) z(n/spf n) layer by layer and adds the terms in ascending n, all
-    elementwise along the points, so a point's F does not depend on the points beside it.
+    Each point's row holds its node values: z(n) = z(spf n) z(n/spf n) fills them layer by
+    layer, and numpy's pairwise sum along the row adds the terms (ascending n). No operation
+    mixes rows, so a point's F does not depend on the points evaluated with it.
     """
-    Z = np.empty((plan.rows, z.shape[1]), dtype=np.complex128)
-    Z[0] = 1
-    Z[1 : 1 + plan.columns.size] = z
+    Z = np.empty((len(z), plan.size), dtype=np.complex128)
+    Z[:, 0] = 1
+    Z[:, 1 : 1 + plan.columns.size] = z
     for lo, hi, left, right in plan.layers:
-        np.multiply(Z[left], Z[right], out=Z[lo:hi])
-    F = np.zeros(z.shape[1], dtype=np.complex128)
-    for r, a in plan.terms:
-        F += a * Z[r]
-    return F
+        np.multiply(Z.take(left, axis=1), Z.take(right, axis=1), out=Z[:, lo:hi])
+    return (Z.take(plan.terms, axis=1) * plan.coeffs).sum(axis=1)
 
 
 def mc_norm_many(
@@ -199,20 +207,24 @@ def mc_norm_many(
     plan = _lift_plan(f, table)
     prime_count = int(plan.columns.max(initial=-1)) + 1
     starts = range(0, samples, _CHUNK)
-    # per chunk sample: complex node values, phases and the widest layer's two gathers, and
-    # the uniform block with its mixing temporaries (24 B per column); per sample of the
-    # whole run: |F|, |F|^p and the deviations with their temporary (32 B)
+    block = max(1, _BLOCK_BYTES // (16 * plan.size))
+    # per worker: the chunk's uniform block with its mixing temporaries (24 B per column), and
+    # per point of one block: node values, the widest layer's two gathers, term products and
+    # phases; per sample of the whole run: |F|, |F|^p and the deviations with their temporary
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
-    per_sample = 16 * (plan.rows + plan.columns.size + 2 * widest) + 24 * prime_count
-    need = min(workers, len(starts)) * min(_CHUNK, samples) * per_sample + 32 * samples
+    per_point = 16 * (plan.size + 2 * widest + plan.terms.size) + 40 * plan.columns.size
+    per_worker = min(_CHUNK, samples) * 24 * prime_count + min(block, samples) * per_point
+    need = min(workers, len(starts)) * per_worker + 32 * samples
     if need > (cap := memory_cap_bytes()):
         raise ResourceLimitError(f"Monte Carlo sampling needs {need} bytes", cap)
     absF = np.empty(samples, dtype=np.float64)
 
     def fill(start: int) -> None:
         count = min(_CHUNK, samples - start)
-        u = steinhaus_uniforms(seed, start, count, prime_count)[:, plan.columns]
-        absF[start : start + count] = np.abs(_lift_values(plan, np.exp(2j * np.pi * u).T))
+        u = steinhaus_uniforms(seed, start, count, prime_count)
+        for lo in range(start, start + count, block):
+            z = np.exp(2j * np.pi * u[lo - start : lo - start + block, plan.columns])
+            absF[lo : lo + len(z)] = np.abs(_lift_values(plan, z))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -279,7 +291,7 @@ def evaluate_at_sample(
     z = sample.values
     if plan.columns.size and plan.columns[-1] >= z.size:
         raise ValueError(f"sample covers {z.size} primes but the support needs {plan.columns[-1] + 1}")
-    return complex(_lift_values(plan, z[plan.columns, None])[0])
+    return complex(_lift_values(plan, z[None, plan.columns])[0])
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ class TestMonteCarlo:
         assert runs[0].std_error == runs[2].std_error
 
     def test_chunk_size_leaves_outputs_unchanged(self, table_2k, monkeypatch):
-        # |F| of sample i depends only on (seed, i), not on the chunk that evaluates it.
+        # |F| of sample i depends only on (seed, i), not on the chunk or block that evaluates it.
         # A last-bit change in a few samples can vanish from the means, so the
         # arrays handed to the reduction (|F|^p and the squared deviations) are compared too.
         runs, reduced = [], []
@@ -130,8 +130,9 @@ class TestMonteCarlo:
             return pairwise_sum(values)
 
         monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
-        for chunk in (1024, 4096, 8192):
+        for chunk, block_bytes in ((1024, 1 << 20), (4096, 1 << 16), (8192, 1 << 20)):
             monkeypatch.setattr(norms, "_CHUNK", chunk)
+            monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
             reduced.append([])
             ests = mc_norm_many(zeta_partial(350), [1.0, 3.0], 16384, 5, table_2k)
             runs.append([(e.value, e.std_error) for e in ests])
@@ -140,8 +141,8 @@ class TestMonteCarlo:
             assert all(np.array_equal(a, b) for a, b in zip(reduced[0], arrays, strict=True))
 
     def test_memory_cap(self, table_2k, monkeypatch):
-        # Z_350 needs about 98 MB per 8192-sample chunk: one chunk at a time fits, two do not
-        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(150_000_000))
+        # Z_350 needs about 17 MB per 8192-sample chunk: one chunk at a time fits, two do not
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
         with pytest.raises(ResourceLimitError):
             mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k, workers=2)
         assert mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k).value > 0
