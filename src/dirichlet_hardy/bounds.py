@@ -12,7 +12,7 @@ functional on Dirichlet series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -199,6 +199,10 @@ def primitive_pairing(f: DirichletPolynomial, beta: float) -> complex:
     return total
 
 
+# Monte Carlo comparisons, here and in the fuzz suite, allow this many standard errors
+_SLACK_SIGMA = 3.0
+
+
 @dataclass(frozen=True)
 class HLReport:
     """Outcome of checking the weighted coefficient inequalities on one polynomial.
@@ -217,15 +221,7 @@ class HLReport:
     slack_sigma: float
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "norm": self.norm.to_dict(),
-            "upper_sum": self.upper_sum,
-            "lower_sum": self.lower_sum,
-            "squarefree_sum": self.squarefree_sum,
-            "verdict": self.verdict,
-            "slack_sigma": self.slack_sigma,
-        }
+        return asdict(self)
 
 
 def hl_report(
@@ -233,19 +229,18 @@ def hl_report(
     p: float,
     norm: NormEstimate,
     table: PrimeTable,
-    slack_sigma: float = 3.0,
 ) -> HLReport:
     """Check the applicable weighted inequalities against a norm estimate.
 
     Comparisons happen on p-th power means, where the Monte Carlo standard
-    error lives; inequalities violated by more than `slack_sigma` standard
+    error lives; inequalities violated by more than `_SLACK_SIGMA` standard
     errors mark the report 'violation-suspected'.
     """
     upper = hl_upper_sum(f, p, table) if p >= 2 else None
     lower = hl_lower_sum(f, p, table) if p <= 2 else None
     sqfree = squarefree_lower_sum(f, p, table) if p <= 2 else None
     # statistical slack plus a rounding allowance for the exact routes
-    slack = slack_sigma * norm.std_error + 1e-10 * max(1.0, norm.power_mean)
+    slack = _SLACK_SIGMA * norm.std_error + 1e-10 * max(1.0, norm.power_mean)
     ok = True
     if upper is not None:
         ok &= norm.power_mean <= upper ** (p / 2) + slack
@@ -260,5 +255,5 @@ def hl_report(
         lower_sum=lower,
         squarefree_sum=sqfree,
         verdict="consistent" if ok else "violation-suspected",
-        slack_sigma=slack_sigma,
+        slack_sigma=_SLACK_SIGMA,
     )

@@ -4,8 +4,9 @@ Subcommands: norm, pseudomoment, scan, hl-check, partial-sum, cnp-scan,
 omega-hist, euler-const, fuzz. Every run echoes its resolved parameters,
 including the seed, and writes json, jsonl, or csv atomically.
 
-Exit codes: 0 success, 1 fuzz violations beyond slack, 2 usage error,
-3 resource limit, 4 internal error (a library invariant check failed).
+Exit codes: 0 success, 1 fuzz violations beyond slack, 2 usage error or a
+value the library rejects, 3 resource limit, 4 internal error (a library
+invariant check failed).
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .arith import pseudomoment_leading_factor, pseudomoment_ratio_bounds, sieve_primes
+from .arith import PrimeTable, pseudomoment_leading_factor, pseudomoment_ratio_bounds, sieve_primes
 from .bounds import hl_report
 from .dseries import DirichletPolynomial, GeneratorSpec, generate
 from .errors import ResourceLimitError
 from .experiments import (
+    ExperimentRecord,
     FuzzConfig,
     hl_fuzz_suite,
     maximal_order_scan,
@@ -169,6 +171,7 @@ def build_parser() -> _Parser:
 
 
 def parse(argv: list[str]) -> Command:
+    """Parse argv; value ranges the library checks are left to it (exit 2 either way)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "norm":
@@ -176,60 +179,31 @@ def parse(argv: list[str]) -> Command:
             raise UsageError("norm needs exactly one of --input or --generator")
         if args.generator and not args.N:
             raise UsageError("--generator requires --N")
-    if args.subcommand == "scan":
-        if len(args.grid) < 4:
-            raise UsageError("--grid needs at least 4 points")
-        if any(b <= a for a, b in zip(args.grid, args.grid[1:])):
-            raise UsageError("--grid must be strictly increasing")
-    if args.subcommand == "pseudomoment" or args.subcommand == "scan":
-        if args.method == "exact" and float(args.k) != int(args.k):
-            raise UsageError("exact method requires integer k")
     if args.subcommand == "partial-sum":
-        if args.mode == "witness":
-            if not 0 < args.p < 1:
-                raise UsageError("witness mode requires 0 < p < 1")
-            if not args.k:
-                raise UsageError("witness mode requires --k")
-        else:
-            if not args.probe_N or not args.N:
-                raise UsageError("probe mode requires --probe-N and --N")
-    if args.subcommand == "cnp-scan":
-        if not 0 < args.p < 1:
-            raise UsageError("cnp-scan requires 0 < p < 1")
-        if args.X < 16:
-            raise UsageError("cnp-scan requires X >= 16")
-    if args.subcommand == "omega-hist" and args.x < 16:
-        raise UsageError("omega-hist requires x >= 16")
-    if args.subcommand == "euler-const" and args.k < 1:
-        raise UsageError("euler-const requires k >= 1")
-    if args.subcommand == "fuzz" and args.corpus < 0:
-        raise UsageError("--corpus must be nonnegative")
+        if args.mode == "witness" and not args.k:
+            raise UsageError("witness mode requires --k")
+        if args.mode == "probe" and not (args.probe_N and args.N):
+            raise UsageError("probe mode requires --probe-N and --N")
     return Command(subcommand=args.subcommand, args=args)
 
 
-def _load_polynomial(args, table) -> DirichletPolynomial:
-    if args.input:
-        with open(args.input, encoding="utf-8") as handle:
-            return DirichletPolynomial.from_json(handle.read())
-    spec = GeneratorSpec(
-        kind=args.generator,
-        N=args.N,
-        alpha=args.alpha,
-        p=getattr(args, "gen_p", None),
-        prime_bound=args.prime_bound,
-        prime_count=args.prime_count,
-        beta=args.beta,
-    )
-    return generate(spec, table)
+def _table(*limits: int) -> PrimeTable:
+    """The prime table of a run: covers every limit, and at least 1000."""
+    return sieve_primes(max(1000, *limits))
 
 
-def _norm_records(args, seed: int) -> list[dict]:
-    limit = max(args.N or 0, 1000)
+def _norm_records(args, seed: int) -> list[ExperimentRecord]:
     if args.input:
         with open(args.input, encoding="utf-8") as handle:
-            limit = max(limit, DirichletPolynomial.from_json(handle.read()).length)
-    table = sieve_primes(limit)
-    f = _load_polynomial(args, table)
+            f = DirichletPolynomial.from_json(handle.read())
+        table = _table(f.length)
+    else:
+        table = _table(args.N)
+        spec = GeneratorSpec(
+            kind=args.generator, N=args.N, alpha=args.alpha, p=args.gen_p,
+            prime_bound=args.prime_bound, prime_count=args.prime_count, beta=args.beta,
+        )
+        f = generate(spec, table)
     method = args.method
     if method == "auto":
         if args.p == 2.0:
@@ -248,21 +222,30 @@ def _norm_records(args, seed: int) -> list[dict]:
         est = even_norm_exact(f, int(args.p / 2))
     else:
         est = mc_norm(f, args.p, args.samples, seed, table, args.threads)
-    record = {
-        "experiment": "norm",
-        "params": {
-            "p": args.p, "method": est.method, "samples": est.samples,
-            "seed": est.seed, "generator": args.generator, "N": args.N,
-        },
-        "value": est.value,
-        "normalizer": 1.0,
-        "ratio": est.value,
-        "std_error": est.std_error if est.method == "monte_carlo" else None,
-        "extra": {"length": f.length, "support_size": len(f)},
-    }
+    extra = {"length": f.length, "support_size": len(f)}
     if args.hl_report:
-        record["extra"]["hl_report"] = hl_report(f, args.p, est, table).to_dict()
-    return [record]
+        extra["hl_report"] = hl_report(f, args.p, est, table).to_dict()
+    params = {"p": args.p, "method": est.method, "samples": est.samples,
+              "seed": est.seed, "generator": args.generator, "N": args.N}
+    std_error = est.std_error if est.method == "monte_carlo" else None
+    return [ExperimentRecord(experiment="norm", params=params, value=est.value, normalizer=1.0,
+                             ratio=est.value, std_error=std_error, extra=extra)]
+
+
+def _fuzz_records(config: FuzzConfig) -> tuple[list[ExperimentRecord], int]:
+    """The fuzz suite's records closed by a summary record, and the violation count."""
+    result = hl_fuzz_suite(config, _table(config.max_index))
+    violations = result.summary["violation"]
+    summary = ExperimentRecord(
+        experiment="fuzz-summary",
+        params={"seed": config.seed, "samples": config.samples, "method": "summary"},
+        value=float(violations),
+        normalizer=float(config.corpus),
+        ratio=violations / config.corpus if config.corpus else 0.0,
+        extra={"summary": result.summary, "violations": result.violations,
+               "inequalities": list(config.inequalities), "p_values": list(config.p_values)},
+    )
+    return result.records + [summary], violations
 
 
 def execute(cmd: Command) -> tuple[ResultDocument, int]:
@@ -275,103 +258,78 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
     if cmd.subcommand == "norm":
         records = _norm_records(args, seed)
     elif cmd.subcommand == "pseudomoment":
-        table = None
-        if not (args.alpha == 1.0 and args.k in (1.0, 2.0) and args.method == "exact"):
-            table = sieve_primes(max(args.N, 1000))
-        rec = pseudomoment(args.N, args.k, args.alpha, args.method, table,
-                           samples=args.samples, seed=seed, workers=args.threads)
-        records = [rec.to_dict()]
+        records = [pseudomoment(args.N, args.k, args.alpha, args.method, samples=args.samples,
+                                seed=seed, workers=args.threads)]
     elif cmd.subcommand == "scan":
-        table = None
-        if not (args.alpha == 1.0 and args.k in (1.0, 2.0) and args.method == "exact"):
-            table = sieve_primes(max(max(args.grid), 1000))
-        recs, slope = pseudomoment_scan(args.k, args.alpha, args.grid, args.method, table,
-                                        samples=args.samples, seed=seed, workers=args.threads)
-        records = [r.to_dict() for r in recs]
-        records.append({
-            "experiment": "scan-slope",
-            "params": {"k": args.k, "alpha": args.alpha, "method": args.method,
-                       "grid": ",".join(map(str, args.grid)), "seed": seed},
-            "value": slope, "normalizer": (args.k * args.alpha) ** 2,
-            "ratio": slope / (args.k * args.alpha) ** 2, "std_error": None,
-            "extra": {"regressor": "log log N"},
-        })
-    elif cmd.subcommand == "hl-check":
-        table = sieve_primes(max(args.max_index, 1000))
-        inequalities = ("hl-upper",) if args.p >= 2 else ("hl-lower", "squarefree-lower")
-        config = FuzzConfig(
-            inequalities=inequalities, p_values=(args.p,), corpus=args.corpus,
-            max_support=args.support, max_index=args.max_index,
-            samples=args.samples, seed=seed, workers=args.threads,
-        )
-        result = hl_fuzz_suite(config, table)
-        records = [r.to_dict() for r in result.records]
-        records.append(_summary_record(result, config, seed))
-        if result.summary["violation"]:
+        records, slope = pseudomoment_scan(args.k, args.alpha, args.grid, args.method,
+                                           samples=args.samples, seed=seed, workers=args.threads)
+        exponent = (args.k * args.alpha) ** 2
+        records.append(ExperimentRecord(
+            experiment="scan-slope",
+            params={"k": args.k, "alpha": args.alpha, "method": args.method,
+                    "grid": ",".join(map(str, args.grid)), "seed": seed},
+            value=slope, normalizer=exponent, ratio=slope / exponent,
+            extra={"regressor": "log log N"},
+        ))
+    elif cmd.subcommand in ("hl-check", "fuzz"):
+        if cmd.subcommand == "hl-check":
+            config = FuzzConfig(
+                inequalities=("hl-upper",) if args.p >= 2 else ("hl-lower", "squarefree-lower"),
+                p_values=(args.p,), corpus=args.corpus, max_support=args.support,
+                max_index=args.max_index, samples=args.samples, seed=seed, workers=args.threads,
+            )
+        else:
+            config = FuzzConfig(
+                inequalities=tuple(s for s in args.inequalities.split(",") if s),
+                p_values=tuple(float(s) for s in args.p_grid.split(",") if s),
+                corpus=args.corpus, max_support=args.support, max_index=args.max_index,
+                max_degree=args.max_degree, samples=args.samples, nodes=args.nodes,
+                seed=seed, invert=args.invert, workers=args.threads,
+            )
+        records, violations = _fuzz_records(config)
+        if violations:
             exit_code = 1
-            warnings.append(f"{result.summary['violation']} violation(s) beyond slack")
+            warnings.append(f"{violations} violation(s) beyond slack")
     elif cmd.subcommand == "partial-sum":
         if args.mode == "witness":
-            pre = sieve_primes(10000)
-            M = 1
-            for j in range(1, args.k + 1):
-                M *= pre.prime(j)
-            table = pre if M <= pre.limit else sieve_primes(M)
+            # a presieve finds the primorial; sieve again only when it outgrows it
+            table = _table(10000)
+            M = math.prod(table.prime(j) for j in range(1, args.k + 1))
+            if M > table.limit:
+                table = _table(M)
             rec = partial_sum_witness(args.p, args.k, args.samples, seed, table, args.threads)
         else:
-            table = sieve_primes(max(args.N, 1000))
+            table = _table(args.N)
             spec = GeneratorSpec(kind=args.generator, N=args.N, alpha=1.0,
                                  prime_bound=args.prime_bound or args.N)
             f = generate(spec, table)
             rec = partial_sum_ratio_probe(f, args.probe_N, args.p, args.samples, seed,
                                           table, args.threads)
-        records = [rec.to_dict()]
+        records = [rec]
     elif cmd.subcommand == "cnp-scan":
-        table = sieve_primes(max(args.X, 1000))
-        records = [maximal_order_scan(args.X, args.p, table).to_dict()]
+        records = [maximal_order_scan(args.X, args.p, _table(args.X))]
     elif cmd.subcommand == "omega-hist":
-        table = sieve_primes(max(args.x, 1000))
-        records = [omega_concentration(args.x, args.C, table).to_dict()]
+        records = [omega_concentration(args.x, args.C, _table(args.x))]
     elif cmd.subcommand == "euler-const":
         upper, lower = pseudomoment_ratio_bounds(args.k, args.prime_limit)
-        records = [{
-            "experiment": "euler-const",
-            "params": {"k": args.k, "prime_limit": args.prime_limit, "seed": seed},
-            "value": upper.value, "normalizer": lower.value,
-            "ratio": upper.value / lower.value if lower.value else math.inf,
-            "std_error": None,
-            "extra": {"upper_log": upper.log_value, "lower_log": lower.log_value,
-                      "tail_bound_upper": upper.tail_bound, "tail_bound_lower": lower.tail_bound},
-        }]
+        params = {"k": args.k, "prime_limit": args.prime_limit, "seed": seed}
+        records = [ExperimentRecord(
+            experiment="euler-const", params=params, value=upper.value,
+            normalizer=lower.value,
+            ratio=upper.value / lower.value if lower.value else math.inf,
+            extra={"upper_log": upper.log_value, "lower_log": lower.log_value,
+                   "tail_bound_upper": upper.tail_bound, "tail_bound_lower": lower.tail_bound},
+        )]
         warnings.append(f"Euler tails bounded by {max(upper.tail_bound, lower.tail_bound):.3e} in log scale")
         if args.leading_factor:
             if float(args.k) != int(args.k):
                 raise UsageError("--leading-factor requires integer k")
             ak = pseudomoment_leading_factor(int(args.k), args.prime_limit)
-            records.append({
-                "experiment": "leading-factor",
-                "params": {"k": args.k, "prime_limit": args.prime_limit, "seed": seed},
-                "value": ak.value, "normalizer": 1.0, "ratio": ak.value,
-                "std_error": None,
-                "extra": {"log_value": ak.log_value, "tail_bound": ak.tail_bound},
-            })
-    elif cmd.subcommand == "fuzz":
-        table = sieve_primes(max(args.max_index, 1000))
-        config = FuzzConfig(
-            inequalities=tuple(s for s in args.inequalities.split(",") if s),
-            p_values=tuple(float(s) for s in args.p_grid.split(",") if s),
-            corpus=args.corpus, max_support=args.support, max_index=args.max_index,
-            max_degree=args.max_degree, samples=args.samples, nodes=args.nodes,
-            seed=seed, invert=args.invert, workers=args.threads,
-        )
-        result = hl_fuzz_suite(config, table)
-        records = [r.to_dict() for r in result.records]
-        records.append(_summary_record(result, config, seed))
-        if result.summary["violation"]:
-            exit_code = 1
-            warnings.append(f"{result.summary['violation']} violation(s) beyond slack")
-    else:
-        raise UsageError(f"unknown subcommand {cmd.subcommand}")
+            records.append(ExperimentRecord(
+                experiment="leading-factor", params=params, value=ak.value,
+                normalizer=1.0, ratio=ak.value,
+                extra={"log_value": ak.log_value, "tail_bound": ak.tail_bound},
+            ))
 
     doc = ResultDocument(
         tool=TOOL,
@@ -379,24 +337,11 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
         command=[cmd.subcommand] + _echo_args(args),
         seed=seed,
         threads=args.threads,
-        records=records,
+        records=[r.to_dict() for r in records],
         warnings=warnings,
         wall_time_s=time.monotonic() - started,
     )
     return doc, exit_code
-
-
-def _summary_record(result, config, seed) -> dict:
-    return {
-        "experiment": "fuzz-summary",
-        "params": {"seed": seed, "samples": config.samples, "method": "summary"},
-        "value": float(result.summary["violation"]),
-        "normalizer": float(config.corpus),
-        "ratio": result.summary["violation"] / config.corpus if config.corpus else 0.0,
-        "std_error": None,
-        "extra": {"summary": result.summary, "violations": result.violations,
-                  "inequalities": list(config.inequalities), "p_values": list(config.p_values)},
-    }
 
 
 def _echo_args(args: argparse.Namespace) -> list[str]:

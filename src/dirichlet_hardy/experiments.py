@@ -13,7 +13,7 @@ replayed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .arith import (
     sieve_primes,
 )
 from .bounds import (
+    _SLACK_SIGMA,
     coeff_functional_exact,
     coeff_functional_prime_power,
     hl_lower_sum,
@@ -67,15 +68,7 @@ class ExperimentRecord:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": dict(self.params),
-            "value": self.value,
-            "normalizer": self.normalizer,
-            "ratio": self.ratio,
-            "std_error": self.std_error,
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
 
 def _ratio(value: float, normalizer: float) -> float:
@@ -138,8 +131,8 @@ def pseudomoment(
     """Psi_{k,alpha}(N) with normalizer (log N)^(k^2 alpha^2).
 
     method 'exact' requires integer k; 'mc' requires samples and seed. The
-    truncation must fit the sieve table except on the k = 1, alpha = 1 route,
-    which needs no factorizations.
+    routes that factor (alpha != 1, or Monte Carlo) sieve N themselves when
+    given no table; a table that is given must cover N.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -157,27 +150,26 @@ def pseudomoment(
                 experiment="pseudomoment", params=params, value=1.0, normalizer=0.0,
                 ratio=math.nan, std_error=None, extra={"algorithm": "trivial"},
             )
-        needs_table = not (k == 1 and alpha == 1.0) and not (k == 2 and alpha == 1.0)
-        if needs_table:
-            if table is None:
-                raise ValueError("exact route needs a prime table for these parameters")
-            if N > table.limit:
-                raise SieveLimitError(f"N={N} exceeds sieve limit {table.limit}")
-        value, algorithm = _exact_pseudomoment(N, int(k), alpha, table)
-        std_error = None
-        extra["algorithm"] = algorithm
     elif method == "mc":
         if samples is None or seed is None:
             raise ValueError("mc route requires samples and seed")
-        if table is None or N > table.limit:
-            raise ValueError("mc route needs a prime table covering N")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if alpha != 1.0 or method == "mc":
+        if table is None:
+            table = sieve_primes(max(N, 2))
+        elif N > table.limit:
+            raise SieveLimitError(f"N={N} exceeds sieve limit {table.limit}")
+    if method == "exact":
+        value, algorithm = _exact_pseudomoment(N, int(k), alpha, table)
+        std_error = None
+        extra["algorithm"] = algorithm
+    else:
         f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table)
         est = mc_norm(f, 2 * k, samples, seed, table, workers)
         value = est.power_mean
         std_error = est.std_error
         params.update({"samples": samples, "seed": seed})
-    else:
-        raise ValueError(f"unknown method {method!r}")
     normalizer = math.log(N) ** (k * k * alpha * alpha) if N > 1 else 0.0
     return ExperimentRecord(
         experiment="pseudomoment",
@@ -516,8 +508,6 @@ class FuzzConfig:
     samples: int = 20000
     nodes: int = 16384
     seed: int = 0
-    slack_sigma: float = 3.0
-    disc_tolerance: float = 1e-8
     invert: bool = False  # self-test mode: flip every comparison
     workers: int = 1
 
@@ -532,6 +522,8 @@ class FuzzResult:
 DISC_INEQUALITIES = {"disc-upper", "disc-lower"}
 DIRICHLET_INEQUALITIES = {"hl-upper", "hl-lower", "squarefree-lower", "divisor-chain"}
 ALL_INEQUALITIES = DISC_INEQUALITIES | DIRICHLET_INEQUALITIES
+# absolute slack of the disc checks, whose sides come from quadrature, not sampling
+_DISC_TOLERANCE = 1e-8
 
 
 def random_dirichlet(rng: np.random.Generator, max_support: int, max_index: int) -> DirichletPolynomial:
@@ -577,6 +569,8 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
     unknown = set(config.inequalities) - ALL_INEQUALITIES
     if unknown:
         raise ValueError(f"unknown inequalities: {sorted(unknown)}")
+    if config.corpus < 0:
+        raise ValueError(f"corpus must be nonnegative, got {config.corpus}")
     records: list[ExperimentRecord] = []
     violations: list[dict] = []
     summary = {"pass": 0, "pass-within-slack": 0, "violation": 0}
@@ -621,12 +615,12 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
             if "disc-upper" in disc_checks:
                 for p in upper_ps:
                     lhs = disc_norm(g, p, config.nodes).value
-                    classify(lhs, _disc_weighted_upper(g, p), config.disc_tolerance,
+                    classify(lhs, _disc_weighted_upper(g, p), _DISC_TOLERANCE,
                              "disc-upper", p, case, repro, None)
             if "disc-lower" in disc_checks:
                 for p in lower_ps:
                     rhs = disc_norm(g, p, config.nodes).value
-                    classify(_disc_weighted_lower(g, p), rhs, config.disc_tolerance,
+                    classify(_disc_weighted_lower(g, p), rhs, _DISC_TOLERANCE,
                              "disc-lower", p, case, repro, None)
 
         if dirich_checks:
@@ -646,25 +640,25 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
                 if "hl-upper" in dirich_checks:
                     est = ests[p]
                     rhs = hl_upper_sum(f, p, table) ** (p / 2)
-                    classify(est.power_mean, rhs, config.slack_sigma * est.std_error,
+                    classify(est.power_mean, rhs, _SLACK_SIGMA * est.std_error,
                              "hl-upper", p, case, repro, est.std_error)
             for p in lower_ps:
                 if "hl-lower" in dirich_checks:
                     est = ests[p]
                     lhs = hl_lower_sum(f, p, table) ** (p / 2)
-                    classify(lhs, est.power_mean, config.slack_sigma * est.std_error,
+                    classify(lhs, est.power_mean, _SLACK_SIGMA * est.std_error,
                              "hl-lower", p, case, repro, est.std_error)
                 if "squarefree-lower" in dirich_checks:
                     est = ests[p]
                     lhs = squarefree_lower_sum(f, p, table) ** (p / 2)
-                    classify(lhs, est.power_mean, config.slack_sigma * est.std_error,
+                    classify(lhs, est.power_mean, _SLACK_SIGMA * est.std_error,
                              "squarefree-lower", p, case, repro, est.std_error)
             if "divisor-chain" in dirich_checks:
                 est = ests[1.0]
                 # d_2(n) counts the divisors of n
                 max_sqrt_d = math.sqrt(divisor_values(list(f.coefficients), 2.0, table).max(initial=1.0))
                 lhs = l2_norm(f).value / max_sqrt_d
-                classify(lhs, est.value, config.slack_sigma * est.value_std_error,
+                classify(lhs, est.value, _SLACK_SIGMA * est.value_std_error,
                          "divisor-chain", 1.0, case, repro, est.std_error)
 
     return FuzzResult(summary=summary, records=records, violations=violations)

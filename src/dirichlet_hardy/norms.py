@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -107,14 +107,7 @@ class NormEstimate:
         return self.value * self.std_error / (self.p * self.power_mean)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "value": self.value,
-            "method": self.method,
-            "samples": self.samples,
-            "std_error": self.std_error,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def l2_norm(f: DirichletPolynomial) -> NormEstimate:

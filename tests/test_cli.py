@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,31 @@ class TestParse:
     def test_witness_validations(self, capsys):
         assert main(["partial-sum", "--p", "1.5", "--k", "2"]) == 2
         assert main(["partial-sum", "--p", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        "scan --k 1 --grid 10,100",
+        "scan --k 1 --grid 10,100,50,200",
+        "pseudomoment --N 10 --k 1.5 --method exact",
+        "partial-sum --p 1.5 --k 2",
+        "cnp-scan --p 2 --X 100",
+        "cnp-scan --p 0.5 --X 10",
+        "omega-hist --x 10 --C 1",
+        "euler-const --k 0.5",
+        "fuzz --corpus -1",
+        "hl-check --p 1 --corpus -3",
+    ])
+    def test_library_checks_exit_2(self, argv, capsys):
+        assert main(argv.split() + ["--seed", "1"]) == 2
+        assert "invalid arguments" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        commands = [line for line in readme.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("dhardy ")]
+        assert len(commands) >= 9
+        subcommands = {parse(shlex.split(line)[1:]).subcommand for line in commands}
+        assert subcommands == {"norm", "pseudomoment", "scan", "hl-check", "partial-sum",
+                               "cnp-scan", "omega-hist", "euler-const", "fuzz"}
 
 
 class TestExecute:

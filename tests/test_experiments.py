@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
-from dirichlet_hardy.errors import ResourceLimitError
+from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
 from dirichlet_hardy.experiments import (
     FuzzConfig,
     harmonic_number,
@@ -73,6 +73,16 @@ class TestPseudomoment:
     def test_rejects_missing_mc_params(self, table_2k):
         with pytest.raises(ValueError):
             pseudomoment(10, 1.5, 1.0, "mc", table_2k)
+
+    def test_factoring_routes_sieve_their_own_table(self, table_2k):
+        exact = pseudomoment(40, 2, 1.5, "exact")
+        assert exact.value == pseudomoment(40, 2, 1.5, "exact", table_2k).value
+        mc = pseudomoment(60, 1.5, 1.0, "mc", samples=2000, seed=1)
+        assert mc.value == pseudomoment(60, 1.5, 1.0, "mc", table_2k, samples=2000, seed=1).value
+
+    def test_given_table_must_cover_N(self, table_2k):
+        with pytest.raises(SieveLimitError):
+            pseudomoment(3000, 1, 1.5, "exact", table_2k)
 
     def test_normalizer(self):
         rec = pseudomoment(100, 2, 1.0, "exact")
@@ -237,6 +247,10 @@ class TestFuzzSuite:
     def test_unknown_inequality(self, table_2k):
         with pytest.raises(ValueError):
             hl_fuzz_suite(FuzzConfig(inequalities=("nope",)), table_2k)
+
+    def test_negative_corpus(self, table_2k):
+        with pytest.raises(ValueError):
+            hl_fuzz_suite(FuzzConfig(corpus=-1), table_2k)
 
     def test_exact_p4_upper(self, table_2k):
         # even-exponent route: no statistical slack needed
