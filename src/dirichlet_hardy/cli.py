@@ -292,12 +292,7 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
             warnings.append(f"{violations} violation(s) beyond slack")
     elif cmd.subcommand == "partial-sum":
         if args.mode == "witness":
-            # a presieve finds the primorial; sieve again only when it outgrows it
-            table = _table(10000)
-            M = math.prod(table.prime(j) for j in range(1, args.k + 1))
-            if M > table.limit:
-                table = _table(M)
-            rec = partial_sum_witness(args.p, args.k, args.samples, seed, table, args.threads)
+            rec = partial_sum_witness(args.p, args.k, args.samples, seed, workers=args.threads)
         else:
             table = _table(args.N)
             spec = GeneratorSpec(kind=args.generator, N=args.N, alpha=1.0,

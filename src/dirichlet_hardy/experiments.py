@@ -43,7 +43,7 @@ from .dseries import (
     zeta_partial,
     zeta_power_partial,
 )
-from .errors import ResourceLimitError, SieveLimitError
+from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 from .norms import (
     DiscPolynomial,
     NormEstimate,
@@ -263,7 +263,7 @@ def partial_sum_witness(
     k: int,
     samples: int,
     seed: int,
-    table: PrimeTable,
+    table: PrimeTable | None = None,
     workers: int = 1,
 ) -> ExperimentRecord:
     """The primorial witness for the partial-sum operator at exponent p in (0, 1).
@@ -271,12 +271,30 @@ def partial_sum_witness(
     Builds the unit-norm product f over the first k primes, truncated at the
     primorial M. Its coefficient at M is C(1,p)^k exactly, so by the p-triangle
     inequality max(|S_{M-1} f|_p^p, |S_M f|_p^p) >= C(1,p)^(pk) / 2; both
-    truncation norms are estimated from one sample stream.
+    truncation norms are estimated from one sample stream. Given no table, it
+    sieves M itself; a primorial beyond any sieve the memory cap allows is a
+    ResourceLimitError.
     """
     if not 0 < p < 1:
         raise ValueError(f"witness requires 0 < p < 1, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if table is None:
+        # the primorial from a presieve, then one sieve that covers it; a sieve takes at
+        # least a byte per index, so the product can stop once it passes the cap
+        presieve, M, cap = sieve_primes(1000), 1, memory_cap_bytes()
+        for j in range(1, k + 1):
+            if j > presieve.prime_count:
+                presieve = sieve_primes(2 * presieve.limit)
+            M *= presieve.prime(j)
+            if M > cap:
+                break
+        try:
+            table = presieve if M <= presieve.limit else sieve_primes(M)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(
+                f"the primorial of the first {k} primes is beyond any sieve under the cap", cap
+            ) from exc
     if k > table.prime_count:
         raise ResourceLimitError(f"table has only {table.prime_count} primes", None)
     M = 1

@@ -3,10 +3,13 @@
 Exact routes: the l2 norm from coefficients, and even-exponent norms via
 convolution (the 2k-norm of f is the l2 norm of f^k to the power 1/k).
 Everything else is Monte Carlo over random completely multiplicative unit
-coefficients (Steinhaus variables) from a counter-based generator. The lift
-F = sum a_n z(n) is evaluated point by point through z(n) = z(spf n) z(n/spf n), in
-cache-sized blocks of points, so |F| for sample i depends only on (seed, i), whatever
-the chunk, the block, the worker count or BLAS.
+coefficients (Steinhaus variables) from a counter-based generator. The angle of
+prime p_j in sample i depends only on (seed, i, j), so the engine draws angles only
+for the primes that divide some index of the support, and `steinhaus_sample` gives
+the engine's bits for the primes p_1..p_J. The lift F = sum a_n z(n) is evaluated
+point by point through z(n) = z(spf n) z(n/spf n), in cache-sized blocks of points,
+so |F| for sample i depends only on (seed, i), whatever the chunk, the block, the
+worker count or BLAS.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -49,21 +52,30 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
-    """Uniform angles in [0,1) for samples [first_sample, first_sample+count) and primes 1..prime_count.
+def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> np.ndarray:
+    """Uniform angles in [0,1) for samples [first_sample, first_sample+count) and the given primes.
 
-    Entry (i, j) depends only on (seed, first_sample + i, j), so any partition
-    of the sample range reproduces the same values.
+    `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Entry
+    (i, j) depends only on (seed, first_sample + i, columns[j]), so any partition of
+    the sample range, or any choice of columns, reproduces the same values.
     """
     s0 = _mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
     idx = np.arange(first_sample + 1, first_sample + count + 1, dtype=np.uint64)
     per_sample = _mix64(s0 + idx * _GAMMA_SAMPLE)
-    jdx = np.arange(1, prime_count + 1, dtype=np.uint64)
+    jdx = np.asarray(columns, dtype=np.uint64) + np.uint64(1)
     h = _mix64(per_sample[:, None] + jdx[None, :] * _GAMMA_PRIME)
     h >>= np.uint64(11)
     u = h.astype(np.float64)
     u *= 2.0**-53
     return u
+
+
+def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
+    """Uniform angles in [0,1) for samples [first_sample, first_sample+count) and primes 1..prime_count.
+
+    The engine's stream: column j of it is what the engine draws for the prime p_{j+1}.
+    """
+    return _uniforms(seed, first_sample, count, np.arange(prime_count))
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -186,10 +198,10 @@ def mc_norm_many(
 ) -> list[NormEstimate]:
     """Monte Carlo estimates of several quasi-norms from one shared sample stream.
 
-    Draws `samples` independent Steinhaus samples (one angle per prime up to the
-    largest prime factor in the support), evaluates |F| once per sample, and
-    forms each p-th power mean from the same |F| values. Deterministic for
-    fixed (seed, samples) regardless of `workers`. Checks the memory cap before sampling.
+    Draws `samples` independent Steinhaus samples (one angle per prime dividing
+    some index of the support), evaluates |F| once per sample, and forms each
+    p-th power mean from the same |F| values. Deterministic for fixed
+    (seed, samples) regardless of `workers`. Checks the memory cap before sampling.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -198,7 +210,6 @@ def mc_norm_many(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _lift_plan(f, table)
-    prime_count = int(plan.columns.max(initial=-1)) + 1
     starts = range(0, samples, _CHUNK)
     block = max(1, _BLOCK_BYTES // (16 * plan.size))
     # per worker: the chunk's uniform block with its mixing temporaries (24 B per column), and
@@ -206,7 +217,7 @@ def mc_norm_many(
     # phases; per sample of the whole run: |F|, |F|^p and the deviations with their temporary
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
     per_point = 16 * (plan.size + 2 * widest + plan.terms.size) + 40 * plan.columns.size
-    per_worker = min(_CHUNK, samples) * 24 * prime_count + min(block, samples) * per_point
+    per_worker = min(_CHUNK, samples) * 24 * plan.columns.size + min(block, samples) * per_point
     need = min(workers, len(starts)) * per_worker + 32 * samples
     if need > (cap := memory_cap_bytes()):
         raise ResourceLimitError(f"Monte Carlo sampling needs {need} bytes", cap)
@@ -214,9 +225,9 @@ def mc_norm_many(
 
     def fill(start: int) -> None:
         count = min(_CHUNK, samples - start)
-        u = steinhaus_uniforms(seed, start, count, prime_count)
+        u = _uniforms(seed, start, count, plan.columns)
         for lo in range(start, start + count, block):
-            z = np.exp(2j * np.pi * u[lo - start : lo - start + block, plan.columns])
+            z = np.exp(2j * np.pi * u[lo - start : lo - start + block])
             absF[lo : lo + len(z)] = np.abs(_lift_values(plan, z))
 
     if workers > 1:

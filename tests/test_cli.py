@@ -230,6 +230,17 @@ class TestNormExtras:
                      "--N", "100", "--prime-count", "2", "--seed", "1"]) == 0
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_witness_record_pinned(self):
+        # the library sizes the primorial's sieve; the record keeps its bits
+        doc, code = execute(parse(["partial-sum", "--p", "0.5", "--k", "3", "--samples", "20000",
+                                   "--seed", "1"]))
+        rec = doc.records[0]
+        assert code == 0 and rec["params"]["N"] == 30
+        assert (rec["value"].hex(), rec["std_error"].hex()) == (
+            "0x1.8cfba03fa6c58p+0", "0x1.d16c9e28d818cp-9")
+        assert (rec["extra"]["se_at_M"], rec["extra"]["se_before_M"]) == (
+            0.0035509055200437286, 0.003238220837980064)
+
     def test_probe_mode(self):
         doc, _ = execute(parse(["partial-sum", "--mode", "probe", "--p", "2",
                                 "--probe-N", "10", "--N", "30", "--seed", "3",
@@ -244,6 +255,10 @@ class TestErrorExits:
                      "--N", "4000", "--seed", "1"])
         assert code == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_witness_primorial_beyond_any_sieve_exit_3(self, capsys):
+        assert main(["partial-sum", "--p", "0.5", "--k", "3000", "--seed", "1"]) == 3
+        assert "primorial" in capsys.readouterr().err
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2

@@ -142,6 +142,18 @@ class TestPartialSumWitness:
         with pytest.raises(ValueError):
             partial_sum_witness(1.5, 1, 100, 1, table_2k)
 
+    def test_sieves_the_primorial_itself(self, table_2k):
+        # given no table, the record is the one computed on a table that covers M
+        assert partial_sum_witness(0.5, 4, 2_000, 5) == partial_sum_witness(0.5, 4, 2_000, 5, table_2k)
+
+    @pytest.mark.parametrize("k,cap", [(3000, None), (6, 20_000)])
+    def test_primorial_beyond_any_sieve(self, k, cap, monkeypatch):
+        # 2*3*5*7*11*13 = 30030 needs a 120 kB sieve; the first 3000 primes multiply past any cap
+        if cap is not None:
+            monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
+        with pytest.raises(ResourceLimitError, match="primorial of the first"):
+            partial_sum_witness(0.5, k, 100, 1)
+
 
 class TestRatioProbe:
     def test_full_truncation_is_unity(self, table_2k):

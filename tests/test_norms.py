@@ -12,6 +12,7 @@ from dirichlet_hardy.dseries import (
     zeta_partial,
 )
 from dirichlet_hardy.errors import ResourceLimitError
+from dirichlet_hardy.experiments import random_dirichlet
 from dirichlet_hardy.norms import (
     DiscPolynomial,
     SteinhausSample,
@@ -33,6 +34,19 @@ def random_sparse(rng, max_support=50, max_index=1000):
     idx = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
     vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return DirichletPolynomial({int(n): complex(v) for n, v in zip(idx, vals)})
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n, by trial division."""
+    out, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    if n > 1:
+        out.add(n)
+    return out
 
 
 class TestExactNorms:
@@ -68,6 +82,21 @@ class TestCounterRng:
         assert not np.array_equal(
             steinhaus_uniforms(1, 0, 10, 4), steinhaus_uniforms(2, 0, 10, 4)
         )
+
+    def test_pinned_values(self):
+        # the stream is part of every Monte Carlo output; these bits must not drift
+        u = steinhaus_uniforms(2**61 + 5, 10**6, 1, 4)[0]
+        assert [x.hex() for x in u] == [
+            "0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2",
+            "0x1.4b4c1d596592cp-2", "0x1.8a63340e1a1acp-1",
+        ]
+
+    @pytest.mark.parametrize("columns", [[], [0], [302], [0, 5, 6, 301, 302], list(range(0, 303, 7))])
+    def test_column_draw_is_the_full_streams_columns(self, columns):
+        # the engine draws only the columns it uses; they are the full stream's, bit for bit
+        cols = np.array(columns, dtype=np.int64)
+        full = steinhaus_uniforms(11, 40, 300, 303)
+        assert np.array_equal(norms._uniforms(11, 40, 300, cols), full[:, cols])
 
     def test_pairwise_sum_matches_fsum(self):
         rng = np.random.default_rng(0)
@@ -154,6 +183,43 @@ class TestMonteCarlo:
         with pytest.raises(ResourceLimitError):
             mc_norm(DirichletPolynomial({1: 1, 2: 1}), 1.0, 2_000_000, 1, table_2k)
 
+    def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
+        # 1999 is the 303rd prime, but the uniform block of a chunk is one column wide
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
+        est = mc_norm(DirichletPolynomial({1: 1, 1999: 1}), 1.0, 16384, 1, table_2k, workers=2)
+        assert est.value == pytest.approx(4 / math.pi, rel=0.02)  # E|1 + z| over the circle
+
+    def test_draws_only_the_primes_the_support_uses(self, table_2k, monkeypatch):
+        widths = []
+        draw = norms._uniforms
+
+        def recording(seed, first_sample, count, columns):
+            widths.append(len(columns))
+            return draw(seed, first_sample, count, columns)
+
+        monkeypatch.setattr(norms, "_uniforms", recording)
+        f = random_dirichlet(np.random.default_rng(5), 64, 1000)
+        mc_norm_many(f, [1.0], 20_000, 3, table_2k)
+        primes = set().union(*(prime_divisors(n) for n in f.support))
+        assert len(primes) < table_2k.prime_index(max(primes))  # the support skips primes
+        assert widths and set(widths) == {len(primes)}
+
+    def test_golden_stream(self, table_2k):
+        # float.hex of (value, std_error), recorded when the engine still drew every prime
+        # up to the largest one used and kept the columns of the support's primes
+        golden = {
+            1: [("0x1.5e2b4f474e822p+2", "0x1.2dcffb44c31b0p-8"),
+                ("0x1.7950a25e81ff6p+2", "0x1.60c4b423ca1fep-6"),
+                ("0x1.d1a4dae9869cbp+2", "0x1.0394509a78ef7p+2")],
+            2: [("0x1.fcc515b04d0cbp+2", "0x1.6b23c0924c189p-8"),
+                ("0x1.1208bf6ed9ae9p+3", "0x1.005b1f8d67e1dp-5"),
+                ("0x1.524f36680ba61p+3", "0x1.8e2e2def6f073p+3")],
+        }
+        for k, expected in golden.items():
+            f = random_dirichlet(np.random.default_rng(k), 64, 1000)
+            ests = mc_norm_many(f, [0.5, 1.0, 3.0], 20_000, 8 + k, table_2k)
+            assert [(e.value.hex(), e.std_error.hex()) for e in ests] == expected
+
     def test_oracle_equivalence(self, table_2k):
         # spec tolerates the 3-sigma tail: expect ~99.7% of checks to pass
         rng = np.random.default_rng(12)
@@ -234,6 +300,14 @@ class TestSteinhausSamples:
             s = steinhaus_sample(77, i, 11)  # the first 11 primes, up to 31, cover 35 = 5 * 7
             direct.append(np.abs(evaluate_at_sample(f, s, table_2k)))
         assert pairwise_sum(np.array(direct)) / 16 == mean_abs
+
+    def test_matches_mc_stream_at_high_columns(self, table_2k):
+        # 1993 and 1999 are the 302nd and 303rd primes; the engine draws 4 of those 303 columns
+        f = DirichletPolynomial({1: 1, 1999: 0.5j, 1993: -2, 1994: 1})
+        ests = mc_norm_many(f, [1.0], 16, 77, table_2k)
+        direct = [np.abs(evaluate_at_sample(f, steinhaus_sample(77, i, 303), table_2k))
+                  for i in range(16)]
+        assert pairwise_sum(np.array(direct)) / 16 == ests[0].power_mean
 
 
 class TestDiscNorm:
