@@ -9,9 +9,9 @@ by number of prime factors.
 `prime_power_passes` is the one loop that factors: it strips the least prime
 power from every index of an array per pass, so each index meets its prime
 powers in ascending order. Every multiplicative quantity (d_alpha, Phi_alpha,
-mu, Omega, Bohr exponents, the coefficient-functional bound, the `dseries`
-generators) is a fold over those passes, bit-identical to the scalar loop over
-a factorization because the per-exponent table is built from Python scalars
+mu, Omega, the coefficient-functional bound, the `dseries` generators) is a
+fold over those passes, bit-identical to the scalar loop over a factorization
+because the per-exponent table is built from Python scalars
 (`binomial_series_coefficient`, `(alpha/m)**j`) and the fold combines left to
 right in ascending prime order from 1 (products) or 0 (sums).
 """
@@ -56,30 +56,26 @@ class PrimeTable:
             raise ValueError(f"{p} is not a prime in this table")
         return pos + 1
 
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            return False
-        return int(self.smallest_factor[n]) == n
-
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Least-prime-factor sieve of Eratosthenes up to `limit` inclusive."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    # the int32 table, the boolean mask of unmarked indices, and the int64 primes,
+    # of which there are fewer than 1.25506 x / log x (Rosser and Schoenfeld, 1962)
+    need = 5 * (limit + 1) + 8 * math.ceil(1.25506 * limit / math.log(limit))
     cap = memory_cap_bytes()
-    if 4 * (limit + 1) > cap:
-        raise ResourceLimitError(f"sieve of size {limit} needs {4 * (limit + 1)} bytes", cap)
+    if need > cap:
+        raise ResourceLimitError(f"sieve of size {limit} needs {need} bytes", cap)
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1] = 1
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             seg = spf[p * p :: p]
             seg[seg == 0] = p
-    # anything still unmarked (index >= 2) is prime
-    idx = np.arange(limit + 1, dtype=np.int32)
-    unmarked = (spf == 0) & (idx >= 2)
-    spf[unmarked] = idx[unmarked]
-    primes = np.nonzero((spf == idx) & (idx >= 2))[0].astype(np.int64)
+    # anything still unmarked, apart from index 0, is prime
+    primes = np.flatnonzero(spf == 0)[1:]
+    spf[primes] = primes
     spf.flags.writeable = False
     primes.flags.writeable = False
     return PrimeTable(limit=limit, primes=primes, smallest_factor=spf)
@@ -156,18 +152,6 @@ def multiplicative(n, table: PrimeTable, rule: Callable, ufunc=np.multiply, star
     return out
 
 
-def bohr_exponents(n, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse Bohr exponent vectors of the indices `n` as (rows, j, e).
-
-    kappa(n[row]) has entry e at the 0-based prime position j; pairs not
-    listed are 0. The entries of one row appear in ascending j.
-    """
-    empty = np.zeros(0, dtype=np.intp)
-    parts = zip((empty, empty, empty), *prime_power_passes(n, table))
-    rows, p, e = (np.concatenate(part) for part in parts)
-    return rows, np.searchsorted(table.primes, p), e
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization of n with the derived arithmetic data.
@@ -225,17 +209,13 @@ def binomial_series_coefficient(j: int, alpha: float) -> float:
     return value
 
 
-def divisor_function(n: int, alpha: float, table: PrimeTable) -> float:
-    """d_alpha(n): the multiplicative coefficients of the alpha-th zeta power.
-
-    d_alpha(p^e) = c_alpha(e); for integer alpha this counts ordered
-    alpha-tuples of positive integers with product n.
-    """
-    return float(divisor_values([n], alpha, table)[0])
-
-
 def divisor_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
-    """d_alpha at every index of the array `n`, as float64."""
+    """d_alpha at every index of the array `n`, as float64.
+
+    d_alpha is the multiplicative coefficient sequence of the alpha-th zeta power:
+    d_alpha(p^e) = c_alpha(e); for integer alpha it counts ordered alpha-tuples of
+    positive integers with product n.
+    """
     return multiplicative(n, table, lambda e: binomial_series_coefficient(e, alpha))
 
 
@@ -247,17 +227,13 @@ def divisor_weight_prime_power(j: int, alpha: float) -> float:
     return binomial_series_coefficient(j, m) * (alpha / m) ** j
 
 
-def divisor_weight(n: int, alpha: float, table: PrimeTable) -> float:
-    """Phi_alpha(n) = d_floor(alpha)(n) * (alpha/floor(alpha))^Omega(n), alpha >= 1.
+def divisor_weight_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
+    """Phi_alpha(n) = d_m(n) * (alpha/m)^Omega(n), m = floor(alpha), at every index of `n`; alpha >= 1.
 
     Multiplicative; agrees with d_alpha(n) when alpha is an integer or n is
-    square-free, and has the same average order as d_alpha in general.
+    square-free, and has the same average order as d_alpha in general. Folded
+    as (alpha/m)^Omega(n), then times c_m(e) per p^e || n.
     """
-    return float(divisor_weight_values([n], alpha, table)[0])
-
-
-def divisor_weight_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
-    """Phi_alpha at every index of `n`: (alpha/m)^Omega(n), then times c_m(e) per p^e || n."""
     if alpha < 1:
         raise ValueError(f"weight defined only for alpha >= 1, got {alpha}")
     m = math.floor(alpha)
@@ -463,20 +439,6 @@ def omega_sieve(x: int, table: PrimeTable) -> np.ndarray:
     omega = np.zeros(x + 1, dtype=np.uint8)
     omega[1:] = multiplicative(np.arange(1, x + 1), table, lambda e: e, np.add)
     return omega
-
-
-def divisor_sieve(x: int, order: int, table: PrimeTable) -> np.ndarray:
-    """d_order(n) for all 0 <= n <= x (order a positive integer), as exact int64 (d(0) = 0)."""
-    if order < 1 or int(order) != order:
-        raise ValueError(f"order must be a positive integer, got {order}")
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > table.limit:
-        raise SieveLimitError(f"{x} exceeds sieve limit {table.limit}")
-    order = int(order)
-    d = np.zeros(x + 1, dtype=np.int64)
-    d[1:] = multiplicative(np.arange(1, x + 1), table, lambda e: math.comb(e + order - 1, e))
-    return d
 
 
 def divisor_weight_sum(x: int, alpha: float, table: PrimeTable) -> float:

@@ -2,9 +2,10 @@
 
 A Dirichlet polynomial sum a_n n^(-s) is stored as a sparse map n -> complex
 coefficient. The operators here act by filtering indices: truncation to n <= N,
-restriction to Omega(n) = m, and restriction to p_m-smooth indices. The Bohr
-lift re-expresses a polynomial as monomials in the prime exponent vectors.
-Every multiplicative generator is a fold of the `arith` kernel over the smooth
+restriction to Omega(n) = m, and restriction to p_m-smooth indices (the m-th
+Abschnitt); the last two read the `arith` factoring kernel. The Bohr lift to
+the prime variables lives with the norm engines in `norms`. Every
+multiplicative generator is a fold of the `arith` kernel over the smooth
 indices of a truncated Euler product; none convolves.
 """
 
@@ -17,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, bohr_exponents, divisor_values, multiplicative
+from .arith import PrimeTable, divisor_values, multiplicative, prime_power_passes
 from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 
 # rough bytes per dict entry, counted against the memory cap
@@ -229,7 +230,7 @@ def duality_witness(p: float, prime_bound: int, N: int, table: PrimeTable) -> Di
 def generate(spec: GeneratorSpec, table: PrimeTable) -> DirichletPolynomial:
     """Build the polynomial described by `spec` (truncations must fit the table)."""
     if spec.N > table.limit:
-        raise ValueError(f"truncation {spec.N} exceeds sieve limit {table.limit}")
+        raise SieveLimitError(f"truncation {spec.N} exceeds sieve limit {table.limit}")
     if spec.kind == "zeta":
         return zeta_partial(spec.N)
     if spec.kind == "zeta-power":
@@ -256,15 +257,11 @@ def generate(spec: GeneratorSpec, table: PrimeTable) -> DirichletPolynomial:
     raise ValueError(f"unknown generator kind {spec.kind!r}")
 
 
-def dirichlet_multiply(
-    f: DirichletPolynomial, g: DirichletPolynomial, truncation: int | None = None
-) -> DirichletPolynomial:
+def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:
     """Dirichlet convolution: coefficient at m is sum over d*e = m of f_d g_e.
 
     Each coefficient is correctly rounded (math.fsum over real and imaginary
     parts), so it does not depend on term order and f*g == g*f bit for bit.
-    Indices beyond `truncation` are dropped; dropping is safe at intermediate
-    stages because indices only grow under convolution.
     """
     cap = memory_cap_bytes()
     terms: dict[int, list[complex]] = {}
@@ -272,8 +269,6 @@ def dirichlet_multiply(
     for d, fd in f.coefficients.items():
         for e, ge in g.coefficients.items():
             m = d * e
-            if truncation is not None and m > truncation:
-                continue
             kept += 1
             ts = terms.get(m)
             if ts is not None:
@@ -290,9 +285,7 @@ def dirichlet_multiply(
     )
 
 
-def dirichlet_power(
-    f: DirichletPolynomial, k: int, truncation: int | None = None
-) -> DirichletPolynomial:
+def dirichlet_power(f: DirichletPolynomial, k: int) -> DirichletPolynomial:
     """f convolved with itself k times, by binary exponentiation."""
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
@@ -300,10 +293,10 @@ def dirichlet_power(
     base = f
     while k:
         if k & 1:
-            result = base if result is None else dirichlet_multiply(result, base, truncation)
+            result = base if result is None else dirichlet_multiply(result, base)
         k >>= 1
         if k:
-            base = dirichlet_multiply(base, base, truncation)
+            base = dirichlet_multiply(base, base)
     return result
 
 
@@ -331,36 +324,9 @@ def smooth_truncation(f: DirichletPolynomial, m: int, table: PrimeTable) -> Diri
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    rows, j, _ = bohr_exponents(list(f.coefficients), table)
-    rough = set(rows[j >= m].tolist())
+    keep = np.ones(len(f), dtype=bool)
+    for rows, p, _ in prime_power_passes(list(f.coefficients), table):
+        keep[rows[np.searchsorted(table.primes, p) >= m]] = False  # a prime beyond p_m
     return DirichletPolynomial(
-        {n: c for i, (n, c) in enumerate(f.coefficients.items()) if i not in rough}
+        {n: c for (n, c), smooth in zip(f.coefficients.items(), keep.tolist()) if smooth}
     )
-
-
-@dataclass(frozen=True)
-class BohrMonomial:
-    """One term of the Bohr lift: coefficient times z^kappa over the prime variables."""
-
-    kappa: tuple[int, ...]
-    coefficient: complex
-
-    def index(self, table: PrimeTable) -> int:
-        """Reconstruct n = prod p_j^(kappa_j)."""
-        n = 1
-        for j, e in enumerate(self.kappa, start=1):
-            n *= table.prime(j) ** e
-        return n
-
-
-def bohr_lift(f: DirichletPolynomial, table: PrimeTable) -> list[BohrMonomial]:
-    """The polynomial as monomials in the prime exponent vectors, sorted by index."""
-    support = f.support
-    rows, j, e = bohr_exponents(support, table)
-    kappas: list[list[int]] = [[] for _ in support]
-    for row, col, exp in zip(rows.tolist(), j.tolist(), e.tolist()):  # ascending col per row
-        kappas[row] += [0] * (col - len(kappas[row])) + [exp]
-    return [
-        BohrMonomial(kappa=tuple(kappa), coefficient=f.coefficients[n])
-        for n, kappa in zip(support, kappas)
-    ]

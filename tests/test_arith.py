@@ -1,19 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import big_omega, d_alpha, factor, kappa, mobius, phi_alpha, primes_upto
 
 from dirichlet_hardy.arith import (
     average_order_constant,
     average_order_factor,
     binomial_series_coefficient,
-    bohr_exponents,
-    divisor_function,
-    divisor_sieve,
     divisor_values,
-    divisor_weight,
     divisor_weight_prime_power,
     divisor_weight_sum,
     divisor_weight_values,
@@ -22,19 +20,12 @@ from dirichlet_hardy.arith import (
     multiplicative,
     omega_class_counts,
     omega_sieve,
+    prime_power_passes,
     pseudomoment_leading_factor,
     pseudomoment_ratio_bounds,
     sieve_primes,
 )
-from dirichlet_hardy.errors import SieveLimitError
-
-
-def trial_division_primes(limit):
-    out = []
-    for n in range(2, limit + 1):
-        if all(n % d for d in range(2, math.isqrt(n) + 1)):
-            out.append(n)
-    return out
+from dirichlet_hardy.errors import MEMORY_CAP_ENV, ResourceLimitError, SieveLimitError
 
 
 _HYP_TABLE = sieve_primes(2000)  # shared by hypothesis cases; fixtures do not mix with @given
@@ -49,25 +40,39 @@ class TestSieve:
 
     def test_against_trial_division(self):
         table = sieve_primes(100)
-        assert table.primes.tolist() == trial_division_primes(100)
+        assert table.primes.tolist() == list(primes_upto(100))
         assert table.prime_count == 25
 
     def test_invariants(self):
         table = sieve_primes(500)
         prs = table.primes.tolist()
         assert prs == sorted(set(prs))
-        assert prs == trial_division_primes(500)
+        assert prs == list(primes_upto(500))
         for p in prs:
             assert table.smallest_factor[p] == p
         # least factor really is least
         for n in range(2, 501):
-            spf = int(table.smallest_factor[n])
-            assert n % spf == 0
-            assert all(n % d for d in range(2, spf))
+            assert int(table.smallest_factor[n]) == factor(n)[0][0]
 
     def test_limit_too_small(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
+
+    def test_charges_its_peak_memory(self, monkeypatch):
+        # the bytes checked against the cap cover what the sieve really allocates, with little to spare
+        tracemalloc.start()
+        try:
+            reference = sieve_primes(2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(peak - 1))
+        with pytest.raises(ResourceLimitError):
+            sieve_primes(2_000_000)
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(int(1.05 * peak)))
+        table = sieve_primes(2_000_000)
+        assert np.array_equal(table.primes, reference.primes)
+        assert np.array_equal(table.smallest_factor, reference.smallest_factor)
 
     def test_prime_lookup(self):
         table = sieve_primes(100)
@@ -103,20 +108,10 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, n):
-        table = _HYP_TABLE
-        f = factorize(n, table)
-        prod = 1
-        for p, e in f.factors:
-            prod *= p**e
-        assert prod == n
-        assert f.big_omega == sum(e for _, e in f.factors)
-        assert f.small_omega == len(f.factors)
-        rebuilt = 1
-        for j, e in enumerate(f.kappa, start=1):
-            rebuilt *= table.prime(j) ** e
-        assert rebuilt == n
-        if f.kappa:
-            assert f.kappa[-1] > 0
+        f = factorize(n, _HYP_TABLE)
+        assert f.factors == tuple(factor(n))
+        assert (f.big_omega, f.small_omega, f.mobius) == (big_omega(n), len(factor(n)), mobius(n))
+        assert f.kappa == kappa(n)
 
 
 class TestBinomialSeries:
@@ -176,65 +171,57 @@ def ones_convolution_oracle(x, alpha):
 
 class TestDivisorFunction:
     def test_examples(self, table_2k):
-        assert divisor_function(12, 2.0, table_2k) == 6.0
-        assert divisor_function(4, 0.5, table_2k) == pytest.approx(3 / 8, rel=1e-15)
-        for n in (1, 7, 360, 1024):
-            assert divisor_function(n, 1.0, table_2k) == 1.0
+        assert divisor_values([12], 2.0, table_2k).tolist() == [6.0]
+        assert divisor_values([4], 0.5, table_2k)[0] == pytest.approx(3 / 8, rel=1e-15)
+        assert divisor_values([1, 7, 360, 1024], 1.0, table_2k).tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_counts_ordered_tuples(self, alpha, table_100k):
         x = 100_000
         oracle = ones_convolution_oracle(x, alpha)
-        sieved = divisor_sieve(x, alpha, table_100k)
-        assert np.array_equal(oracle, sieved)
-        rng = np.random.default_rng(0)
-        for n in rng.integers(1, x + 1, size=200):
-            assert divisor_function(int(n), float(alpha), table_100k) == oracle[n]
+        assert np.array_equal(oracle[1:], divisor_values(np.arange(1, x + 1), alpha, table_100k))
 
 
 class TestDivisorWeight:
     def test_examples(self, table_2k):
-        assert divisor_weight(12, 2.0, table_2k) == 6.0
-        assert divisor_weight(2, 1.5, table_2k) == pytest.approx(1.5, rel=1e-15)
-        assert divisor_weight(4, 1.5, table_2k) == pytest.approx(2.25, rel=1e-15)
+        assert divisor_weight_values([12], 2.0, table_2k).tolist() == [6.0]
+        assert divisor_weight_values([2, 4], 1.5, table_2k) == pytest.approx([1.5, 2.25], rel=1e-15)
 
     def test_rejects_alpha_below_one(self, table_2k):
         with pytest.raises(ValueError):
-            divisor_weight(10, 0.9, table_2k)
+            divisor_weight_values([10], 0.9, table_2k)
         with pytest.raises(ValueError):
             divisor_weight_prime_power(2, 0.5)
 
     def test_matches_divisor_function_on_integers_and_squarefree(self, table_20k):
-        rng = np.random.default_rng(1)
-        for n in rng.integers(1, 20000, size=100):
-            n = int(n)
-            assert divisor_weight(n, 2.0, table_20k) == divisor_function(n, 2.0, table_20k)
-            if factorize(n, table_20k).mobius != 0:
-                assert divisor_weight(n, 1.7, table_20k) == pytest.approx(
-                    divisor_function(n, 1.7, table_20k), rel=1e-12
-                )
+        ns = np.random.default_rng(1).integers(1, 20000, size=100)
+        assert np.array_equal(divisor_weight_values(ns, 2.0, table_20k), divisor_values(ns, 2.0, table_20k))
+        squarefree = ns[[mobius(int(n)) != 0 for n in ns]]
+        assert squarefree.size > 50
+        assert divisor_weight_values(squarefree, 1.7, table_20k) == pytest.approx(
+            divisor_values(squarefree, 1.7, table_20k), rel=1e-12
+        )
 
     def test_multiplicative_on_coprime_pairs(self, table_100k):
         rng = np.random.default_rng(2)
         alpha = 2.5
-        pairs = 0
-        while pairs < 60:
+        pairs = []
+        while len(pairs) < 60:
             m, n = int(rng.integers(2, 10000)), int(rng.integers(2, 10))
-            if math.gcd(m, n) != 1:
-                continue
-            pairs += 1
-            assert divisor_weight(m * n, alpha, table_100k) == pytest.approx(
-                divisor_weight(m, alpha, table_100k) * divisor_weight(n, alpha, table_100k),
-                rel=1e-12,
-            )
+            if math.gcd(m, n) == 1:
+                pairs.append((m, n))
+        m, n = np.array(pairs).T
+        assert divisor_weight_values(m * n, alpha, table_100k) == pytest.approx(
+            divisor_weight_values(m, alpha, table_100k) * divisor_weight_values(n, alpha, table_100k),
+            rel=1e-12,
+        )
 
     def test_prime_power_weight_consistency(self, table_2k):
         # the n = p^j weight equals the one-variable weight at j
         for alpha in (1.5, 2.25, 3.0):
-            for j in range(5):
-                assert divisor_weight(2**j, alpha, table_2k) == pytest.approx(
-                    divisor_weight_prime_power(j, alpha), rel=1e-12
-                )
+            assert divisor_weight_values([2**j for j in range(5)], alpha, table_2k) == pytest.approx(
+                [divisor_weight_prime_power(j, alpha) for j in range(5)], rel=1e-12
+            )
 
 
 class TestAverageOrderFactor:
@@ -367,43 +354,29 @@ class TestOmegaCounts:
             assert counts.sum() == x
             assert counts[0] == 1
 
-    def test_omega_sieve_matches_factorize(self, table_20k):
-        # every fold over the factoring kernel equals the scalar definition
-        # on factorize, bit for bit, for all n <= 5000
-        ns = np.arange(1, 5001)
-        facs = [factorize(int(n), table_20k) for n in ns]
-        assert np.array_equal(omega_sieve(5000, table_20k)[1:], [f.big_omega for f in facs])
+    def test_kernel_matches_trial_division(self, table_20k):
+        # the passes give each index its prime powers in ascending order, and every fold
+        # over them equals the trial-division definition bit for bit, for all n <= 5000
+        ns = list(range(1, 5001))
+        passes = [[] for _ in ns]
+        for rows, p, e in prime_power_passes(ns, table_20k):
+            for row, q, k in zip(rows.tolist(), p.tolist(), e.tolist()):
+                passes[row].append((q, k))
+        assert passes == [factor(n) for n in ns]
+        assert np.array_equal(omega_sieve(5000, table_20k)[1:], [big_omega(n) for n in ns])
         mu = multiplicative(ns, table_20k, lambda e: -1 if e == 1 else 0)
-        assert np.array_equal(mu, [f.mobius for f in facs])
-        rows, j, e = bohr_exponents(ns, table_20k)
-        kappas = [[0] * len(f.kappa) for f in facs]
-        for row, col, exp in zip(rows.tolist(), j.tolist(), e.tolist()):
-            kappas[row][col] = exp
-        assert [tuple(k) for k in kappas] == [f.kappa for f in facs]
+        assert np.array_equal(mu, [mobius(n) for n in ns])
         for alpha in (2 / 0.3, 0.7):
-            expected = []
-            for f in facs:
-                d = 1.0
-                for _, e in f.factors:
-                    d *= binomial_series_coefficient(e, alpha)
-                expected.append(d)
-            assert np.array_equal(divisor_values(ns, alpha, table_20k), expected)
+            assert np.array_equal(divisor_values(ns, alpha, table_20k), [d_alpha(n, alpha) for n in ns])
         alpha = 2 / 0.3
-        m = math.floor(alpha)
-        expected = []
-        for f in facs:
-            w = (alpha / m) ** f.big_omega
-            for _, e in f.factors:
-                w *= binomial_series_coefficient(e, m)
-            expected.append(w)
-        assert np.array_equal(divisor_weight_values(ns, alpha, table_20k), expected)
+        assert np.array_equal(divisor_weight_values(ns, alpha, table_20k), [phi_alpha(n, alpha) for n in ns])
 
 
 class TestDivisorWeightSum:
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.7, 3.2])
     def test_matches_direct_sum(self, alpha, table_20k):
         x = 2000
-        direct = math.fsum(divisor_weight(n, alpha, table_20k) for n in range(1, x + 1))
+        direct = math.fsum(phi_alpha(n, alpha) for n in range(1, x + 1))
         assert divisor_weight_sum(x, alpha, table_20k) == pytest.approx(direct, rel=1e-12)
 
     def test_average_order_constant_value(self):
@@ -417,9 +390,7 @@ class TestDivisorWeightSum:
 
 
 def test_sieve_memory_cap(monkeypatch, table_2k):
-    from dirichlet_hardy.errors import ResourceLimitError
-
-    monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", "1000")
+    monkeypatch.setenv(MEMORY_CAP_ENV, "1000")
     with pytest.raises(ResourceLimitError):
         sieve_primes(10_000)
     # the factoring kernel sizes its working arrays against the same cap
@@ -427,7 +398,7 @@ def test_sieve_memory_cap(monkeypatch, table_2k):
         omega_sieve(2000, table_2k)
     with pytest.raises(ResourceLimitError):
         divisor_values(np.arange(1, 100), 1.5, table_2k)
-    assert divisor_function(360, 2.0, table_2k) == 24.0
+    assert divisor_values([360], 2.0, table_2k).tolist() == [24.0]
 
 
 def test_ratio_bounds_fractional_k():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import bohr_lift, d_alpha, factor, prime_position
 
-from dirichlet_hardy.arith import divisor_function, sieve_primes
+from dirichlet_hardy.arith import sieve_primes
 from dirichlet_hardy.bounds import coeff_functional_exact
 from dirichlet_hardy.dseries import (
     DirichletPolynomial,
     GeneratorSpec,
-    bohr_lift,
     dirichlet_multiply,
     dirichlet_power,
     duality_witness,
@@ -26,7 +26,7 @@ from dirichlet_hardy.dseries import (
     zeta_power_partial,
 )
 from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
-from dirichlet_hardy.norms import DiscPolynomial, disc_norm
+from dirichlet_hardy.norms import DiscPolynomial, disc_norm, evaluate_at_sample, steinhaus_sample
 
 _HYP_TABLE = sieve_primes(12000)  # covers products of two indices up to 100
 
@@ -38,12 +38,15 @@ sparse_polys = st.dictionaries(
 ).map(DirichletPolynomial)
 
 
-def largest_prime_factor(n, table):
-    q = 1
-    while n > 1:
-        q = int(table.smallest_factor[n])
-        n //= q
-    return q
+def is_smooth(n, bound):
+    """Whether every prime factor of n is at most `bound`."""
+    return all(p <= bound for p, _ in factor(n))
+
+
+def lift_value(f, z):
+    """sum a_n z^kappa(n) over the trial-division Bohr lift of f, at the prime values z."""
+    lift = bohr_lift(f.coefficients)
+    return sum(c * math.prod(z[j] ** e for j, e in enumerate(kappa)) for kappa, c in lift.items())
 
 
 class TestPolynomial:
@@ -94,14 +97,14 @@ class TestGenerators:
         assert 11 not in f.support
         assert f.coeff(12) == pytest.approx(12**-0.5)
         g = euler_factor_power(7, 2.5, 50, table_2k)
-        assert g.coeff(12) == pytest.approx(divisor_function(12, 2.5, table_2k) * 12**-0.5)
+        assert g.coeff(12) == pytest.approx(d_alpha(12, 2.5) * 12**-0.5)
         # every smooth n <= N appears, with d_alpha(n) n^(-1/2) to the bit
         for bound, alpha in ((2, 1.5), (13, 2.5), (97, 2 / 0.3), (2000, 4.0)):
             f = euler_factor_power(bound, alpha, 2000, table_2k)
-            smooth = [n for n in range(1, 2001) if largest_prime_factor(n, table_2k) <= bound]
+            smooth = [n for n in range(1, 2001) if is_smooth(n, bound)]
             assert f.support == tuple(smooth)
             for n in smooth:
-                assert f.coeff(n) == divisor_function(n, alpha, table_2k) * n**-0.5
+                assert f.coeff(n) == d_alpha(n, alpha) * n**-0.5
 
     def test_extremal_product_k1(self, table_2k):
         f, tail = extremal_product(0.5, 1, 2, table_2k)
@@ -127,12 +130,12 @@ class TestGenerators:
             c, a, b = 2 / p, math.sqrt(1 - p / 2), math.sqrt(p / 2)
             expect = DirichletPolynomial({1: 1})
             for j in range(1, k + 1):
-                factor, coef, e = {}, 1.0, 0
+                one_prime, coef, e = {}, 1.0, 0
                 while table_2k.prime(j) ** e <= N:
-                    factor[table_2k.prime(j) ** e] = coef * a ** (c - e) * b**e
+                    one_prime[table_2k.prime(j) ** e] = coef * a ** (c - e) * b**e
                     e += 1
                     coef *= (c - e + 1) / e
-                expect = dirichlet_multiply(expect, DirichletPolynomial(factor), truncation=N)
+                expect = partial_sum(dirichlet_multiply(expect, DirichletPolynomial(one_prime)), N)
             f, _ = extremal_product(p, k, N, table_2k)
             assert f.support == expect.support
             for n in f.support:
@@ -143,7 +146,7 @@ class TestGenerators:
         for p in (1.01, 1.5, 1.99):
             f, tail = extremal_product(p, 2, 100, table_2k)
             assert tail == math.inf
-            assert f.support == tuple(n for n in range(1, 101) if largest_prime_factor(n, table_2k) <= 3)
+            assert f.support == tuple(n for n in range(1, 101) if is_smooth(n, 3))
             assert all(math.isfinite(abs(c)) for c in f.coefficients.values())
 
     def test_generators_need_truncation_within_table(self, table_2k):
@@ -156,11 +159,12 @@ class TestGenerators:
             lambda: duality_witness(0.5, 7, N, table_2k),
             lambda: extremal_product(0.5, 2, N, table_2k),
             lambda: zeta_power_partial(N, 1.5, table_2k),
+            lambda: generate(GeneratorSpec(kind="zeta", N=N), table_2k),
         ):
             with pytest.raises(SieveLimitError):
                 build()
         f = euler_factor_power(7, 1.5, table_2k.limit, table_2k)
-        assert len(f) == sum(largest_prime_factor(n, table_2k) <= 7 for n in range(1, table_2k.limit + 1))
+        assert len(f) == sum(is_smooth(n, 7) for n in range(1, table_2k.limit + 1))
 
     def test_extremal_rejects_bad_p(self, table_2k):
         for p in (0.0, 2.0, 2.5, -1.0):
@@ -217,12 +221,6 @@ class TestConvolution:
         sq = dirichlet_multiply(z2, z2)
         assert sq.coeff(2) == pytest.approx(2 * 2**-0.5)
         assert sq.coeff(4) == pytest.approx(0.5)
-
-    def test_truncation_consistent(self):
-        f = DirichletPolynomial({2: 1, 3: 1j, 5: -2})
-        g = DirichletPolynomial({2: -1j, 7: 2})
-        full = dirichlet_multiply(f, g)
-        assert dirichlet_multiply(f, g, truncation=10) == partial_sum(full, 10)
 
     def test_power(self):
         f = DirichletPolynomial({1: 1, 2: 1})
@@ -298,6 +296,12 @@ class TestOperators:
             DirichletPolynomial({})
         )
 
+    def test_smooth_truncation_matches_trial_division(self, table_2k):
+        f = DirichletPolynomial({n: complex(n, 1) for n in range(1, table_2k.limit + 1)})
+        for m in (1, 2, 5, 25, 303, table_2k.prime_count, 10**6):
+            keep = [n for n in f.support if all(prime_position(p) < m for p, _ in factor(n))]
+            assert smooth_truncation(f, m, table_2k) == DirichletPolynomial({n: f.coeff(n) for n in keep})
+
     def test_smooth_truncation_composition(self, table_2k):
         f = DirichletPolynomial({n: 1.0 for n in range(1, 100)})
         a = smooth_truncation(smooth_truncation(f, 4, table_2k), 2, table_2k)
@@ -306,33 +310,43 @@ class TestOperators:
 
 
 class TestBohrLift:
+    # the engine's lift (norms, through evaluate_at_sample) against the trial-division lift
     def test_examples(self, table_2k):
-        mono, = bohr_lift(DirichletPolynomial({12: 3j}), table_2k)
-        assert mono.kappa == (2, 1)
-        assert mono.coefficient == 3j
-        assert mono.index(table_2k) == 12
-        const, = bohr_lift(DirichletPolynomial({1: 2.0}), table_2k)
-        assert const.kappa == ()
+        assert bohr_lift({12: 3j}) == {(2, 1): 3j}
+        assert bohr_lift({1: 2.0}) == {(): 2.0}
+        s = steinhaus_sample(1, 0, 2)
+        z = s.values
+        assert evaluate_at_sample(DirichletPolynomial({12: 3j}), s, table_2k) == pytest.approx(
+            3j * z[0] ** 2 * z[1], rel=1e-15
+        )
+        assert evaluate_at_sample(DirichletPolynomial({1: 2.0}), steinhaus_sample(1, 0, 0), table_2k) == 2
 
     def test_zeta_three(self, table_2k):
-        kappas = [m.kappa for m in bohr_lift(zeta_partial(3), table_2k)]
-        assert kappas == [(), (1,), (0, 1)]
+        f = zeta_partial(3)
+        assert list(bohr_lift(f.coefficients)) == [(), (1,), (0, 1)]
+        s = steinhaus_sample(2, 5, 2)
+        assert evaluate_at_sample(f, s, table_2k) == pytest.approx(lift_value(f, s.values), rel=1e-15)
+
+    @given(sparse_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_engine_lift_matches_oracle(self, f):
+        s = steinhaus_sample(3, 7, 25)  # the 25 primes up to 100
+        expect = lift_value(f, s.values)
+        assert evaluate_at_sample(f, s, _HYP_TABLE) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     @given(sparse_polys, sparse_polys)
     @settings(max_examples=30, deadline=None)
     def test_lift_respects_convolution(self, f, g):
-        table = _HYP_TABLE
-        direct = {m.kappa: m.coefficient for m in bohr_lift(dirichlet_multiply(f, g), table)}
+        direct = bohr_lift(dirichlet_multiply(f, g).coefficients)
         lifted = {}
-        for mf in bohr_lift(f, table):
-            for mg in bohr_lift(g, table):
-                width = max(len(mf.kappa), len(mg.kappa))
+        for kf, cf in bohr_lift(f.coefficients).items():
+            for kg, cg in bohr_lift(g.coefficients).items():
+                width = max(len(kf), len(kg))
                 ka = tuple(
-                    (mf.kappa[i] if i < len(mf.kappa) else 0)
-                    + (mg.kappa[i] if i < len(mg.kappa) else 0)
+                    (kf[i] if i < len(kf) else 0) + (kg[i] if i < len(kg) else 0)
                     for i in range(width)
                 )
-                lifted[ka] = lifted.get(ka, 0j) + mf.coefficient * mg.coefficient
+                lifted[ka] = lifted.get(ka, 0j) + cf * cg
         lifted = {k: v for k, v in lifted.items() if v != 0}
         assert set(lifted) == set(direct)
         for k in direct:

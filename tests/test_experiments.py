@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import d_alpha
 
 from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
 from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
@@ -50,11 +51,7 @@ class TestPseudomoment:
 
     def test_k1_weighted(self, table_2k):
         rec = pseudomoment(50, 1, 1.5, "exact", table_2k)
-        from dirichlet_hardy.arith import divisor_function
-
-        direct = math.fsum(
-            divisor_function(n, 1.5, table_2k) ** 2 / n for n in range(1, 51)
-        )
+        direct = math.fsum(d_alpha(n, 1.5) ** 2 / n for n in range(1, 51))
         assert rec.value == pytest.approx(direct, rel=1e-14)
 
     def test_mc_agrees_with_exact(self, table_2k):

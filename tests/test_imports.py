@@ -1,4 +1,8 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every public definition is used.
+
+A public top-level function or class must be called somewhere in the package
+or re-exported from `__init__`; otherwise nothing but tests can reach it.
+"""
 
 import ast
 from pathlib import Path
@@ -32,11 +36,33 @@ def referenced_names(tree):
                 yield node.id
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
-)
+def used_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = set(referenced_names(tree))
     unused = {name for name in imported_names(tree) if name not in used}
     assert unused <= {name for module, name in ALLOWED_UNUSED if module == path.stem}, unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_dead_public_code(path):
+    exported = set(imported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))))
+    used = {name for module in MODULES for name in used_names(ast.parse(module.read_text(encoding="utf-8")))}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert public <= exported | used, public - exported - used

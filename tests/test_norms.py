@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracle import factor
 
 from dirichlet_hardy import norms
 from dirichlet_hardy.arith import binomial_series_coefficient
@@ -34,19 +35,6 @@ def random_sparse(rng, max_support=50, max_index=1000):
     idx = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
     vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return DirichletPolynomial({int(n): complex(v) for n, v in zip(idx, vals)})
-
-
-def prime_divisors(n):
-    """The distinct primes dividing n, by trial division."""
-    out, q = set(), 2
-    while q * q <= n:
-        while n % q == 0:
-            out.add(q)
-            n //= q
-        q += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 class TestExactNorms:
@@ -200,7 +188,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(norms, "_uniforms", recording)
         f = random_dirichlet(np.random.default_rng(5), 64, 1000)
         mc_norm_many(f, [1.0], 20_000, 3, table_2k)
-        primes = set().union(*(prime_divisors(n) for n in f.support))
+        primes = {p for n in f.support for p, _ in factor(n)}
         assert len(primes) < table_2k.prime_index(max(primes))  # the support skips primes
         assert widths and set(widths) == {len(primes)}
 
