@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
+from .errors import SieveLimitError, check_memory
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     # the int32 table, the boolean mask of unmarked indices, and the int64 primes,
     # of which there are fewer than 1.25506 x / log x (Rosser and Schoenfeld, 1962)
     need = 5 * (limit + 1) + 8 * math.ceil(1.25506 * limit / math.log(limit))
-    cap = memory_cap_bytes()
-    if need > cap:
-        raise ResourceLimitError(f"sieve of size {limit} needs {need} bytes", cap)
+    check_memory(need, f"sieve of size {limit}")
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1] = 1
     for p in range(2, math.isqrt(limit) + 1):
@@ -103,10 +101,8 @@ def prime_power_passes(
         raise ValueError(f"cannot factor {int(n.min())}: need n >= 1")
     if n.size and int(n.max()) > table.limit:
         raise SieveLimitError(f"{int(n.max())} exceeds sieve limit {table.limit}; re-sieve with a larger table")
-    cap = memory_cap_bytes()
     need = n.size * (n.itemsize + out_itemsize) + min(n.size, _BLOCK) * _PASS_BYTES
-    if need > cap:
-        raise ResourceLimitError(f"factoring {n.size} indices needs {need} bytes", cap)
+    check_memory(need, f"factoring {n.size} indices")
     return _strip_passes(n, table.smallest_factor)
 
 

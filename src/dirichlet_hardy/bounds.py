@@ -3,10 +3,12 @@
 Upper route (p >= 2): the quasi-norm is at most the square root of
 sum |a_n|^2 Phi_{p/2}(n). Lower route (p <= 2): the square root of
 sum |a_n|^2 / Phi_{2/p}(n) is at most the quasi-norm, with a square-free
-variant using |mu(n)| / d_{2/p}(n). The coefficient functional C(k, p) is the
-largest k-th Taylor coefficient over the unit ball of the one-variable p-space;
-its multiplicative extension over prime powers bounds the n-th coefficient
-functional on Dirichlet series.
+variant using |mu(n)| / d_{2/p}(n). `hl_comparisons` forms both sides as p-th
+power means; against a norm estimate they may miss by `_slack`, 3 standard
+errors of the power mean plus a 1e-10 relative rounding allowance. The
+coefficient functional C(k, p) is the largest k-th Taylor coefficient over the
+unit ball of the one-variable p-space; its multiplicative extension over prime
+powers bounds the n-th coefficient functional on Dirichlet series.
 """
 
 from __future__ import annotations
@@ -199,8 +201,40 @@ def primitive_pairing(f: DirichletPolynomial, beta: float) -> complex:
     return total
 
 
-# Monte Carlo comparisons, here and in the fuzz suite, allow this many standard errors
+# standard errors of the p-th power mean that a Monte Carlo comparison allows
 _SLACK_SIGMA = 3.0
+
+# the weighted inequalities, in the order `hl_comparisons` returns them
+HL_INEQUALITIES = ("hl-upper", "hl-lower", "squarefree-lower")
+
+
+def _slack(norm: NormEstimate) -> float:
+    """How far a p-th power mean comparison against `norm` may miss: statistical plus rounding."""
+    return _SLACK_SIGMA * norm.std_error + 1e-10 * max(1.0, norm.power_mean)
+
+
+def hl_comparisons(
+    f: DirichletPolynomial,
+    p: float,
+    norm: NormEstimate,
+    table: PrimeTable,
+    inequalities: Sequence[str] = HL_INEQUALITIES,
+) -> list[tuple[str, float, float, float]]:
+    """(name, weighted sum, smaller side, larger side) for each of `inequalities` that applies at p.
+
+    hl-upper applies for p >= 2, hl-lower and squarefree-lower for p <= 2;
+    other names are ignored. Both sides are p-th power means.
+    """
+    lowers = (("hl-lower", hl_lower_sum), ("squarefree-lower", squarefree_lower_sum)) if p <= 2 else ()
+    out = []
+    if p >= 2 and "hl-upper" in inequalities:
+        upper = hl_upper_sum(f, p, table)
+        out.append(("hl-upper", upper, norm.power_mean, upper ** (p / 2)))
+    for name, weighted_sum in lowers:
+        if name in inequalities:
+            lower = weighted_sum(f, p, table)
+            out.append((name, lower, lower ** (p / 2), norm.power_mean))
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,8 +242,7 @@ class HLReport:
     """Outcome of checking the weighted coefficient inequalities on one polynomial.
 
     verdict is derived from the stored numbers only: 'consistent' unless an
-    inequality fails by more than `slack_sigma` standard errors of the norm's
-    p-th power mean.
+    inequality of `hl_comparisons` fails by more than `_slack` of the norm.
     """
 
     p: float
@@ -230,30 +263,17 @@ def hl_report(
     norm: NormEstimate,
     table: PrimeTable,
 ) -> HLReport:
-    """Check the applicable weighted inequalities against a norm estimate.
-
-    Comparisons happen on p-th power means, where the Monte Carlo standard
-    error lives; inequalities violated by more than `_SLACK_SIGMA` standard
-    errors mark the report 'violation-suspected'.
-    """
-    upper = hl_upper_sum(f, p, table) if p >= 2 else None
-    lower = hl_lower_sum(f, p, table) if p <= 2 else None
-    sqfree = squarefree_lower_sum(f, p, table) if p <= 2 else None
-    # statistical slack plus a rounding allowance for the exact routes
-    slack = _SLACK_SIGMA * norm.std_error + 1e-10 * max(1.0, norm.power_mean)
-    ok = True
-    if upper is not None:
-        ok &= norm.power_mean <= upper ** (p / 2) + slack
-    if lower is not None:
-        ok &= lower ** (p / 2) <= norm.power_mean + slack
-    if sqfree is not None:
-        ok &= sqfree ** (p / 2) <= norm.power_mean + slack
+    """Check the weighted inequalities that apply at p against a norm estimate."""
+    comparisons = hl_comparisons(f, p, norm, table)
+    sums = {name: weighted_sum for name, weighted_sum, _, _ in comparisons}
+    slack = _slack(norm)
+    ok = all(smaller <= larger + slack for _, _, smaller, larger in comparisons)
     return HLReport(
         p=p,
         norm=norm,
-        upper_sum=upper,
-        lower_sum=lower,
-        squarefree_sum=sqfree,
+        upper_sum=sums.get("hl-upper"),
+        lower_sum=sums.get("hl-lower"),
+        squarefree_sum=sums.get("squarefree-lower"),
         verdict="consistent" if ok else "violation-suspected",
         slack_sigma=_SLACK_SIGMA,
     )

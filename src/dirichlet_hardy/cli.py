@@ -4,9 +4,9 @@ Subcommands: norm, pseudomoment, scan, hl-check, partial-sum, cnp-scan,
 omega-hist, euler-const, fuzz. Every run echoes its resolved parameters,
 including the seed, and writes json, jsonl, or csv atomically.
 
-Exit codes: 0 success, 1 fuzz violations beyond slack, 2 usage error or a
-value the library rejects, 3 resource limit, 4 internal error (a library
-invariant check failed).
+Exit codes: 0 success, 1 fuzz or hl-check violations beyond the slack of
+--hl-report, 2 usage error or a value the library rejects, 3 resource limit,
+4 internal error (a library invariant check failed).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .arith import PrimeTable, pseudomoment_leading_factor, pseudomoment_ratio_bounds, sieve_primes
-from .bounds import hl_report
+from .bounds import HL_INEQUALITIES, hl_report
 from .dseries import DirichletPolynomial, GeneratorSpec, generate
 from .errors import ResourceLimitError
 from .experiments import (
@@ -274,7 +274,7 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
     elif cmd.subcommand in ("hl-check", "fuzz"):
         if cmd.subcommand == "hl-check":
             config = FuzzConfig(
-                inequalities=("hl-upper",) if args.p >= 2 else ("hl-lower", "squarefree-lower"),
+                inequalities=HL_INEQUALITIES,
                 p_values=(args.p,), corpus=args.corpus, max_support=args.support,
                 max_index=args.max_index, samples=args.samples, seed=seed, workers=args.threads,
             )

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .arith import PrimeTable, divisor_values, multiplicative, prime_power_passes
-from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
+from .errors import SieveLimitError, check_memory
 
 # rough bytes per dict entry, counted against the memory cap
 _BYTES_PER_COEFF = 150
@@ -263,7 +263,6 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
     Each coefficient is correctly rounded (math.fsum over real and imaginary
     parts), so it does not depend on term order and f*g == g*f bit for bit.
     """
-    cap = memory_cap_bytes()
     terms: dict[int, list[complex]] = {}
     kept = 0
     for d, fd in f.coefficients.items():
@@ -275,8 +274,8 @@ def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> Dirich
                 ts.append(fd * ge)
             else:
                 terms[m] = [fd * ge]
-        if len(terms) * _BYTES_PER_COEFF + kept * _BYTES_PER_TERM > cap:
-            raise ResourceLimitError(f"convolution keeps {kept} products on {len(terms)} coefficients", cap)
+        check_memory(len(terms) * _BYTES_PER_COEFF + kept * _BYTES_PER_TERM,
+                     f"convolution keeping {kept} products on {len(terms)} coefficients")
     return DirichletPolynomial(
         {
             m: complex(math.fsum([t.real for t in ts]), math.fsum([t.imag for t in ts]))

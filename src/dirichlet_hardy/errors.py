@@ -31,3 +31,10 @@ def memory_cap_bytes() -> int:
     if cap <= 0:
         raise ValueError(f"{MEMORY_CAP_ENV} must be positive, got {cap}")
     return cap
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ResourceLimitError if the `need` bytes that `what` takes exceed the memory cap."""
+    cap = memory_cap_bytes()
+    if need > cap:
+        raise ResourceLimitError(f"{what} needs {need} bytes", cap)

@@ -28,12 +28,11 @@ from .arith import (
     sieve_primes,
 )
 from .bounds import (
-    _SLACK_SIGMA,
+    HL_INEQUALITIES,
+    _slack,
     coeff_functional_exact,
     coeff_functional_prime_power,
-    hl_lower_sum,
-    hl_upper_sum,
-    squarefree_lower_sum,
+    hl_comparisons,
 )
 from .dseries import (
     DirichletPolynomial,
@@ -314,7 +313,6 @@ def partial_sum_witness(
     value = max(est_full.power_mean, est_less.power_mean)
     which = est_full if est_full.power_mean >= est_less.power_mean else est_less
     lower_bound = coeff_functional_exact(p) ** (p * k) / 2
-    slack = 3 * which.std_error
     return ExperimentRecord(
         experiment="partial-sum-witness",
         params={"p": p, "k": k, "N": M, "samples": samples, "seed": seed},
@@ -331,7 +329,7 @@ def partial_sum_witness(
             "norm_pp_before_M": est_less.power_mean,
             "se_at_M": est_full.std_error,
             "se_before_M": est_less.std_error,
-            "bound_ok": value >= lower_bound - slack,
+            "bound_ok": lower_bound <= value + _slack(which),
         },
     )
 
@@ -538,7 +536,7 @@ class FuzzResult:
 
 
 DISC_INEQUALITIES = {"disc-upper", "disc-lower"}
-DIRICHLET_INEQUALITIES = {"hl-upper", "hl-lower", "squarefree-lower", "divisor-chain"}
+DIRICHLET_INEQUALITIES = {*HL_INEQUALITIES, "divisor-chain"}
 ALL_INEQUALITIES = DISC_INEQUALITIES | DIRICHLET_INEQUALITIES
 # absolute slack of the disc checks, whose sides come from quadrature, not sampling
 _DISC_TOLERANCE = 1e-8
@@ -582,7 +580,9 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
 
     Each (case, inequality, p) yields one record with the two compared sides;
     cases are classified pass / pass-within-slack / violation, and violations
-    carry a full reproducer (case seed and polynomial JSON).
+    carry a full reproducer (case seed and polynomial JSON). A case's disc
+    records come first, then its Dirichlet records in ascending p, judged
+    with the slack of `hl_report`.
     """
     unknown = set(config.inequalities) - ALL_INEQUALITIES
     if unknown:
@@ -592,13 +592,12 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
     records: list[ExperimentRecord] = []
     violations: list[dict] = []
     summary = {"pass": 0, "pass-within-slack": 0, "violation": 0}
-    sign = -1.0 if config.invert else 1.0
 
     def classify(lhs: float, rhs: float, slack: float, name: str, p: float, case: int, repro: str, se: float | None):
-        margin = sign * (rhs - lhs)
-        if margin >= 0:
+        smaller, larger = (rhs, lhs) if config.invert else (lhs, rhs)
+        if smaller <= larger:
             verdict = "pass"
-        elif margin >= -slack:
+        elif smaller <= larger + slack:
             verdict = "pass-within-slack"
         else:
             verdict = "violation"
@@ -621,8 +620,10 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
 
     disc_checks = [iq for iq in config.inequalities if iq in DISC_INEQUALITIES]
     dirich_checks = [iq for iq in config.inequalities if iq in DIRICHLET_INEQUALITIES]
-    upper_ps = [p for p in config.p_values if p >= 2]
-    lower_ps = [p for p in config.p_values if p <= 2]
+    disc_upper_ps = [p for p in config.p_values if p >= 2]
+    disc_lower_ps = [p for p in config.p_values if p <= 2]
+    chain = "divisor-chain" in dirich_checks
+    dirich_ps = sorted(set(config.p_values) | ({1.0} if chain else set())) if dirich_checks else []
 
     for case in range(config.corpus):
         rng = np.random.default_rng((config.seed, case))
@@ -631,52 +632,28 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
             g = random_disc(rng, config.max_degree)
             repro = f"disc:{list(map(repr, g.coefficients.tolist()))}"
             if "disc-upper" in disc_checks:
-                for p in upper_ps:
+                for p in disc_upper_ps:
                     lhs = disc_norm(g, p, config.nodes).value
                     classify(lhs, _disc_weighted_upper(g, p), _DISC_TOLERANCE,
                              "disc-upper", p, case, repro, None)
             if "disc-lower" in disc_checks:
-                for p in lower_ps:
+                for p in disc_lower_ps:
                     rhs = disc_norm(g, p, config.nodes).value
                     classify(_disc_weighted_lower(g, p), rhs, _DISC_TOLERANCE,
                              "disc-lower", p, case, repro, None)
 
-        if dirich_checks:
+        if dirich_ps:
             f = random_dirichlet(rng, config.max_support, config.max_index)
             repro = f.to_json()
-            needed_ps = sorted(
-                {p for p in upper_ps if "hl-upper" in dirich_checks}
-                | {p for p in lower_ps if {"hl-lower", "squarefree-lower"} & set(dirich_checks)}
-                | ({1.0} if "divisor-chain" in dirich_checks else set())
-            )
-            if not needed_ps:
-                continue
-            ests = {e.p: e for e in mc_norm_many(
-                f, needed_ps, config.samples, config.seed + 7919 * case, table, config.workers
-            )}
-            for p in upper_ps:
-                if "hl-upper" in dirich_checks:
-                    est = ests[p]
-                    rhs = hl_upper_sum(f, p, table) ** (p / 2)
-                    classify(est.power_mean, rhs, _SLACK_SIGMA * est.std_error,
-                             "hl-upper", p, case, repro, est.std_error)
-            for p in lower_ps:
-                if "hl-lower" in dirich_checks:
-                    est = ests[p]
-                    lhs = hl_lower_sum(f, p, table) ** (p / 2)
-                    classify(lhs, est.power_mean, _SLACK_SIGMA * est.std_error,
-                             "hl-lower", p, case, repro, est.std_error)
-                if "squarefree-lower" in dirich_checks:
-                    est = ests[p]
-                    lhs = squarefree_lower_sum(f, p, table) ** (p / 2)
-                    classify(lhs, est.power_mean, _SLACK_SIGMA * est.std_error,
-                             "squarefree-lower", p, case, repro, est.std_error)
-            if "divisor-chain" in dirich_checks:
-                est = ests[1.0]
-                # d_2(n) counts the divisors of n
-                max_sqrt_d = math.sqrt(divisor_values(list(f.coefficients), 2.0, table).max(initial=1.0))
-                lhs = l2_norm(f).value / max_sqrt_d
-                classify(lhs, est.value, _SLACK_SIGMA * est.value_std_error,
-                         "divisor-chain", 1.0, case, repro, est.std_error)
+            ests = mc_norm_many(f, dirich_ps, config.samples, config.seed + 7919 * case, table, config.workers)
+            for est in ests:
+                slack = _slack(est)
+                for name, _, smaller, larger in hl_comparisons(f, est.p, est, table, dirich_checks):
+                    classify(smaller, larger, slack, name, est.p, case, repro, est.std_error)
+                if chain and est.p == 1.0:
+                    # d_2(n) counts the divisors of n; at p = 1 the power mean is the norm
+                    max_sqrt_d = math.sqrt(divisor_values(list(f.coefficients), 2.0, table).max(initial=1.0))
+                    classify(l2_norm(f).value / max_sqrt_d, est.power_mean, slack,
+                             "divisor-chain", 1.0, case, repro, est.std_error)
 
     return FuzzResult(summary=summary, records=records, violations=violations)

@@ -28,7 +28,7 @@ import numpy as np
 # factorize is unused here; perfbench's tracer tests rebind and restore it in this module
 from .arith import PrimeTable, factorize, multiplicative
 from .dseries import DirichletPolynomial, dirichlet_power
-from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
+from .errors import SieveLimitError, check_memory
 
 _CHUNK = 8192  # samples drawn together; bounds working memory
 _BLOCK_BYTES = 1 << 20  # node values of the points evaluated together; sized to stay in cache
@@ -219,8 +219,7 @@ def mc_norm_many(
     per_point = 16 * (plan.size + 2 * widest + plan.terms.size) + 40 * plan.columns.size
     per_worker = min(_CHUNK, samples) * 24 * plan.columns.size + min(block, samples) * per_point
     need = min(workers, len(starts)) * per_worker + 32 * samples
-    if need > (cap := memory_cap_bytes()):
-        raise ResourceLimitError(f"Monte Carlo sampling needs {need} bytes", cap)
+    check_memory(need, "Monte Carlo sampling")
     absF = np.empty(samples, dtype=np.float64)
 
     def fill(start: int) -> None:

@@ -8,6 +8,7 @@ from dirichlet_hardy.bounds import (
     coeff_functional_bound,
     coeff_functional_exact,
     coeff_functional_multiplicative,
+    hl_comparisons,
     hl_lower_sum,
     hl_report,
     hl_upper_sum,
@@ -191,6 +192,24 @@ class TestPrimitivePairing:
 
 
 class TestHLReport:
+    @pytest.mark.parametrize("p, names", [
+        (0.5, ["hl-lower", "squarefree-lower"]),
+        (2.0, ["hl-upper", "hl-lower", "squarefree-lower"]),
+        (3.0, ["hl-upper"]),
+    ])
+    def test_comparisons_that_apply(self, p, names, table_2k):
+        f = DirichletPolynomial({1: 1, 2: 1j, 4: 0.5})
+        norm = mc_norm(f, p, 4000, 1, table_2k)
+        comparisons = hl_comparisons(f, p, norm, table_2k)
+        assert [c[0] for c in comparisons] == names
+        sums = {"hl-upper": hl_upper_sum, "hl-lower": hl_lower_sum, "squarefree-lower": squarefree_lower_sum}
+        for name, weighted_sum, smaller, larger in comparisons:
+            assert weighted_sum == sums[name](f, p, table_2k)
+            sides = (norm.power_mean, weighted_sum ** (p / 2))
+            assert (smaller, larger) == (sides if name == "hl-upper" else sides[::-1])
+        assert hl_comparisons(f, p, norm, table_2k, ["squarefree-lower"]) == [
+            c for c in comparisons if c[0] == "squarefree-lower"]
+
     def test_consistent_exact(self, table_2k):
         f = DirichletPolynomial({1: 1, 2: 1j, 6: 0.25})
         rep = hl_report(f, 2.0, l2_norm(f), table_2k)

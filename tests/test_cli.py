@@ -128,6 +128,22 @@ class TestExecute:
         assert code == 1
         assert doc.records[-1]["extra"]["violations"]
 
+    @pytest.mark.parametrize("p", ["3", "0.5"])
+    def test_hl_check_constant_polynomial(self, p, capsys):
+        # support 1 and max index 1 force f = {1: c}, where both sides agree up to rounding
+        assert main(["hl-check", "--p", p, "--corpus", "20", "--support", "1",
+                     "--max-index", "1", "--seed", "1"]) == 0
+
+    def test_hl_check_p2_checks_all_three(self):
+        doc, code = execute(parse(["hl-check", "--p", "2", "--corpus", "4", "--seed", "3",
+                                   "--samples", "2000"]))
+        assert code == 0
+        per_case = {}
+        for rec in doc.records[:-1]:
+            per_case.setdefault(rec["params"]["case"], []).append(rec["experiment"])
+        three = ["fuzz:hl-upper", "fuzz:hl-lower", "fuzz:squarefree-lower"]
+        assert per_case == {case: three for case in range(4)}
+
 
 class TestOutput:
     def test_atomic_write(self, tmp_path):

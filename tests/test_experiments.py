@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracle import d_alpha
 
+from dirichlet_hardy.bounds import HL_INEQUALITIES, hl_report
 from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
 from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
 from dirichlet_hardy.experiments import (
@@ -18,8 +19,9 @@ from dirichlet_hardy.experiments import (
     pseudomoment,
     pseudomoment_scan,
     pseudomoment_window_check,
+    random_dirichlet,
 )
-from dirichlet_hardy.norms import even_norm_exact, l2_norm
+from dirichlet_hardy.norms import even_norm_exact, l2_norm, mc_norm
 
 
 class TestPseudomoment:
@@ -260,6 +262,37 @@ class TestFuzzSuite:
     def test_negative_corpus(self, table_2k):
         with pytest.raises(ValueError):
             hl_fuzz_suite(FuzzConfig(corpus=-1), table_2k)
+
+    def test_constant_polynomial_clean(self, table_2k):
+        # support 1 and max index 1 force f = {1: c}: |F| is constant, so each comparison
+        # is an equality up to rounding, which the slack must absorb
+        res = hl_fuzz_suite(FuzzConfig(corpus=20, max_support=1, max_index=1, seed=1), table_2k)
+        assert res.summary["violation"] == 0
+        assert res.summary["pass-within-slack"] > 0
+
+    def test_constant_polynomial_agrees_with_hl_report(self, table_2k):
+        config = FuzzConfig(inequalities=(*HL_INEQUALITIES, "divisor-chain"), corpus=300,
+                            max_support=1, max_index=1, seed=4, samples=2000)
+        res = hl_fuzz_suite(config, table_2k)
+        flagged = {(r.params["case"], r.params["p"]) for r in res.records
+                   if r.extra["verdict"] == "violation" and r.experiment != "fuzz:divisor-chain"}
+        for case in range(config.corpus):
+            # with no disc checks the case's generator draws f first; f = {1: c} uses no
+            # prime, so its estimate is the same for every seed
+            f = random_dirichlet(np.random.default_rng((config.seed, case)), 1, 1)
+            for p in config.p_values:
+                est = mc_norm(f, p, config.samples, case, table_2k)
+                consistent = hl_report(f, p, est, table_2k).verdict == "consistent"
+                assert consistent == ((case, p) not in flagged), (case, p)
+        assert res.summary["violation"] == 0
+
+    def test_dirichlet_records_ascend_in_p(self, table_2k):
+        config = FuzzConfig(corpus=3, seed=2, samples=2000)
+        res = hl_fuzz_suite(config, table_2k)
+        for case in range(config.corpus):
+            ps = [r.params["p"] for r in res.records
+                  if r.params["case"] == case and not r.experiment.startswith("fuzz:disc")]
+            assert ps == sorted(ps) and len(ps) == 9
 
     def test_exact_p4_upper(self, table_2k):
         # even-exponent route: no statistical slack needed
