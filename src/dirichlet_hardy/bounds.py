@@ -17,8 +17,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .arith import (
     PrimeTable,
     binomial_series_coefficient,
@@ -26,7 +24,7 @@ from .arith import (
     multiplicative,
 )
 from .dseries import DirichletPolynomial
-from .norms import NormEstimate, _lift_plan, _lift_values
+from .norms import NormEstimate, _lift_at, _lift_plan
 
 
 def hl_upper_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
@@ -185,8 +183,7 @@ def point_evaluation_margin(
         growth *= (1 - abs(w) ** 2) ** (-1 / p)
     # coordinates beyond the supplied point are 0, so monomials that use them vanish
     plan = _lift_plan(f, table)
-    point = np.array([zs[j] if j < len(zs) else 0j for j in plan.columns.tolist()], dtype=np.complex128)
-    value = _lift_values(plan, point[None, :])[0]
+    value = _lift_at(plan, [zs[j] if j < len(zs) else 0j for j in plan.columns.tolist()])
     return growth * norm.value - abs(value)
 
 

@@ -6,10 +6,14 @@ Everything else is Monte Carlo over random completely multiplicative unit
 coefficients (Steinhaus variables) from a counter-based generator. The angle of
 prime p_j in sample i depends only on (seed, i, j), so the engine draws angles only
 for the primes that divide some index of the support, and `steinhaus_sample` gives
-the engine's bits for the primes p_1..p_J. The lift F = sum a_n z(n) is evaluated
-point by point through z(n) = z(spf n) z(n/spf n), in cache-sized blocks of points,
-so |F| for sample i depends only on (seed, i), whatever the chunk, the block, the
-worker count or BLAS.
+the engine's bits for the primes p_1..p_J. An angle u = k 2^-53 becomes the phase
+exp(2 pi i u) by exact dyadic splitting: two 1024-entry tables give the top 20 bits
+of k and a short series the angle of the low 33 bits. The lift F = sum a_n z(n) keeps
+one row per node n and one column per point: z(n) = z(spf n) z(n/spf n) fills the
+rows layer by layer, and the terms are summed per point by a halving fold whose
+shape depends only on the number of terms. So |F| for sample i depends only on
+(seed, i), whatever the chunk, the block of points evaluated together or the worker
+count.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -40,6 +44,10 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+# exp(2 pi i j 2^-10) and exp(2 pi i j 2^-20) for j < 1024: the top two 10-bit digits of an angle
+_TURN_HI = np.exp(2j * np.pi * np.arange(1024) / 2**10)
+_TURN_LO = np.exp(2j * np.pi * np.arange(1024) / 2**20)
+
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64's finalizer, in place: callers pass a fresh array."""
@@ -57,17 +65,61 @@ def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> 
 
     `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Entry
     (i, j) depends only on (seed, first_sample + i, columns[j]), so any partition of
-    the sample range, or any choice of columns, reproduces the same values.
+    the sample range, or any choice of columns, reproduces the same values. The result
+    is the transpose of a C-ordered (columns, count) array: each prime's angles are
+    contiguous.
     """
     s0 = _mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
     idx = np.arange(first_sample + 1, first_sample + count + 1, dtype=np.uint64)
     per_sample = _mix64(s0 + idx * _GAMMA_SAMPLE)
     jdx = np.asarray(columns, dtype=np.uint64) + np.uint64(1)
-    h = _mix64(per_sample[:, None] + jdx[None, :] * _GAMMA_PRIME)
+    h = _mix64(jdx[:, None] * _GAMMA_PRIME + per_sample[None, :])
     h >>= np.uint64(11)
     u = h.astype(np.float64)
     u *= 2.0**-53
-    return u
+    return u.T
+
+
+def _phases(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2 pi i u) for angles u = k 2^-53, elementwise, into `out` if given.
+
+    The splitting is exact: with a and b the top two 10-bit digits of k and c its low
+    33 bits, exp(2 pi i u) = exp(2 pi i a 2^-10) exp(2 pi i b 2^-20) exp(i eps) with
+    eps = 2 pi c 2^-53 < 6e-6, and the two-term series of exp(i eps) is exact to
+    rounding there. Against mpmath the error stays below 8 2^-53 (libm's
+    exp(2j*pi*u) reaches about 6.4 2^-53); the tests hold both to 16 2^-53.
+    """
+    t = u * 1024.0
+    a = np.floor(t)
+    t -= a
+    t *= 1024.0
+    b = np.floor(t)
+    t -= b
+    t *= 2 * np.pi / 2**20  # eps
+    z = np.take(_TURN_HI, a.astype(np.intp), out=out)
+    z *= _TURN_LO.take(b.astype(np.intp))
+    e2 = t * t
+    tail = np.empty_like(z)
+    tail.real = 1 - e2 / 2
+    tail.imag = t * (1 - e2 / 6)
+    z *= tail
+    return z
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """The sum of `a` along axis 0 by a halving fold, in place: a[:h] += a[n-h:n].
+
+    The fold's shape depends only on len(a), and every column is folded on its own,
+    so a column's sum does not depend on the columns beside it.
+    """
+    n = len(a)
+    if not n:
+        return np.zeros(a.shape[1:], dtype=a.dtype)
+    while n > 1:
+        h = n // 2
+        a[:h] += a[n - h : n]
+        n -= h
+    return a[0]
 
 
 def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
@@ -79,17 +131,12 @@ def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: in
 
 
 def pairwise_sum(values: np.ndarray) -> float:
-    """Sum by a strict binary fold whose shape depends only on the length.
+    """Sum by the halving fold of `_fold`, whose shape depends only on the length.
 
     Used for all Monte Carlo reductions: the result is bit-identical however
     the input array was produced.
     """
-    a = np.asarray(values, dtype=np.float64)
-    while a.size > 1:
-        if a.size & 1:
-            a = np.concatenate([a, [0.0]])
-        a = a[0::2] + a[1::2]
-    return float(a[0]) if a.size else 0.0
+    return float(_fold(np.array(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -173,19 +220,27 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable) -> _LiftPlan:
     )
 
 
-def _lift_values(plan: _LiftPlan, z: np.ndarray) -> np.ndarray:
-    """F = sum a_n z(n) at each point, from z at the points (rows) on the plan's primes (columns).
+def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
+    """F = sum a_n z(n) at each point (column) of Z, whose rows are the plan's nodes.
 
-    Each point's row holds its node values: z(n) = z(spf n) z(n/spf n) fills them layer by
-    layer, and numpy's pairwise sum along the row adds the terms (ascending n). No operation
-    mixes rows, so a point's F does not depend on the points evaluated with it.
+    The caller writes z at the plan's primes into rows 1..P; z(n) = z(spf n) z(n/spf n)
+    fills the other rows layer by layer, and the terms (ascending n) are summed by
+    `_fold`. No operation mixes columns, so a point's F does not depend on the points
+    evaluated with it.
     """
-    Z = np.empty((len(z), plan.size), dtype=np.complex128)
-    Z[:, 0] = 1
-    Z[:, 1 : 1 + plan.columns.size] = z
+    Z[0] = 1
     for lo, hi, left, right in plan.layers:
-        np.multiply(Z.take(left, axis=1), Z.take(right, axis=1), out=Z[:, lo:hi])
-    return (Z.take(plan.terms, axis=1) * plan.coeffs).sum(axis=1)
+        np.multiply(Z.take(left, axis=0), Z.take(right, axis=0), out=Z[lo:hi])
+    terms = Z.take(plan.terms, axis=0)
+    terms *= plan.coeffs[:, None]
+    return _fold(terms)
+
+
+def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
+    """F at the single point whose values on the plan's primes are z."""
+    Z = np.empty((plan.size, 1), dtype=np.complex128)
+    Z[1 : 1 + plan.columns.size, 0] = z
+    return complex(_lift_values(plan, Z)[0])
 
 
 def mc_norm_many(
@@ -213,10 +268,11 @@ def mc_norm_many(
     starts = range(0, samples, _CHUNK)
     block = max(1, _BLOCK_BYTES // (16 * plan.size))
     # per worker: the chunk's uniform block with its mixing temporaries (24 B per column), and
-    # per point of one block: node values, the widest layer's two gathers, term products and
-    # phases; per sample of the whole run: |F|, |F|^p and the deviations with their temporary
+    # per point of one block: the node rows, the widest layer's two gathers, the term gather
+    # and the phase temporaries (64 B per column); per sample of the whole run: |F|, |F|^p
+    # and the deviations with the copy the fold takes
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
-    per_point = 16 * (plan.size + 2 * widest + plan.terms.size) + 40 * plan.columns.size
+    per_point = 16 * (plan.size + 2 * widest + plan.terms.size) + 64 * plan.columns.size
     per_worker = min(_CHUNK, samples) * 24 * plan.columns.size + min(block, samples) * per_point
     need = min(workers, len(starts)) * per_worker + 32 * samples
     check_memory(need, "Monte Carlo sampling")
@@ -224,10 +280,13 @@ def mc_norm_many(
 
     def fill(start: int) -> None:
         count = min(_CHUNK, samples - start)
-        u = _uniforms(seed, start, count, plan.columns)
-        for lo in range(start, start + count, block):
-            z = np.exp(2j * np.pi * u[lo - start : lo - start + block])
-            absF[lo : lo + len(z)] = np.abs(_lift_values(plan, z))
+        u = _uniforms(seed, start, count, plan.columns).T
+        for lo in range(0, count, block):
+            points = u[:, lo : lo + block]
+            Z = np.empty((plan.size, points.shape[1]), dtype=np.complex128)
+            _phases(points, out=Z[1 : 1 + plan.columns.size])
+            F = _lift_values(plan, Z)
+            absF[start + lo : start + lo + F.size] = np.abs(F)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -283,7 +342,7 @@ def steinhaus_sample(seed: int, index: int, prime_count: int) -> SteinhausSample
     if prime_count < 0:
         raise ValueError("prime_count must be nonnegative")
     u = steinhaus_uniforms(seed, index, 1, prime_count)[0]
-    return SteinhausSample(values=np.exp(2j * np.pi * u))
+    return SteinhausSample(values=_phases(u))
 
 
 def evaluate_at_sample(
@@ -294,7 +353,7 @@ def evaluate_at_sample(
     z = sample.values
     if plan.columns.size and plan.columns[-1] >= z.size:
         raise ValueError(f"sample covers {z.size} primes but the support needs {plan.columns[-1] + 1}")
-    return complex(_lift_values(plan, z[None, plan.columns])[0])
+    return _lift_at(plan, z[plan.columns])
 
 
 @dataclass(frozen=True)

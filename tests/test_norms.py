@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracle import factor
+from oracle import factor, prime_position
 
 from dirichlet_hardy import norms
 from dirichlet_hardy.arith import binomial_series_coefficient
@@ -11,6 +11,7 @@ from dirichlet_hardy.dseries import (
     DirichletPolynomial,
     smooth_truncation,
     zeta_partial,
+    zeta_power_partial,
 )
 from dirichlet_hardy.errors import ResourceLimitError
 from dirichlet_hardy.experiments import random_dirichlet
@@ -92,6 +93,20 @@ class TestCounterRng:
         assert pairwise_sum(x) == pytest.approx(math.fsum(x.tolist()), rel=1e-13)
         assert pairwise_sum(np.array([])) == 0.0
 
+    def test_table_phases_match_mpmath(self):
+        # the table route is as accurate as libm's exp(2 pi i u), at the tables' edges too
+        mpmath = pytest.importorskip("mpmath")
+        ulp = 2.0**-53
+        edges = [j * 2.0**-s + d for s in (10, 20) for j in range(1024) for d in (-ulp, 0.0, ulp)]
+        u = np.array([0.0, ulp, 0.25, 0.5, 0.75, 1 - ulp] + [x for x in edges if 0 <= x < 1]
+                     + steinhaus_uniforms(4, 0, 1000, 3).ravel().tolist())
+        with mpmath.workprec(120):
+            for z in (norms._phases(u), np.exp(2j * np.pi * u)):
+                for x, zx in zip(u.tolist(), z.tolist()):
+                    w = mpmath.mpc(zx.real, zx.imag)
+                    assert abs(w - mpmath.expj(2 * mpmath.pi * x)) <= 16 * ulp
+                    assert abs(abs(w) - 1) <= 8 * ulp
+
 
 class TestMonteCarlo:
     def test_matches_l2(self, table_2k):
@@ -137,25 +152,60 @@ class TestMonteCarlo:
         assert runs[0].std_error == runs[2].std_error
 
     def test_chunk_size_leaves_outputs_unchanged(self, table_2k, monkeypatch):
-        # |F| of sample i depends only on (seed, i), not on the chunk or block that evaluates it.
-        # A last-bit change in a few samples can vanish from the means, so the
-        # arrays handed to the reduction (|F|^p and the squared deviations) are compared too.
-        runs, reduced = [], []
+        # |F| of sample i depends only on (seed, i), not on the chunk or block that evaluates it
+        # or on the worker count. A last-bit change in a few samples can vanish from the means,
+        # so the arrays handed to the reduction (|F|^p and the squared deviations) are compared too.
+        f = zeta_partial(350)
+        reduced = []
 
         def recording_sum(values):
             reduced[-1].append(np.array(values))
             return pairwise_sum(values)
 
-        monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
-        for chunk, block_bytes in ((1024, 1 << 20), (4096, 1 << 16), (8192, 1 << 20)):
+        def run(samples, chunk=norms._CHUNK, block_bytes=norms._BLOCK_BYTES, workers=1):
             monkeypatch.setattr(norms, "_CHUNK", chunk)
             monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
             reduced.append([])
-            ests = mc_norm_many(zeta_partial(350), [1.0, 3.0], 16384, 5, table_2k)
-            runs.append([(e.value, e.std_error) for e in ests])
-        assert runs[0] == runs[1] == runs[2]
-        for arrays in reduced[1:]:
-            assert all(np.array_equal(a, b) for a, b in zip(reduced[0], arrays, strict=True))
+            ests = mc_norm_many(f, [1.0, 3.0], samples, 5, table_2k, workers)
+            return [(e.value, e.std_error) for e in ests], reduced[-1]
+
+        monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
+        default, arrays = run(16384)
+        for chunk, block_bytes, workers in ((1024, 1 << 20, 1), (4096, 1 << 16, 1),
+                                            (8192, 1 << 20, 1), (8192, 1 << 20, 2)):
+            ests, other = run(16384, chunk, block_bytes, workers)
+            assert ests == default
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, other, strict=True))
+        # blocks of one point, and blocks of 7 that leave 2 points over in the first chunk and
+        # 1 in the second; |F| and |F|^3 (reduced first and third) are the default run's prefix
+        nodes = norms._lift_plan(f, table_2k).size
+        for block_bytes in (1, 7 * 16 * nodes):
+            _, other = run(8193, block_bytes=block_bytes)
+            assert np.array_equal(other[0], arrays[0][:8193])
+            assert np.array_equal(other[2], arrays[2][:8193])
+
+    @pytest.mark.parametrize("case", ["zeta-power", "golden-1", "golden-2", "high-primes"])
+    def test_matches_trial_division_reference(self, table_2k, case):
+        # |F| per sample from trial division, libm phases and fsum per point: no lift plan,
+        # table phases or fold in common with the engine
+        f = {
+            "zeta-power": lambda: zeta_power_partial(600, 1.5, table_2k),
+            "golden-1": lambda: random_dirichlet(np.random.default_rng(1), 64, 1000),
+            "golden-2": lambda: random_dirichlet(np.random.default_rng(2), 64, 1000),
+            "high-primes": lambda: DirichletPolynomial({1: 1, 1999: 0.5j, 1993: -2, 1994: 1}),
+        }[case]()
+        factors = {n: factor(n) for n in f.support}
+        width = max((prime_position(p) + 1 for fac in factors.values() for p, _ in fac), default=0)
+        z = np.exp(2j * np.pi * steinhaus_uniforms(17, 0, 64, width))
+        absF = []
+        for row in z.tolist():
+            terms = [f.coeff(n) * math.prod(row[prime_position(p)] ** e for p, e in factors[n])
+                     for n in f.support]
+            absF.append(abs(complex(math.fsum(t.real for t in terms),
+                                    math.fsum(t.imag for t in terms))))
+        for est in mc_norm_many(f, [1.0, 2.0], 64, 17, table_2k):
+            reference = math.fsum(a**est.p for a in absF) / 64
+            assert est.power_mean == pytest.approx(reference, rel=1e-12)
 
     def test_memory_cap(self, table_2k, monkeypatch):
         # Z_350 needs about 17 MB per 8192-sample chunk: one chunk at a time fits, two do not
@@ -193,15 +243,15 @@ class TestMonteCarlo:
         assert widths and set(widths) == {len(primes)}
 
     def test_golden_stream(self, table_2k):
-        # float.hex of (value, std_error), recorded when the engine still drew every prime
-        # up to the largest one used and kept the columns of the support's primes
+        # float.hex of (value, std_error) on the stream of table phases (two 1024-entry tables
+        # and a short series), node rows and the halving fold for the terms and the means
         golden = {
             1: [("0x1.5e2b4f474e822p+2", "0x1.2dcffb44c31b0p-8"),
-                ("0x1.7950a25e81ff6p+2", "0x1.60c4b423ca1fep-6"),
-                ("0x1.d1a4dae9869cbp+2", "0x1.0394509a78ef7p+2")],
-            2: [("0x1.fcc515b04d0cbp+2", "0x1.6b23c0924c189p-8"),
+                ("0x1.7950a25e81ff7p+2", "0x1.60c4b423ca1fep-6"),
+                ("0x1.d1a4dae9869cap+2", "0x1.0394509a78ef6p+2")],
+            2: [("0x1.fcc515b04d0c8p+2", "0x1.6b23c0924c189p-8"),
                 ("0x1.1208bf6ed9ae9p+3", "0x1.005b1f8d67e1dp-5"),
-                ("0x1.524f36680ba61p+3", "0x1.8e2e2def6f073p+3")],
+                ("0x1.524f36680ba61p+3", "0x1.8e2e2def6f074p+3")],
         }
         for k, expected in golden.items():
             f = random_dirichlet(np.random.default_rng(k), 64, 1000)
