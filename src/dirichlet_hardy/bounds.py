@@ -5,10 +5,14 @@ sum |a_n|^2 Phi_{p/2}(n). Lower route (p <= 2): the square root of
 sum |a_n|^2 / Phi_{2/p}(n) is at most the quasi-norm, with a square-free
 variant using |mu(n)| / d_{2/p}(n). `hl_comparisons` forms both sides as p-th
 power means; against a norm estimate they may miss by `_slack`, 3 standard
-errors of the power mean plus a 1e-10 relative rounding allowance. The
-coefficient functional C(k, p) is the largest k-th Taylor coefficient over the
-unit ball of the one-variable p-space; its multiplicative extension over prime
-powers bounds the n-th coefficient functional on Dirichlet series.
+errors of the power mean plus a 1e-10 relative rounding allowance, which is
+all a quadrature estimate (std_error 0) gets. On a polynomial in 2^(-s) alone
+they are the one-variable inequalities for disc polynomials, so the fuzz
+suite's disc checks run through `hl_comparisons` as well.
+
+The coefficient functional C(k, p) is the largest k-th Taylor coefficient over
+the unit ball of the one-variable p-space; its multiplicative extension over
+prime powers bounds the n-th coefficient functional on Dirichlet series.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ from . import __version__
 from .arith import PrimeTable, pseudomoment_leading_factor, pseudomoment_ratio_bounds, sieve_primes
 from .bounds import HL_INEQUALITIES, hl_report
 from .dseries import DirichletPolynomial, GeneratorSpec, generate
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, memory_cap_bytes
 from .experiments import (
+    DISC_INEQUALITIES,
     ExperimentRecord,
     FuzzConfig,
     hl_fuzz_suite,
@@ -234,7 +235,12 @@ def _norm_records(args, seed: int) -> list[ExperimentRecord]:
 
 def _fuzz_records(config: FuzzConfig) -> tuple[list[ExperimentRecord], int]:
     """The fuzz suite's records closed by a summary record, and the violation count."""
-    result = hl_fuzz_suite(config, _table(config.max_index))
+    limits = [config.max_index]
+    if DISC_INEQUALITIES.keys() & set(config.inequalities):
+        # the disc checks lift degree d to the index 2^d; a sieve takes at least a byte per
+        # index, so past the cap's bit length every degree is beyond any sieve the cap allows
+        limits.append(2 ** min(config.max_degree, memory_cap_bytes().bit_length()))
+    result = hl_fuzz_suite(config, _table(*limits))
     violations = result.summary["violation"]
     summary = ExperimentRecord(
         experiment="fuzz-summary",

@@ -6,6 +6,12 @@ Exact evaluation uses the l2 route at k=1, a coprime-parametrization identity
 at (k=2, alpha=1) that avoids materializing the convolution square, and sparse
 convolution otherwise. Monte Carlo covers non-integer k.
 
+The fuzz suite checks the weighted inequalities of `bounds` on two kinds of
+random polynomial. A disc polynomial g(z) = sum g_j z^j is the Dirichlet
+polynomial sum g_j 2^(-js) on the one prime 2, whose H^p norm is g's disc
+norm, so its checks are the same Hardy-Littlewood checks, with the same slack,
+against a quadrature norm in place of a Monte Carlo one.
+
 Every record echoes its full parameter set, including seeds, so any run can be
 replayed exactly.
 """
@@ -21,7 +27,6 @@ import numpy as np
 from .arith import (
     PrimeTable,
     divisor_values,
-    divisor_weight_prime_power,
     multiplicative,
     omega_class_counts,
     pseudomoment_ratio_bounds,
@@ -535,11 +540,10 @@ class FuzzResult:
     violations: list[dict]
 
 
-DISC_INEQUALITIES = {"disc-upper", "disc-lower"}
+# each disc check is a Hardy-Littlewood check on the lift of g to the prime 2
+DISC_INEQUALITIES = {"disc-upper": "hl-upper", "disc-lower": "hl-lower"}
 DIRICHLET_INEQUALITIES = {*HL_INEQUALITIES, "divisor-chain"}
-ALL_INEQUALITIES = DISC_INEQUALITIES | DIRICHLET_INEQUALITIES
-# absolute slack of the disc checks, whose sides come from quadrature, not sampling
-_DISC_TOLERANCE = 1e-8
+ALL_INEQUALITIES = set(DISC_INEQUALITIES) | DIRICHLET_INEQUALITIES
 
 
 def random_dirichlet(rng: np.random.Generator, max_support: int, max_index: int) -> DirichletPolynomial:
@@ -557,38 +561,31 @@ def random_disc(rng: np.random.Generator, max_degree: int) -> DiscPolynomial:
     return DiscPolynomial(values)
 
 
-def _disc_weighted_upper(f: DiscPolynomial, p: float) -> float:
-    return math.sqrt(
-        math.fsum(
-            abs(c) ** 2 * divisor_weight_prime_power(j, p / 2)
-            for j, c in enumerate(f.coefficients)
-        )
-    )
-
-
-def _disc_weighted_lower(f: DiscPolynomial, p: float) -> float:
-    return math.sqrt(
-        math.fsum(
-            abs(c) ** 2 / divisor_weight_prime_power(j, 2 / p)
-            for j, c in enumerate(f.coefficients)
-        )
-    )
-
-
 def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
     """Run the selected inequality checks over a seeded random corpus.
 
-    Each (case, inequality, p) yields one record with the two compared sides;
-    cases are classified pass / pass-within-slack / violation, and violations
-    carry a full reproducer (case seed and polynomial JSON). A case's disc
-    records come first, then its Dirichlet records in ascending p, judged
-    with the slack of `hl_report`.
+    Each (case, inequality, p) yields one record with the two compared sides,
+    both p-th power means; cases are classified pass / pass-within-slack /
+    violation, and violations carry a full reproducer (case seed and polynomial
+    JSON). A case draws a disc polynomial g, then a Dirichlet polynomial f.
+    The disc checks are the Hardy-Littlewood checks of `hl_comparisons` on the
+    lift sum g_j 2^(-js) against g's quadrature norms, so the table must cover
+    2^max_degree; the Dirichlet checks run on f against its Monte Carlo norms.
+    Every comparison is judged with the slack of `hl_report`. A case's disc
+    records come first, then its Dirichlet records, each side in ascending p.
     """
     unknown = set(config.inequalities) - ALL_INEQUALITIES
     if unknown:
         raise ValueError(f"unknown inequalities: {sorted(unknown)}")
     if config.corpus < 0:
         raise ValueError(f"corpus must be nonnegative, got {config.corpus}")
+    # the selected checks of each side, keyed by their name in `hl_comparisons`
+    disc_checks = {DISC_INEQUALITIES[iq]: iq for iq in config.inequalities if iq in DISC_INEQUALITIES}
+    dirich_checks = {iq: iq for iq in config.inequalities if iq in DIRICHLET_INEQUALITIES}
+    if disc_checks and 2**config.max_degree > table.limit:
+        raise SieveLimitError(
+            f"disc degree {config.max_degree} lifts to 2^{config.max_degree}, beyond sieve limit {table.limit}"
+        )
     records: list[ExperimentRecord] = []
     violations: list[dict] = []
     summary = {"pass": 0, "pass-within-slack": 0, "violation": 0}
@@ -618,42 +615,31 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
                  "slack": slack, "reproducer": repro}
             )
 
-    disc_checks = [iq for iq in config.inequalities if iq in DISC_INEQUALITIES]
-    dirich_checks = [iq for iq in config.inequalities if iq in DIRICHLET_INEQUALITIES]
-    disc_upper_ps = [p for p in config.p_values if p >= 2]
-    disc_lower_ps = [p for p in config.p_values if p <= 2]
-    chain = "divisor-chain" in dirich_checks
-    dirich_ps = sorted(set(config.p_values) | ({1.0} if chain else set())) if dirich_checks else []
+    disc_ps = sorted(set(config.p_values))
+    dirich_ps = sorted(set(config.p_values) | ({1.0} if "divisor-chain" in dirich_checks else set()))
 
     for case in range(config.corpus):
         rng = np.random.default_rng((config.seed, case))
-
+        sides = []
         if disc_checks:
             g = random_disc(rng, config.max_degree)
-            repro = f"disc:{list(map(repr, g.coefficients.tolist()))}"
-            if "disc-upper" in disc_checks:
-                for p in disc_upper_ps:
-                    lhs = disc_norm(g, p, config.nodes).value
-                    classify(lhs, _disc_weighted_upper(g, p), _DISC_TOLERANCE,
-                             "disc-upper", p, case, repro, None)
-            if "disc-lower" in disc_checks:
-                for p in disc_lower_ps:
-                    rhs = disc_norm(g, p, config.nodes).value
-                    classify(_disc_weighted_lower(g, p), rhs, _DISC_TOLERANCE,
-                             "disc-lower", p, case, repro, None)
-
-        if dirich_ps:
+            lift = DirichletPolynomial({2**j: c for j, c in enumerate(g.coefficients)})
+            ests = [disc_norm(g, p, config.nodes) for p in disc_ps]
+            sides.append((lift, ests, disc_checks, f"disc:{list(map(repr, g.coefficients.tolist()))}"))
+        if dirich_checks:
             f = random_dirichlet(rng, config.max_support, config.max_index)
-            repro = f.to_json()
             ests = mc_norm_many(f, dirich_ps, config.samples, config.seed + 7919 * case, table, config.workers)
+            sides.append((f, ests, dirich_checks, f.to_json()))
+
+        for poly, ests, checks, repro in sides:
             for est in ests:
                 slack = _slack(est)
-                for name, _, smaller, larger in hl_comparisons(f, est.p, est, table, dirich_checks):
-                    classify(smaller, larger, slack, name, est.p, case, repro, est.std_error)
-                if chain and est.p == 1.0:
+                for name, _, smaller, larger in hl_comparisons(poly, est.p, est, table, checks):
+                    classify(smaller, larger, slack, checks[name], est.p, case, repro, est.std_error)
+                if "divisor-chain" in checks and est.p == 1.0:
                     # d_2(n) counts the divisors of n; at p = 1 the power mean is the norm
-                    max_sqrt_d = math.sqrt(divisor_values(list(f.coefficients), 2.0, table).max(initial=1.0))
-                    classify(l2_norm(f).value / max_sqrt_d, est.power_mean, slack,
+                    max_sqrt_d = math.sqrt(divisor_values(list(poly.coefficients), 2.0, table).max(initial=1.0))
+                    classify(l2_norm(poly).value / max_sqrt_d, est.power_mean, slack,
                              "divisor-chain", 1.0, case, repro, est.std_error)
 
     return FuzzResult(summary=summary, records=records, violations=violations)

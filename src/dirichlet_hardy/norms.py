@@ -266,14 +266,16 @@ def mc_norm_many(
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _lift_plan(f, table)
     starts = range(0, samples, _CHUNK)
-    block = max(1, _BLOCK_BYTES // (16 * plan.size))
-    # per worker: the chunk's uniform block with its mixing temporaries (24 B per column), and
-    # per point of one block: the node rows, the widest layer's two gathers, the term gather
-    # and the phase temporaries (64 B per column); per sample of the whole run: |F|, |F|^p
-    # and the deviations with the copy the fold takes
+    chunk = min(_CHUNK, samples)
+    block = min(chunk, max(1, _BLOCK_BYTES // (16 * plan.size)))
+    # per worker: the chunk's uniforms, of which the draw holds at most two 8-byte copies, and
+    # per point of one block: the node rows plus the largest of the phase temporaries (64 B per
+    # column), the widest layer's two gathers and the term gather, which are never alive
+    # together; per sample of the whole run: |F|, |F|^p and the deviations with the copy the
+    # fold takes
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
-    per_point = 16 * (plan.size + 2 * widest + plan.terms.size) + 64 * plan.columns.size
-    per_worker = min(_CHUNK, samples) * 24 * plan.columns.size + min(block, samples) * per_point
+    per_point = 16 * plan.size + max(64 * plan.columns.size, 32 * widest, 16 * plan.terms.size)
+    per_worker = 16 * chunk * plan.columns.size + block * per_point
     need = min(workers, len(starts)) * per_worker + 32 * samples
     check_memory(need, "Monte Carlo sampling")
     absF = np.empty(samples, dtype=np.float64)

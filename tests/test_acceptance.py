@@ -7,6 +7,7 @@ Criteria with runtime limits assert them.
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -134,10 +135,11 @@ def test_criterion_6_inequality_fuzz(tmp_path):
     ])
     doc = json.loads(out.read_text())
     summary = doc["records"][-1]["extra"]["summary"]
-    ok = code == 0 and summary["violation"] == 0
+    per_case = Counter(rec["params"]["case"] for rec in doc["records"][:-1])
+    ok = code == 0 and summary["violation"] == 0 and per_case == dict.fromkeys(range(500), 14)
     _report(
         6,
-        "no beyond-slack violations over the default corpus; exit code 0",
+        "no beyond-slack violations over the default corpus, 14 records per case; exit code 0",
         ok,
         f"(summary={summary})",
     )

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,14 @@ class TestExecute:
                                    "--samples", "4000"]))
         assert code == 1
         assert doc.records[-1]["extra"]["violations"]
+
+    def test_fuzz_sieve_covers_the_disc_lift(self):
+        # degree 12 lifts to the index 2^12, beyond the default table of 1000
+        doc, code = execute(parse(["fuzz", "--max-degree", "12", "--corpus", "2", "--seed", "3",
+                                   "--samples", "2000"]))
+        assert code == 0
+        per_case = Counter(rec["params"]["case"] for rec in doc.records[:-1])
+        assert per_case == {0: 14, 1: 14}
 
     @pytest.mark.parametrize("p", ["3", "0.5"])
     def test_hl_check_constant_polynomial(self, p, capsys):
@@ -276,6 +285,10 @@ class TestErrorExits:
     def test_witness_primorial_beyond_any_sieve_exit_3(self, capsys):
         assert main(["partial-sum", "--p", "0.5", "--k", "3000", "--seed", "1"]) == 3
         assert "primorial" in capsys.readouterr().err
+
+    def test_disc_degree_beyond_any_sieve_exit_3(self, capsys):
+        assert main(["fuzz", "--max-degree", "1000", "--corpus", "1", "--seed", "1"]) == 3
+        assert "cap" in capsys.readouterr().err
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2

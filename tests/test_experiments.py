@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracle import d_alpha
 
+from dirichlet_hardy.arith import sieve_primes
 from dirichlet_hardy.bounds import HL_INEQUALITIES, hl_report
 from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
 from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
@@ -264,11 +265,14 @@ class TestFuzzSuite:
             hl_fuzz_suite(FuzzConfig(corpus=-1), table_2k)
 
     def test_constant_polynomial_clean(self, table_2k):
-        # support 1 and max index 1 force f = {1: c}: |F| is constant, so each comparison
-        # is an equality up to rounding, which the slack must absorb
-        res = hl_fuzz_suite(FuzzConfig(corpus=20, max_support=1, max_index=1, seed=1), table_2k)
-        assert res.summary["violation"] == 0
-        assert res.summary["pass-within-slack"] > 0
+        # support 1 and max index 1 force f = {1: c}, and max degree 0 forces every disc
+        # polynomial to a constant: |F| is constant, so each comparison of that side is an
+        # equality up to rounding, which the slack must absorb
+        for config in (FuzzConfig(corpus=20, max_support=1, max_index=1, seed=1),
+                       FuzzConfig(corpus=20, max_degree=0, seed=1, samples=2000)):
+            res = hl_fuzz_suite(config, table_2k)
+            assert res.summary["violation"] == 0
+            assert res.summary["pass-within-slack"] > 0
 
     def test_constant_polynomial_agrees_with_hl_report(self, table_2k):
         config = FuzzConfig(inequalities=(*HL_INEQUALITIES, "divisor-chain"), corpus=300,
@@ -290,9 +294,16 @@ class TestFuzzSuite:
         config = FuzzConfig(corpus=3, seed=2, samples=2000)
         res = hl_fuzz_suite(config, table_2k)
         for case in range(config.corpus):
-            ps = [r.params["p"] for r in res.records
-                  if r.params["case"] == case and not r.experiment.startswith("fuzz:disc")]
-            assert ps == sorted(ps) and len(ps) == 9
+            records = [r for r in res.records if r.params["case"] == case]
+            assert len(records) == 14
+            for disc, count in ((True, 5), (False, 9)):
+                ps = [r.params["p"] for r in records if r.experiment.startswith("fuzz:disc") == disc]
+                assert ps == sorted(ps) and len(ps) == count
+
+    def test_disc_degree_beyond_table(self):
+        # the disc checks lift degree 12 to the index 2^12
+        with pytest.raises(SieveLimitError):
+            hl_fuzz_suite(FuzzConfig(max_degree=12), sieve_primes(1000))
 
     def test_exact_p4_upper(self, table_2k):
         # even-exponent route: no statistical slack needed

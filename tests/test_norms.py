@@ -1,12 +1,14 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracle import factor, prime_position
 
 from dirichlet_hardy import norms
-from dirichlet_hardy.arith import binomial_series_coefficient
+from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power
+from dirichlet_hardy.bounds import _slack, hl_lower_sum, hl_upper_sum
 from dirichlet_hardy.dseries import (
     DirichletPolynomial,
     smooth_truncation,
@@ -14,7 +16,7 @@ from dirichlet_hardy.dseries import (
     zeta_power_partial,
 )
 from dirichlet_hardy.errors import ResourceLimitError
-from dirichlet_hardy.experiments import random_dirichlet
+from dirichlet_hardy.experiments import random_dirichlet, random_disc
 from dirichlet_hardy.norms import (
     DiscPolynomial,
     SteinhausSample,
@@ -208,18 +210,34 @@ class TestMonteCarlo:
             assert est.power_mean == pytest.approx(reference, rel=1e-12)
 
     def test_memory_cap(self, table_2k, monkeypatch):
-        # Z_350 needs about 17 MB per 8192-sample chunk: one chunk at a time fits, two do not
-        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
+        # Z_350 is charged about 11.8 MB with one worker and 23 MB with two: one chunk at a
+        # time fits, two do not
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(15_000_000))
         with pytest.raises(ResourceLimitError):
             mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k, workers=2)
         assert mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k).value > 0
-        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(10_000_000))
+        # below one chunk: its 573,440 uniforms alone take 9.2 MB while the draw runs
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(8_000_000))
         with pytest.raises(ResourceLimitError):
             mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k)
         # a tiny chunk, but |F| and the reductions over 2M samples need about 64 MB
-        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(15_000_000))
         with pytest.raises(ResourceLimitError):
             mc_norm(DirichletPolynomial({1: 1, 2: 1}), 1.0, 2_000_000, 1, table_2k)
+
+    @pytest.mark.parametrize("N, alpha", [(350, 1.0), (600, 1.5)])
+    def test_memory_charge_tracks_the_traced_peak(self, N, alpha, table_2k, monkeypatch):
+        # the charge covers every byte the run allocates and overstates the peak by under 25%
+        charged = []
+        monkeypatch.setattr(norms, "check_memory", lambda need, what: charged.append(need))
+        f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table_2k)
+        tracemalloc.start()
+        try:
+            mc_norm(f, 1.0, 16384, 1, table_2k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[0] <= 1.25 * peak
 
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
         # 1999 is the 303rd prime, but the uniform block of a chunk is one column wide
@@ -421,26 +439,41 @@ class TestDilation:
         assert any(violated)
 
 
+def lift(g: DiscPolynomial) -> DirichletPolynomial:
+    """g(z) = sum g_j z^j as the Dirichlet polynomial sum g_j 2^(-js), whose H^p norm is g's disc norm."""
+    return DirichletPolynomial({2**j: c for j, c in enumerate(g.coefficients)})
+
+
 class TestOneVariableInequalities:
     @pytest.mark.parametrize("p", [3.0, 5.0])
-    def test_upper(self, p):
-        from dirichlet_hardy.experiments import _disc_weighted_upper
-
+    def test_upper(self, p, table_2k):
         rng = np.random.default_rng(int(p))
         for _ in range(60):
-            deg = int(rng.integers(0, 9))
-            f = DiscPolynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-            assert disc_norm(f, p, 16384).value <= _disc_weighted_upper(f, p) + 1e-8
+            g = random_disc(rng, 8)
+            est = disc_norm(g, p, 16384)
+            assert est.power_mean <= hl_upper_sum(lift(g), p, table_2k) ** (p / 2) + _slack(est)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3])
-    def test_lower(self, p):
-        from dirichlet_hardy.experiments import _disc_weighted_lower
-
+    def test_lower(self, p, table_2k):
         rng = np.random.default_rng(int(10 * p))
         for _ in range(60):
-            deg = int(rng.integers(0, 9))
-            f = DiscPolynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-            assert _disc_weighted_lower(f, p) <= disc_norm(f, p, 16384).value + 1e-8
+            g = random_disc(rng, 8)
+            est = disc_norm(g, p, 16384)
+            assert hl_lower_sum(lift(g), p, table_2k) ** (p / 2) <= est.power_mean + _slack(est)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3, 2.0, 3.0, 5.0])
+    def test_lifted_sums_are_the_one_variable_sums(self, p, table_2k):
+        # Phi_alpha(2^j) is the one-variable weight, so the sums agree to the last bit
+        rng = np.random.default_rng(int(100 * p))
+        for _ in range(20):
+            g = random_disc(rng, 10)
+            squares = [abs(c) ** 2 for c in g.coefficients]
+            if p >= 2:
+                assert hl_upper_sum(lift(g), p, table_2k) == math.fsum(
+                    a * divisor_weight_prime_power(j, p / 2) for j, a in enumerate(squares))
+            if p <= 2:
+                assert hl_lower_sum(lift(g), p, table_2k) == math.fsum(
+                    a / divisor_weight_prime_power(j, 2 / p) for j, a in enumerate(squares))
 
     def test_squared_coefficient_lower_bound(self):
         rng = np.random.default_rng(9)
