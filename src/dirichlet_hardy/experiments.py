@@ -50,7 +50,6 @@ from .dseries import (
 from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 from .norms import (
     DiscPolynomial,
-    NormEstimate,
     disc_norm,
     even_norm_exact,
     l2_norm,
@@ -284,21 +283,14 @@ def partial_sum_witness(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if table is None:
-        # the primorial from a presieve, then one sieve that covers it; a sieve takes at
-        # least a byte per index, so the product can stop once it passes the cap
-        presieve, M, cap = sieve_primes(1000), 1, memory_cap_bytes()
-        for j in range(1, k + 1):
-            if j > presieve.prime_count:
-                presieve = sieve_primes(2 * presieve.limit)
-            M *= presieve.prime(j)
-            if M > cap:
-                break
-        try:
-            table = presieve if M <= presieve.limit else sieve_primes(M)
-        except ResourceLimitError as exc:
+        # a sieve takes at least a byte per index, and the 168 primes below 1000 multiply
+        # past any memory cap long before k reaches their count
+        M, cap = math.prod(sieve_primes(1000).primes[:k].tolist()), memory_cap_bytes()
+        if M > cap:
             raise ResourceLimitError(
                 f"the primorial of the first {k} primes is beyond any sieve under the cap", cap
-            ) from exc
+            )
+        table = sieve_primes(max(M, 1000))
     if k > table.prime_count:
         raise ResourceLimitError(f"table has only {table.prime_count} primes", None)
     M = 1
@@ -311,10 +303,8 @@ def partial_sum_witness(
     f_M, tail_l2 = extremal_product(p, k, M, table)
     a_M = f_M.coeff(M)
     a_target = coeff_functional_exact(p) ** k
-    s_full = f_M  # already truncated at M
-    s_less = partial_sum(f_M, M - 1) if M > 1 else DirichletPolynomial({})
-    est_full, = mc_norm_many(s_full, [p], samples, seed, table, workers)
-    est_less, = mc_norm_many(s_less, [p], samples, seed, table, workers)
+    s_less = partial_sum(f_M, M - 1)
+    est_full, est_less = mc_norm_many(f_M, [p], samples, seed, table, workers, [s_less])
     value = max(est_full.power_mean, est_less.power_mean)
     which = est_full if est_full.power_mean >= est_less.power_mean else est_less
     lower_bound = coeff_functional_exact(p) ** (p * k) / 2
@@ -349,8 +339,7 @@ def partial_sum_ratio_probe(
     workers: int = 1,
 ) -> ExperimentRecord:
     """Monte Carlo ratio |S_N f|_p / |f|_p with a propagated relative error."""
-    est_f, = mc_norm_many(f, [p], samples, seed, table, workers)
-    est_s, = mc_norm_many(partial_sum(f, N), [p], samples, seed, table, workers)
+    est_f, est_s = mc_norm_many(f, [p], samples, seed, table, workers, [partial_sum(f, N)])
     if est_f.value == 0:
         raise ValueError("cannot form a ratio: the denominator norm vanished")
     ratio = est_s.value / est_f.value
@@ -476,18 +465,13 @@ def homogeneous_energy(
     D = DirichletPolynomial(
         {n: dn * alpha**-om * n**-0.5 for n, dn, om in zip(ns.tolist(), d, big_omega)}
     )
-    max_m = max(big_omega)
-    est_D, = mc_norm_many(D, [p], samples, seed, table, workers)
+    layers = [homogeneous_projection(D, m, table) for m in range(max(big_omega) + 1)]
+    est_D, *layer_ests = mc_norm_many(D, [p], samples, seed, table, workers, layers)
     records = []
     reconstructed: dict[int, complex] = {}
-    for m in range(max_m + 1):
-        Pm = homogeneous_projection(D, m, table)
+    for m, (Pm, est) in enumerate(zip(layers, layer_ests)):
         for n, c in Pm.coefficients.items():
             reconstructed[n] = reconstructed.get(n, 0j) + c
-        if not Pm.coefficients:
-            est = NormEstimate(p=p, value=0.0, method="monte_carlo", samples=samples, std_error=0.0, seed=seed)
-        else:
-            est, = mc_norm_many(Pm, [p], samples, seed, table, workers)
         bound = (math.sqrt(math.e) * (m + 1) ** (1 / p - 1) if p < 1 else 1.0) * est_D.value
         records.append(
             ExperimentRecord(

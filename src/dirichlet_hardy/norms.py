@@ -13,7 +13,9 @@ one row per node n and one column per point: z(n) = z(spf n) z(n/spf n) fills th
 rows layer by layer, and the terms are summed per point by a halving fold whose
 shape depends only on the number of terms. So |F| for sample i depends only on
 (seed, i), whatever the chunk, the block of points evaluated together or the worker
-count.
+count. Neither the angles nor the node values depend on the rest of the plan, so
+polynomials whose supports lie inside f's (its partial sums, its homogeneous parts)
+are evaluated on f's nodes in the same pass, each with the bits of its own run.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -32,9 +34,13 @@ import numpy as np
 # factorize is unused here; perfbench's tracer tests rebind and restore it in this module
 from .arith import PrimeTable, factorize, multiplicative
 from .dseries import DirichletPolynomial, dirichlet_power
-from .errors import SieveLimitError, check_memory
+from .errors import SieveLimitError, check_memory, memory_cap_bytes
 
-_CHUNK = 8192  # samples drawn together; bounds working memory
+# samples drawn together, halved until a run fits the memory cap. The uniforms are drawn per
+# chunk: drawn per block they have timed both 2x slower (glibc mapping and returning each
+# block's arrays unless a multi-MB array has raised its dynamic mmap threshold) and even, with
+# a lower peak, in separate measurements; CHANGES.md has the numbers
+_CHUNK = 8192
 _BLOCK_BYTES = 1 << 20  # node values of the points evaluated together; sized to stay in cache
 
 # splitmix64 increments (odd 64-bit constants)
@@ -193,12 +199,13 @@ class _LiftPlan(NamedTuple):
     columns: np.ndarray  # 0-based table positions of the primes used, ascending
     size: int  # number of nodes
     layers: list  # (lo, hi, spf slots, cofactor slots) for Omega = 2, 3, ...
-    terms: np.ndarray  # slots of the support in ascending n
-    coeffs: np.ndarray  # a_n in the same order
+    members: list  # f, then each part: (slots of its support in ascending n, a_n in that order)
 
 
-def _lift_plan(f: DirichletPolynomial, table: PrimeTable) -> _LiftPlan:
+def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolynomial) -> _LiftPlan:
     """The nodes of the Bohr lift of f: its support closed under n -> spf(n) and n -> n/spf(n)."""
+    if not all(g.coefficients.keys() <= f.coefficients.keys() for g in parts):
+        raise ValueError("a part's support must lie inside the polynomial's support")
     if f.length > table.limit:
         raise SieveLimitError(f"support reaches {f.length}, beyond sieve limit {table.limit}")
     spf = table.smallest_factor
@@ -215,32 +222,36 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable) -> _LiftPlan:
         columns=np.searchsorted(table.primes, nodes[omega == 1]),
         size=nodes.size,
         layers=[(lo, hi, left[lo:hi], right[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
-        terms=slot[np.searchsorted(nodes, support)],
-        coeffs=np.array([f.coeff(m) for m in f.support], dtype=np.complex128),
+        members=[(slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))],
+                  np.array([g.coeff(m) for m in g.support], dtype=np.complex128))
+                 for g in (f, *parts)],
     )
 
 
 def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
-    """F = sum a_n z(n) at each point (column) of Z, whose rows are the plan's nodes.
+    """F = sum a_n z(n) of each member (row) at each point (column) of Z, whose rows are nodes.
 
     The caller writes z at the plan's primes into rows 1..P; z(n) = z(spf n) z(n/spf n)
-    fills the other rows layer by layer, and the terms (ascending n) are summed by
-    `_fold`. No operation mixes columns, so a point's F does not depend on the points
+    fills the other rows layer by layer, and each member's terms (ascending n) are summed
+    by `_fold`. No operation mixes columns, so a point's F does not depend on the points
     evaluated with it.
     """
     Z[0] = 1
     for lo, hi, left, right in plan.layers:
         np.multiply(Z.take(left, axis=0), Z.take(right, axis=0), out=Z[lo:hi])
-    terms = Z.take(plan.terms, axis=0)
-    terms *= plan.coeffs[:, None]
-    return _fold(terms)
+    F = np.empty((len(plan.members), Z.shape[1]), dtype=np.complex128)
+    for row, (terms, coeffs) in zip(F, plan.members):
+        gathered = Z.take(terms, axis=0)
+        gathered *= coeffs[:, None]
+        row[:] = _fold(gathered)
+    return F
 
 
 def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
     """F at the single point whose values on the plan's primes are z."""
     Z = np.empty((plan.size, 1), dtype=np.complex128)
     Z[1 : 1 + plan.columns.size, 0] = z
-    return complex(_lift_values(plan, Z)[0])
+    return complex(_lift_values(plan, Z)[0, 0])
 
 
 def mc_norm_many(
@@ -250,13 +261,18 @@ def mc_norm_many(
     seed: int,
     table: PrimeTable,
     workers: int = 1,
+    parts: Sequence[DirichletPolynomial] = (),
 ) -> list[NormEstimate]:
     """Monte Carlo estimates of several quasi-norms from one shared sample stream.
 
     Draws `samples` independent Steinhaus samples (one angle per prime dividing
     some index of the support), evaluates |F| once per sample, and forms each
-    p-th power mean from the same |F| values. Deterministic for fixed
-    (seed, samples) regardless of `workers`. Checks the memory cap before sampling.
+    p-th power mean from the same |F| values. Each of the `parts`, whose supports
+    must lie inside f's, is evaluated from the same samples and nodes with the bits
+    of its own run; the estimates are f's, then each part's, each in the order of
+    `ps`. Deterministic for fixed (seed, samples) regardless of `workers`. The chunk
+    of samples drawn together is halved until the run fits the memory cap; a run
+    that fits at no chunk size is a ResourceLimitError.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -264,32 +280,37 @@ def mc_norm_many(
             raise ValueError(f"p must be positive, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    plan = _lift_plan(f, table)
-    starts = range(0, samples, _CHUNK)
-    chunk = min(_CHUNK, samples)
-    block = min(chunk, max(1, _BLOCK_BYTES // (16 * plan.size)))
+    plan = _lift_plan(f, table, *parts)
+    rows, block = len(plan.members), max(1, _BLOCK_BYTES // (16 * plan.size))
     # per worker: the chunk's uniforms, of which the draw holds at most two 8-byte copies, and
     # per point of one block: the node rows plus the largest of the phase temporaries (64 B per
-    # column), the widest layer's two gathers and the term gather, which are never alive
-    # together; per sample of the whole run: |F|, |F|^p and the deviations with the copy the
-    # fold takes
+    # column), the widest layer's two gathers and the output rows with one member's term
+    # gather, which are never alive together; per sample of the whole run: |F| of every
+    # member, and one member's |F|^p and deviations with the copy the fold takes
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
-    per_point = 16 * plan.size + max(64 * plan.columns.size, 32 * widest, 16 * plan.terms.size)
-    per_worker = 16 * chunk * plan.columns.size + block * per_point
-    need = min(workers, len(starts)) * per_worker + 32 * samples
-    check_memory(need, "Monte Carlo sampling")
-    absF = np.empty(samples, dtype=np.float64)
+    longest = max(terms.size for terms, _ in plan.members)
+    per_point = 16 * plan.size + max(64 * plan.columns.size, 32 * widest, 16 * (rows + longest))
+
+    def need(chunk: int) -> int:
+        per_worker = 16 * chunk * plan.columns.size + min(chunk, block) * per_point
+        return min(workers, -(-samples // chunk)) * per_worker + (24 + 8 * rows) * samples
+
+    chunk, cap = min(_CHUNK, samples), memory_cap_bytes()
+    while chunk > 1 and need(chunk) > cap:
+        chunk //= 2
+    check_memory(need(chunk), "Monte Carlo sampling")
+    absF = np.empty((rows, samples), dtype=np.float64)
 
     def fill(start: int) -> None:
-        count = min(_CHUNK, samples - start)
+        count = min(chunk, samples - start)
         u = _uniforms(seed, start, count, plan.columns).T
         for lo in range(0, count, block):
             points = u[:, lo : lo + block]
             Z = np.empty((plan.size, points.shape[1]), dtype=np.complex128)
             _phases(points, out=Z[1 : 1 + plan.columns.size])
-            F = _lift_values(plan, Z)
-            absF[start + lo : start + lo + F.size] = np.abs(F)
+            np.abs(_lift_values(plan, Z), out=absF[:, start + lo : start + lo + points.shape[1]])
 
+    starts = range(0, samples, chunk)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
@@ -298,21 +319,14 @@ def mc_norm_many(
             fill(start)
 
     out = []
-    for p in ps:
-        x = absF**p
-        mean = pairwise_sum(x) / samples
-        var = pairwise_sum((x - mean) ** 2) / (samples - 1)
-        se = math.sqrt(var / samples)
-        out.append(
-            NormEstimate(
-                p=p,
-                value=mean ** (1.0 / p),
-                method="monte_carlo",
-                samples=samples,
-                std_error=se,
-                seed=seed,
-            )
-        )
+    for row in absF:
+        for p in ps:
+            x = row**p
+            mean = pairwise_sum(x) / samples
+            var = pairwise_sum((x - mean) ** 2) / (samples - 1)
+            se = math.sqrt(var / samples)
+            out.append(NormEstimate(p=p, value=mean ** (1.0 / p), method="monte_carlo",
+                                    samples=samples, std_error=se, seed=seed))
     return out
 
 

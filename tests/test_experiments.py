@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracle import d_alpha
 
+from dirichlet_hardy import norms
 from dirichlet_hardy.arith import sieve_primes
 from dirichlet_hardy.bounds import HL_INEQUALITIES, hl_report
 from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
@@ -237,6 +238,20 @@ class TestHomogeneousEnergy:
             homogeneous_energy(1, 1.0, 0.5, 100, 1, table_2k)
         with pytest.raises(ValueError):
             homogeneous_energy(100, 0.5, 0.5, 100, 1, table_2k)
+
+
+@pytest.mark.parametrize("experiment", ["witness", "ratio-probe", "homogeneous-energy"])
+def test_one_lift_plan_per_experiment(experiment, table_2k, monkeypatch):
+    # the partial sums and the homogeneous layers are evaluated on the whole polynomial's nodes
+    plans = []
+    build = norms._lift_plan
+    monkeypatch.setattr(norms, "_lift_plan", lambda *args: plans.append(args) or build(*args))
+    {
+        "witness": lambda: partial_sum_witness(0.5, 3, 2_000, 1, table_2k),
+        "ratio-probe": lambda: partial_sum_ratio_probe(zeta_partial(200), 50, 1.0, 2_000, 1, table_2k),
+        "homogeneous-energy": lambda: homogeneous_energy(200, 1.5, 0.5, 2_000, 1, table_2k),
+    }[experiment]()
+    assert len(plans) == 1
 
 
 class TestFuzzSuite:

@@ -11,6 +11,8 @@ from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_pr
 from dirichlet_hardy.bounds import _slack, hl_lower_sum, hl_upper_sum
 from dirichlet_hardy.dseries import (
     DirichletPolynomial,
+    homogeneous_projection,
+    partial_sum,
     smooth_truncation,
     zeta_partial,
     zeta_power_partial,
@@ -164,12 +166,12 @@ class TestMonteCarlo:
             reduced[-1].append(np.array(values))
             return pairwise_sum(values)
 
-        def run(samples, chunk=norms._CHUNK, block_bytes=norms._BLOCK_BYTES, workers=1):
+        def run(samples, chunk=norms._CHUNK, block_bytes=norms._BLOCK_BYTES, workers=1, g=f, parts=()):
             monkeypatch.setattr(norms, "_CHUNK", chunk)
             monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
             reduced.append([])
-            ests = mc_norm_many(f, [1.0, 3.0], samples, 5, table_2k, workers)
-            return [(e.value, e.std_error) for e in ests], reduced[-1]
+            ests = mc_norm_many(g, [1.0, 3.0], samples, 5, table_2k, workers, parts)
+            return [(e.value.hex(), e.std_error.hex()) for e in ests], reduced[-1]
 
         monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
         default, arrays = run(16384)
@@ -185,6 +187,18 @@ class TestMonteCarlo:
             _, other = run(8193, block_bytes=block_bytes)
             assert np.array_equal(other[0], arrays[0][:8193])
             assert np.array_equal(other[2], arrays[2][:8193])
+        # parts evaluated on f's nodes give the bits of their own runs, f's estimates first
+        parts = [partial_sum(f, 300), homogeneous_projection(f, 2, table_2k), DirichletPolynomial({})]
+        alone = [e for g in (f, *parts) for e in run(16384, g=g)[0]]
+        for chunk, block_bytes, workers in ((8192, 1 << 20, 1), (8192, 1 << 20, 2),
+                                            (1024, 1 << 16, 1), (1024, 1 << 16, 2)):
+            assert run(16384, chunk, block_bytes, workers, parts=parts)[0] == alone
+
+    def test_parts_must_lie_in_the_support(self, table_2k):
+        # 351 is no node of Z_350's lift and 2 is a node of {6: 1}'s, but neither is in the support
+        for f, part in ((zeta_partial(350), {351: 1}), (DirichletPolynomial({6: 1}), {2: 1})):
+            with pytest.raises(ValueError, match="support"):
+                mc_norm_many(f, [1.0], 100, 5, table_2k, parts=[DirichletPolynomial(part)])
 
     @pytest.mark.parametrize("case", ["zeta-power", "golden-1", "golden-2", "high-primes"])
     def test_matches_trial_division_reference(self, table_2k, case):
@@ -210,17 +224,20 @@ class TestMonteCarlo:
             assert est.power_mean == pytest.approx(reference, rel=1e-12)
 
     def test_memory_cap(self, table_2k, monkeypatch):
-        # Z_350 is charged about 11.8 MB with one worker and 23 MB with two: one chunk at a
-        # time fits, two do not
-        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(15_000_000))
-        with pytest.raises(ResourceLimitError):
-            mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k, workers=2)
-        assert mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k).value > 0
-        # below one chunk: its 573,440 uniforms alone take 9.2 MB while the draw runs
-        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(8_000_000))
-        with pytest.raises(ResourceLimitError):
-            mc_norm(zeta_partial(350), 1.0, 16384, 1, table_2k)
-        # a tiny chunk, but |F| and the reductions over 2M samples need about 64 MB
+        # Z_350 is charged about 11.8 MB per 8192-sample chunk with one worker and 23 MB with
+        # two; under a tighter cap the chunk halves until the run fits, with the same bits
+        f = zeta_partial(350)
+        uncapped = mc_norm(f, 1.0, 16384, 1, table_2k)
+        counts = []
+        draw = norms._uniforms
+        monkeypatch.setattr(norms, "_uniforms", lambda *args: counts.append(args[2]) or draw(*args))
+        for cap, workers in ((8_000_000, 1), (15_000_000, 2)):
+            monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
+            counts.clear()
+            est = mc_norm(f, 1.0, 16384, 1, table_2k, workers=workers)
+            assert max(counts) < norms._CHUNK
+            assert (est.value.hex(), est.std_error.hex()) == (uncapped.value.hex(), uncapped.std_error.hex())
+        # even a one-sample chunk is refused: |F| and the reductions over 2M samples need 64 MB
         monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(15_000_000))
         with pytest.raises(ResourceLimitError):
             mc_norm(DirichletPolynomial({1: 1, 2: 1}), 1.0, 2_000_000, 1, table_2k)
