@@ -13,7 +13,9 @@ mu, Omega, the coefficient-functional bound, the `dseries` generators) is a
 fold over those passes, bit-identical to the scalar loop over a factorization
 because the per-exponent table is built from Python scalars
 (`binomial_series_coefficient`, `(alpha/m)**j`) and the fold combines left to
-right in ascending prime order from 1 (products) or 0 (sums).
+right in ascending prime order from 1 (products) or 0 (sums). `factoring`
+lists the passes, so that several folds over the same indices (the weights of
+every p of a grid, say) share one factoring with the same bits.
 """
 
 from __future__ import annotations
@@ -130,18 +132,32 @@ def _strip_passes(n: np.ndarray, spf: np.ndarray):
             rows, rest, p = rows[left], rest[left], spf_rest[left]
 
 
-def multiplicative(n, table: PrimeTable, rule: Callable, ufunc=np.multiply, start=None) -> np.ndarray:
+def factoring(n, table: PrimeTable) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The passes of `prime_power_passes(n, table)` in a list, for several folds to share.
+
+    The cap check counts one 8-byte result per index. The list holds every prime
+    power of every index, so it suits index arrays that are already held in
+    memory term by term, such as a polynomial's support.
+    """
+    return list(prime_power_passes(n, table, 8))
+
+
+def multiplicative(
+    n, table: PrimeTable, rule: Callable, ufunc=np.multiply, start=None, passes=None
+) -> np.ndarray:
     """Fold rule(e) over the prime powers p^e || n, for every index of the array `n`.
 
     The table rule(1), rule(2), ... is built once from Python scalars and sets
     the result dtype: int64 for an int rule, float64 for a float rule. Each
     fold starts from `start` (default: the ufunc identity, 1 for products and
     0 for sums) and applies `ufunc` left to right in ascending prime order.
+    `passes`, the result of `factoring(n, table)`, saves factoring n again.
     """
     n = np.asarray(n, dtype=np.int64)
     top = max(int(n.max(initial=1)).bit_length() - 1, 1)  # p^e <= n forces e <= log2 n
     values = np.array([rule(e) for e in range(1, top + 1)])
-    passes = prime_power_passes(n, table, values.itemsize)
+    if passes is None:
+        passes = prime_power_passes(n, table, values.itemsize)
     out = np.full(n.shape, ufunc.identity if start is None else start, dtype=values.dtype)
     for rows, _, e in passes:
         out[rows] = ufunc(out[rows], values[e - 1])
@@ -205,14 +221,14 @@ def binomial_series_coefficient(j: int, alpha: float) -> float:
     return value
 
 
-def divisor_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
-    """d_alpha at every index of the array `n`, as float64.
+def divisor_values(n, alpha: float, table: PrimeTable, passes=None) -> np.ndarray:
+    """d_alpha at every index of the array `n`, as float64; `passes` as in `multiplicative`.
 
     d_alpha is the multiplicative coefficient sequence of the alpha-th zeta power:
     d_alpha(p^e) = c_alpha(e); for integer alpha it counts ordered alpha-tuples of
     positive integers with product n.
     """
-    return multiplicative(n, table, lambda e: binomial_series_coefficient(e, alpha))
+    return multiplicative(n, table, lambda e: binomial_series_coefficient(e, alpha), passes=passes)
 
 
 def divisor_weight_prime_power(j: int, alpha: float) -> float:
@@ -223,20 +239,27 @@ def divisor_weight_prime_power(j: int, alpha: float) -> float:
     return binomial_series_coefficient(j, m) * (alpha / m) ** j
 
 
-def divisor_weight_values(n, alpha: float, table: PrimeTable) -> np.ndarray:
+def divisor_weight_values(n, alpha: float, table: PrimeTable, passes=None) -> np.ndarray:
     """Phi_alpha(n) = d_m(n) * (alpha/m)^Omega(n), m = floor(alpha), at every index of `n`; alpha >= 1.
 
     Multiplicative; agrees with d_alpha(n) when alpha is an integer or n is
     square-free, and has the same average order as d_alpha in general. Folded
-    as (alpha/m)^Omega(n), then times c_m(e) per p^e || n.
+    as (alpha/m)^Omega(n), then times c_m(e) per p^e || n. Both folds read one
+    factoring: `passes` as in `multiplicative`, or else `factoring` per block of indices.
     """
     if alpha < 1:
         raise ValueError(f"weight defined only for alpha >= 1, got {alpha}")
+    n = np.asarray(n, dtype=np.int64)
+    if passes is None:
+        # the result and the blocks' results it is joined from
+        check_memory(16 * n.size, f"weights of {n.size} indices")
+        blocks = [n[lo : lo + _BLOCK] for lo in range(0, n.size, _BLOCK)] or [n]
+        return np.concatenate([divisor_weight_values(b, alpha, table, factoring(b, table)) for b in blocks])
     m = math.floor(alpha)
-    big_omega = multiplicative(n, table, lambda e: e, np.add)
+    big_omega = multiplicative(n, table, lambda e: e, np.add, passes=passes)
     ratio_powers = np.array([(alpha / m) ** j for j in range(int(big_omega.max(initial=0)) + 1)])
     return multiplicative(
-        n, table, lambda e: binomial_series_coefficient(e, m), start=ratio_powers[big_omega]
+        n, table, lambda e: binomial_series_coefficient(e, m), start=ratio_powers[big_omega], passes=passes
     )
 
 

@@ -8,7 +8,9 @@ power means; against a norm estimate they may miss by `_slack`, 3 standard
 errors of the power mean plus a 1e-10 relative rounding allowance, which is
 all a quadrature estimate (std_error 0) gets. On a polynomial in 2^(-s) alone
 they are the one-variable inequalities for disc polynomials, so the fuzz
-suite's disc checks run through `hl_comparisons` as well.
+suite's disc checks run through `hl_comparisons` as well. It takes all of a
+polynomial's estimates at once and folds every weight of every p from one
+factoring of the support (`arith.factoring`), which the sums also accept.
 
 The coefficient functional C(k, p) is the largest k-th Taylor coefficient over
 the unit ball of the one-variable p-space; its multiplicative extension over
@@ -25,39 +27,47 @@ from .arith import (
     PrimeTable,
     binomial_series_coefficient,
     divisor_weight_values,
+    factoring,
     multiplicative,
 )
 from .dseries import DirichletPolynomial
 from .norms import NormEstimate, _lift_at, _lift_plan
 
 
-def hl_upper_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
-    """sum |a_n|^2 Phi_{p/2}(n); its square root dominates the p-quasi-norm for p >= 2."""
+def hl_upper_sum(f: DirichletPolynomial, p: float, table: PrimeTable, passes=None) -> float:
+    """sum |a_n|^2 Phi_{p/2}(n); its square root dominates the p-quasi-norm for p >= 2.
+
+    `passes`, the result of `arith.factoring` on f's support, saves factoring it again.
+    """
     if p < 2:
         raise ValueError(f"upper weighted sum needs p >= 2, got {p}")
-    weights = divisor_weight_values(list(f.coefficients), p / 2, table).tolist()
+    weights = divisor_weight_values(list(f.coefficients), p / 2, table, passes).tolist()
     return math.fsum(abs(c) ** 2 * w for c, w in zip(f.coefficients.values(), weights))
 
 
-def hl_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
-    """sum |a_n|^2 / Phi_{2/p}(n); its square root is below the p-quasi-norm for 0 < p <= 2."""
+def hl_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable, passes=None) -> float:
+    """sum |a_n|^2 / Phi_{2/p}(n); its square root is below the p-quasi-norm for 0 < p <= 2.
+
+    `passes` as in `hl_upper_sum`.
+    """
     if not 0 < p <= 2:
         raise ValueError(f"lower weighted sum needs 0 < p <= 2, got {p}")
-    weights = divisor_weight_values(list(f.coefficients), 2 / p, table).tolist()
+    weights = divisor_weight_values(list(f.coefficients), 2 / p, table, passes).tolist()
     return math.fsum(abs(c) ** 2 / w for c, w in zip(f.coefficients.values(), weights))
 
 
-def squarefree_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable) -> float:
+def squarefree_lower_sum(f: DirichletPolynomial, p: float, table: PrimeTable, passes=None) -> float:
     """sum |a_n|^2 |mu(n)| / d_{2/p}(n): the lower weighted sum restricted to square-free indices.
 
     On square-free support it coincides with `hl_lower_sum` since the hybrid
     weight equals d_{2/p} there; indices with a squared factor drop out.
+    `passes` as in `hl_upper_sum`.
     """
     if not 0 < p <= 2:
         raise ValueError(f"lower weighted sum needs 0 < p <= 2, got {p}")
     # d_{2/p}(n) on square-free n, 0 where a squared prime divides n
     c1 = binomial_series_coefficient(1, 2 / p)
-    d = multiplicative(list(f.coefficients), table, lambda e: c1 if e == 1 else 0.0).tolist()
+    d = multiplicative(list(f.coefficients), table, lambda e: c1 if e == 1 else 0.0, passes=passes).tolist()
     return math.fsum(abs(c) ** 2 / dn for c, dn in zip(f.coefficients.values(), d) if dn)
 
 
@@ -216,25 +226,33 @@ def _slack(norm: NormEstimate) -> float:
 
 def hl_comparisons(
     f: DirichletPolynomial,
-    p: float,
-    norm: NormEstimate,
+    norms: Sequence[NormEstimate],
     table: PrimeTable,
     inequalities: Sequence[str] = HL_INEQUALITIES,
-) -> list[tuple[str, float, float, float]]:
-    """(name, weighted sum, smaller side, larger side) for each of `inequalities` that applies at p.
+    passes=None,
+) -> list[list[tuple[str, float, float, float]]]:
+    """Per estimate of `norms`: (name, weighted sum, smaller side, larger side) for each of
+    `inequalities` that applies at the estimate's p.
 
     hl-upper applies for p >= 2, hl-lower and squarefree-lower for p <= 2;
-    other names are ignored. Both sides are p-th power means.
+    other names are ignored. Both sides are p-th power means. Every weight of
+    every p is folded from one factoring of f's support: `passes` as in
+    `hl_upper_sum`, or else one made here.
     """
-    lowers = (("hl-lower", hl_lower_sum), ("squarefree-lower", squarefree_lower_sum)) if p <= 2 else ()
+    if passes is None:
+        passes = factoring(list(f.coefficients), table)
+    lowers = (("hl-lower", hl_lower_sum), ("squarefree-lower", squarefree_lower_sum))
     out = []
-    if p >= 2 and "hl-upper" in inequalities:
-        upper = hl_upper_sum(f, p, table)
-        out.append(("hl-upper", upper, norm.power_mean, upper ** (p / 2)))
-    for name, weighted_sum in lowers:
-        if name in inequalities:
-            lower = weighted_sum(f, p, table)
-            out.append((name, lower, lower ** (p / 2), norm.power_mean))
+    for norm in norms:
+        p, found = norm.p, []
+        if p >= 2 and "hl-upper" in inequalities:
+            upper = hl_upper_sum(f, p, table, passes)
+            found.append(("hl-upper", upper, norm.power_mean, upper ** (p / 2)))
+        for name, weighted_sum in lowers:
+            if p <= 2 and name in inequalities:
+                lower = weighted_sum(f, p, table, passes)
+                found.append((name, lower, lower ** (p / 2), norm.power_mean))
+        out.append(found)
     return out
 
 
@@ -264,8 +282,10 @@ def hl_report(
     norm: NormEstimate,
     table: PrimeTable,
 ) -> HLReport:
-    """Check the weighted inequalities that apply at p against a norm estimate."""
-    comparisons = hl_comparisons(f, p, norm, table)
+    """Check the weighted inequalities that apply at p against a norm estimate made at p."""
+    if float(p) != norm.p:
+        raise ValueError(f"the norm estimate is at p={norm.p}, not at p={p}")
+    (comparisons,) = hl_comparisons(f, [norm], table)
     sums = {name: weighted_sum for name, weighted_sum, _, _ in comparisons}
     slack = _slack(norm)
     ok = all(smaller <= larger + slack for _, _, smaller, larger in comparisons)

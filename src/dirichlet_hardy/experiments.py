@@ -27,6 +27,7 @@ import numpy as np
 from .arith import (
     PrimeTable,
     divisor_values,
+    factoring,
     multiplicative,
     omega_class_counts,
     pseudomoment_ratio_bounds,
@@ -50,7 +51,7 @@ from .dseries import (
 from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 from .norms import (
     DiscPolynomial,
-    disc_norm,
+    disc_norm_many,
     even_norm_exact,
     l2_norm,
     mc_norm,
@@ -554,9 +555,15 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
     JSON). A case draws a disc polynomial g, then a Dirichlet polynomial f.
     The disc checks are the Hardy-Littlewood checks of `hl_comparisons` on the
     lift sum g_j 2^(-js) against g's quadrature norms, so the table must cover
-    2^max_degree; the Dirichlet checks run on f against its Monte Carlo norms.
-    Every comparison is judged with the slack of `hl_report`. A case's disc
-    records come first, then its Dirichlet records, each side in ascending p.
+    2^max_degree and `nodes` must be at least 4 (max_degree + 1), both checked
+    before the first case; the Dirichlet checks run on f against its Monte Carlo
+    norms. Every comparison is judged with the slack of `hl_report`. A case's
+    disc records come first, then its Dirichlet records, each side in ascending p.
+
+    What does not depend on p is done once per case: one evaluation of |g| on the
+    circle nodes serves every p (`disc_norm_many`), one Monte Carlo pass serves
+    every p of f, and each side's support is factored once, for all its weights
+    (Phi_{p/2}, Phi_{2/p}, the square-free d_{2/p} and the divisor chain's d_2).
     """
     unknown = set(config.inequalities) - ALL_INEQUALITIES
     if unknown:
@@ -570,6 +577,9 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
         raise SieveLimitError(
             f"disc degree {config.max_degree} lifts to 2^{config.max_degree}, beyond sieve limit {table.limit}"
         )
+    if disc_checks and config.nodes < 4 * (config.max_degree + 1):
+        raise ValueError(f"need at least {4 * (config.max_degree + 1)} nodes for disc degree "
+                         f"{config.max_degree}, got {config.nodes}")
     records: list[ExperimentRecord] = []
     violations: list[dict] = []
     summary = {"pass": 0, "pass-within-slack": 0, "violation": 0}
@@ -608,7 +618,7 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
         if disc_checks:
             g = random_disc(rng, config.max_degree)
             lift = DirichletPolynomial({2**j: c for j, c in enumerate(g.coefficients)})
-            ests = [disc_norm(g, p, config.nodes) for p in disc_ps]
+            ests = disc_norm_many(g, disc_ps, config.nodes)
             sides.append((lift, ests, disc_checks, f"disc:{list(map(repr, g.coefficients.tolist()))}"))
         if dirich_checks:
             f = random_dirichlet(rng, config.max_support, config.max_index)
@@ -616,13 +626,15 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
             sides.append((f, ests, dirich_checks, f.to_json()))
 
         for poly, ests, checks, repro in sides:
-            for est in ests:
+            support = list(poly.coefficients)
+            passes = factoring(support, table)
+            for est, comparisons in zip(ests, hl_comparisons(poly, ests, table, checks, passes)):
                 slack = _slack(est)
-                for name, _, smaller, larger in hl_comparisons(poly, est.p, est, table, checks):
+                for name, _, smaller, larger in comparisons:
                     classify(smaller, larger, slack, checks[name], est.p, case, repro, est.std_error)
                 if "divisor-chain" in checks and est.p == 1.0:
                     # d_2(n) counts the divisors of n; at p = 1 the power mean is the norm
-                    max_sqrt_d = math.sqrt(divisor_values(list(poly.coefficients), 2.0, table).max(initial=1.0))
+                    max_sqrt_d = math.sqrt(divisor_values(support, 2.0, table, passes).max(initial=1.0))
                     classify(l2_norm(poly).value / max_sqrt_d, est.power_mean, slack,
                              "divisor-chain", 1.0, case, repro, est.std_error)
 

@@ -19,11 +19,14 @@ are evaluated on f's nodes in the same pass, each with the bits of its own run.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
-otherwise as long as the polynomial has no zeros near the circle.
+otherwise as long as the polynomial has no zeros near the circle. The nodes are
+built once per node count, and one evaluation of |g| on them serves a whole
+p grid, each p with the bits of its own run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -282,17 +285,20 @@ def mc_norm_many(
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _lift_plan(f, table, *parts)
     rows, block = len(plan.members), max(1, _BLOCK_BYTES // (16 * plan.size))
-    # per worker: the chunk's uniforms, of which the draw holds at most two 8-byte copies, and
-    # per point of one block: the node rows plus the largest of the phase temporaries (64 B per
-    # column), the widest layer's two gathers and the output rows with one member's term
-    # gather, which are never alive together; per sample of the whole run: |F| of every
-    # member, and one member's |F|^p and deviations with the copy the fold takes
+    # per worker, the larger of two phases that are never alive together: the draw, which
+    # holds two 8-byte copies of the chunk's uniforms, and the blocks, which keep one copy
+    # beside the working set of one block; per point of that block: the node rows plus the
+    # largest of the phase temporaries (64 B per column), the widest layer's two gathers and
+    # the output rows with one member's term gather, which are never alive together; per
+    # sample of the whole run: |F| of every member, and one member's |F|^p and deviations with
+    # the copy the fold takes
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
     longest = max(terms.size for terms, _ in plan.members)
     per_point = 16 * plan.size + max(64 * plan.columns.size, 32 * widest, 16 * (rows + longest))
 
     def need(chunk: int) -> int:
-        per_worker = 16 * chunk * plan.columns.size + min(chunk, block) * per_point
+        uniforms = 8 * chunk * plan.columns.size
+        per_worker = max(2 * uniforms, uniforms + min(chunk, block) * per_point)
         return min(workers, -(-samples // chunk)) * per_worker + (24 + 8 * rows) * samples
 
     chunk, cap = min(_CHUNK, samples), memory_cap_bytes()
@@ -393,21 +399,43 @@ class DiscPolynomial:
         return np.polynomial.polynomial.polyval(z, self.coefficients)
 
 
-def disc_norm(f: DiscPolynomial, p: float, nodes: int = 4096) -> NormEstimate:
-    """Boundary quasi-norm: the p-th root of the mean of |f|^p over equispaced circle nodes.
+@functools.lru_cache(maxsize=1)
+def _circle(nodes: int) -> np.ndarray:
+    """The equispaced circle nodes exp(2 pi i k / nodes), k < nodes, read-only."""
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    z.flags.writeable = False
+    return z
 
-    For periodic integrands the trapezoidal rule is the plain node mean. With
-    nodes > 2*degree the p=2 case is aliasing-free and matches the coefficient
-    l2 norm to rounding.
+
+def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) -> list[NormEstimate]:
+    """Boundary quasi-norms for several p from one evaluation of |f| on the circle nodes.
+
+    Each estimate, in the order of `ps`, is the p-th root of the mean of |f|^p over
+    the equispaced nodes, with the bits of `disc_norm` at that p. For periodic
+    integrands the trapezoidal rule is the plain node mean. With nodes > 2*degree
+    the p=2 case is aliasing-free and matches the coefficient l2 norm to rounding.
+    Every p and the node count are checked before f is evaluated.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if p <= 0:
+            raise ValueError(f"p must be positive, got {p}")
     if nodes < 4 * (f.degree + 1):
         raise ValueError(f"need at least {4 * (f.degree + 1)} nodes for degree {f.degree}")
-    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    vals = np.abs(f(z)) ** p
-    mean = float(np.mean(vals))
-    return NormEstimate(p=float(p), value=mean ** (1.0 / p), method="disc_quadrature")
+    # the nodes, Horner's temporaries in `polyval` and |f|: traced at 64 bytes per node for
+    # degree >= 1 and 90 for degree 0
+    check_memory(96 * nodes, f"quadrature on {nodes} circle nodes")
+    absf = np.abs(f(_circle(nodes)))
+    out = []
+    for p in ps:
+        mean = float(np.mean(absf**p))
+        out.append(NormEstimate(p=p, value=mean ** (1.0 / p), method="disc_quadrature"))
+    return out
+
+
+def disc_norm(f: DiscPolynomial, p: float, nodes: int = 4096) -> NormEstimate:
+    """Boundary quasi-norm at one p; see `disc_norm_many`."""
+    return disc_norm_many(f, [p], nodes)[0]
 
 
 def dilate(f: DiscPolynomial, r: float) -> DiscPolynomial:

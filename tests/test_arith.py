@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import big_omega, d_alpha, factor, kappa, mobius, phi_alpha, primes_upto
 
+from dirichlet_hardy import arith
 from dirichlet_hardy.arith import (
     average_order_constant,
     average_order_factor,
@@ -16,6 +17,7 @@ from dirichlet_hardy.arith import (
     divisor_weight_sum,
     divisor_weight_values,
     euler_product,
+    factoring,
     factorize,
     multiplicative,
     omega_class_counts,
@@ -222,6 +224,36 @@ class TestDivisorWeight:
             assert divisor_weight_values([2**j for j in range(5)], alpha, table_2k) == pytest.approx(
                 [divisor_weight_prime_power(j, alpha) for j in range(5)], rel=1e-12
             )
+
+    def test_one_factoring_serves_every_fold(self, table_100k, monkeypatch):
+        # the weight's two folds read one factoring, listed a block of indices at a time, with
+        # the bits of two separate folds over the kernel; 100000 indices span two blocks
+        ns = np.arange(1, 100_001)
+        for alpha in (1.5, 2.5, 2 / 0.3):
+            m = math.floor(alpha)
+            omega = multiplicative(ns, table_100k, lambda e: e, np.add)
+            start = np.array([(alpha / m) ** j for j in range(int(omega.max()) + 1)])[omega]
+            reference = multiplicative(ns, table_100k, lambda e: binomial_series_coefficient(e, m), start=start)
+            assert np.array_equal(divisor_weight_values(ns, alpha, table_100k), reference)
+        factorings = []
+        kernel = arith.prime_power_passes
+        monkeypatch.setattr(arith, "prime_power_passes", lambda *args: factorings.append(1) or kernel(*args))
+        divisor_weight_values(ns, 1.5, table_100k)
+        assert len(factorings) == 2
+        # folds over listed passes factor nothing: the six factorings are the runs without them
+        support = np.random.default_rng(3).integers(1, 100_000, size=200)
+        passes = factoring(support, table_100k)
+        factorings.clear()
+        for alpha in (1.0, 1.5, 2.5):
+            assert np.array_equal(divisor_values(support, alpha, table_100k, passes),
+                                  divisor_values(support, alpha, table_100k))
+            assert np.array_equal(divisor_weight_values(support, alpha, table_100k, passes),
+                                  divisor_weight_values(support, alpha, table_100k))
+        assert len(factorings) == 6
+
+    def test_empty_index_array(self, table_2k):
+        assert divisor_weight_values([], 1.5, table_2k).size == 0
+        assert divisor_weight_values([], 1.5, table_2k, factoring([], table_2k)).size == 0
 
 
 class TestAverageOrderFactor:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_hardy.arith import divisor_values, factoring
 from dirichlet_hardy.bounds import (
     CoefficientBound,
     coeff_functional_bound,
@@ -17,7 +18,7 @@ from dirichlet_hardy.bounds import (
     squarefree_lower_sum,
 )
 from dirichlet_hardy.dseries import DirichletPolynomial, duality_witness, zeta_partial
-from dirichlet_hardy.norms import NormEstimate, even_norm_exact, l2_norm, mc_norm
+from dirichlet_hardy.norms import NormEstimate, even_norm_exact, l2_norm, mc_norm, mc_norm_many
 
 
 class TestWeightedSums:
@@ -50,6 +51,24 @@ class TestWeightedSums:
             hl_lower_sum(f, 2.1, table_2k)
         with pytest.raises(ValueError):
             squarefree_lower_sum(f, 0.0, table_2k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_factoring_for_every_sum(self, seed, table_2k):
+        # the sums read a factoring of the support made once, with the bits of their own
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 80))
+        indices = rng.choice(np.arange(1, 2001), size, replace=False)
+        f = DirichletPolynomial({int(n): complex(a, b) for n, a, b in
+                                 zip(indices, rng.standard_normal(size), rng.standard_normal(size))})
+        support = list(f.coefficients)
+        passes = factoring(support, table_2k)
+        for p in (2.0, 3.0, 5.0, 7.3):
+            assert hl_upper_sum(f, p, table_2k, passes).hex() == hl_upper_sum(f, p, table_2k).hex()
+        for p in (0.3, 0.5, 1.0, 4 / 3, 2.0):
+            for weighted_sum in (hl_lower_sum, squarefree_lower_sum):
+                assert weighted_sum(f, p, table_2k, passes).hex() == weighted_sum(f, p, table_2k).hex()
+        assert np.array_equal(divisor_values(support, 2.0, table_2k, passes),
+                              divisor_values(support, 2.0, table_2k))
 
     def test_squarefree_agreement_and_difference(self, table_2k):
         # equal on square-free support; the squared index is dropped vs reweighted
@@ -200,15 +219,27 @@ class TestHLReport:
     def test_comparisons_that_apply(self, p, names, table_2k):
         f = DirichletPolynomial({1: 1, 2: 1j, 4: 0.5})
         norm = mc_norm(f, p, 4000, 1, table_2k)
-        comparisons = hl_comparisons(f, p, norm, table_2k)
+        (comparisons,) = hl_comparisons(f, [norm], table_2k)
         assert [c[0] for c in comparisons] == names
         sums = {"hl-upper": hl_upper_sum, "hl-lower": hl_lower_sum, "squarefree-lower": squarefree_lower_sum}
         for name, weighted_sum, smaller, larger in comparisons:
             assert weighted_sum == sums[name](f, p, table_2k)
             sides = (norm.power_mean, weighted_sum ** (p / 2))
             assert (smaller, larger) == (sides if name == "hl-upper" else sides[::-1])
-        assert hl_comparisons(f, p, norm, table_2k, ["squarefree-lower"]) == [
-            c for c in comparisons if c[0] == "squarefree-lower"]
+        assert hl_comparisons(f, [norm], table_2k, ["squarefree-lower"]) == [
+            [c for c in comparisons if c[0] == "squarefree-lower"]]
+
+    def test_comparisons_of_several_estimates(self, table_2k):
+        # one call per polynomial gives, per estimate, what a call on that estimate alone gives
+        f = DirichletPolynomial({1: 1, 2: 1j, 4: 0.5, 6: -2, 9: 0.25j})
+        norms = mc_norm_many(f, [3.0, 0.5, 2.0, 1.0], 4000, 1, table_2k)
+        assert hl_comparisons(f, norms, table_2k) == [hl_comparisons(f, [n], table_2k)[0] for n in norms]
+        assert hl_comparisons(f, [], table_2k) == []
+
+    def test_report_needs_the_estimates_p(self, table_2k):
+        f = DirichletPolynomial({1: 1, 2: 1j})
+        with pytest.raises(ValueError, match="p=2.0"):
+            hl_report(f, 4.0, l2_norm(f), table_2k)
 
     def test_consistent_exact(self, table_2k):
         f = DirichletPolynomial({1: 1, 2: 1j, 6: 0.25})

@@ -53,6 +53,7 @@ class TestParse:
         "omega-hist --x 10 --C 1",
         "euler-const --k 0.5",
         "fuzz --corpus -1",
+        "fuzz --nodes 33 --corpus 3 --samples 2000",  # degree 8 needs 36, whether or not it is drawn
         "hl-check --p 1 --corpus -3",
     ])
     def test_library_checks_exit_2(self, argv, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracle import d_alpha
 
-from dirichlet_hardy import norms
+from dirichlet_hardy import arith, experiments, norms
 from dirichlet_hardy.arith import sieve_primes
 from dirichlet_hardy.bounds import HL_INEQUALITIES, hl_report
 from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
@@ -22,6 +22,7 @@ from dirichlet_hardy.experiments import (
     pseudomoment_scan,
     pseudomoment_window_check,
     random_dirichlet,
+    random_disc,
 )
 from dirichlet_hardy.norms import even_norm_exact, l2_norm, mc_norm
 
@@ -319,6 +320,64 @@ class TestFuzzSuite:
         # the disc checks lift degree 12 to the index 2^12
         with pytest.raises(SieveLimitError):
             hl_fuzz_suite(FuzzConfig(max_degree=12), sieve_primes(1000))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_too_few_nodes_refused_before_the_first_case(self, seed, table_2k, monkeypatch):
+        # degree 8 needs 36 nodes; whether a case draws degree 8 must not matter
+        drawn = []
+        monkeypatch.setattr(experiments, "random_disc", lambda *args: drawn.append(args) or random_disc(*args))
+        with pytest.raises(ValueError, match="36 nodes"):
+            hl_fuzz_suite(FuzzConfig(corpus=3, seed=seed, samples=2000, nodes=33), table_2k)
+        assert not drawn
+        # without a disc check the node count is not used
+        config = FuzzConfig(inequalities=("hl-upper",), corpus=1, seed=seed, samples=2000, nodes=33)
+        assert len(hl_fuzz_suite(config, table_2k).records) == 2
+
+    def test_golden_records(self, table_2k):
+        # float.hex of (value, normalizer) per record, from one evaluation of g per case and one
+        # factoring per support; the same bits as a disc_norm per p and a factoring per weight
+        res = hl_fuzz_suite(FuzzConfig(corpus=2, seed=3, samples=2000), table_2k)
+        assert [(r.experiment.removeprefix("fuzz:"), r.params["case"], r.params["p"],
+                 r.value.hex(), r.normalizer.hex()) for r in res.records] == [
+            ("disc-lower", 0, 0.5, "0x1.06f058569ff9ap+1", "0x1.1085ac3d37c22p+1"),
+            ("disc-lower", 0, 1.0, "0x1.17231739b3553p+2", "0x1.2e2e9de66d014p+2"),
+            ("disc-lower", 0, 1.3333333333333333, "0x1.c585d7ade9a02p+2", "0x1.05adc3ae0f4bdp+3"),
+            ("disc-upper", 0, 3.0, "0x1.29757da41b275p+7", "0x1.6bf8a04834944p+9"),
+            ("disc-upper", 0, 5.0, "0x1.749e52815b6d5p+12", "0x1.5d50a00f6b6d2p+18"),
+            ("hl-lower", 0, 0.5, "0x1.a114dbbb93458p-1", "0x1.8e10fe0826027p+0"),
+            ("squarefree-lower", 0, 0.5, "0x1.a114dbbb93458p-1", "0x1.8e10fe0826027p+0"),
+            ("hl-lower", 0, 1.0, "0x1.556de8c814107p+0", "0x1.462e0ed7589adp+1"),
+            ("squarefree-lower", 0, 1.0, "0x1.556de8c814107p+0", "0x1.462e0ed7589adp+1"),
+            ("divisor-chain", 0, 1.0, "0x1.ee51e4dc732d3p-1", "0x1.462e0ed7589adp+1"),
+            ("hl-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.cff511e1d4135p+1"),
+            ("squarefree-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.cff511e1d4135p+1"),
+            ("hl-upper", 0, 3.0, "0x1.9a1c9a0689173p+4", "0x1.289582209edffp+6"),
+            ("hl-upper", 0, 5.0, "0x1.5fa5ebea4da79p+8", "0x1.4f539129c1b38p+14"),
+            ("disc-lower", 1, 0.5, "0x1.1e1ec25ba1972p+0", "0x1.bbfc61e81b51bp+0"),
+            ("disc-lower", 1, 1.0, "0x1.ea93167d2d6c2p+0", "0x1.9711799ddcebap+1"),
+            ("disc-lower", 1, 1.3333333333333333, "0x1.4825ea7825aa2p+1", "0x1.38645b5d50c5fp+2"),
+            ("disc-upper", 1, 3.0, "0x1.929ad4c187a6bp+5", "0x1.a81b88ce38cbap+9"),
+            ("disc-upper", 1, 5.0, "0x1.06bc1daaf0825p+10", "0x1.19a11a811208fp+19"),
+            ("hl-lower", 1, 0.5, "0x1.15c50e5441881p+0", "0x1.148840dab7658p+1"),
+            ("squarefree-lower", 1, 0.5, "0x1.03e56c5907057p+0", "0x1.148840dab7658p+1"),
+            ("hl-lower", 1, 1.0, "0x1.2b098f26ab117p+1", "0x1.407c2917f41a4p+2"),
+            ("squarefree-lower", 1, 1.0, "0x1.ac5d8dfc86d3bp+0", "0x1.407c2917f41a4p+2"),
+            ("divisor-chain", 1, 1.0, "0x1.1189c4306b6e5p+0", "0x1.407c2917f41a4p+2"),
+            ("hl-lower", 1, 1.3333333333333333, "0x1.1f33b447fa11ep+2", "0x1.2152be8fd759ep+3"),
+            ("squarefree-lower", 1, 1.3333333333333333, "0x1.5c6bbc6c51490p+1", "0x1.2152be8fd759ep+3"),
+            ("hl-upper", 1, 3.0, "0x1.c3cbb273fbce9p+7", "0x1.164191323a280p+11"),
+            ("hl-upper", 1, 5.0, "0x1.efd0ec1d0dc4bp+13", "0x1.4eb1df1996ed8p+24"),
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_factoring_per_support(self, seed, table_2k, monkeypatch):
+        # a case factors the lift of g, the support of f and f's lift-plan nodes once each,
+        # for every weight of every p (a factoring per weight made 25)
+        factorings = []
+        kernel = arith.prime_power_passes
+        monkeypatch.setattr(arith, "prime_power_passes", lambda *args: factorings.append(1) or kernel(*args))
+        hl_fuzz_suite(FuzzConfig(corpus=1, seed=seed, samples=2000), table_2k)
+        assert len(factorings) <= 3
 
     def test_exact_p4_upper(self, table_2k):
         # even-exponent route: no statistical slack needed

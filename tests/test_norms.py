@@ -24,6 +24,7 @@ from dirichlet_hardy.norms import (
     SteinhausSample,
     dilate,
     disc_norm,
+    disc_norm_many,
     evaluate_at_sample,
     even_norm_exact,
     l2_norm,
@@ -224,7 +225,7 @@ class TestMonteCarlo:
             assert est.power_mean == pytest.approx(reference, rel=1e-12)
 
     def test_memory_cap(self, table_2k, monkeypatch):
-        # Z_350 is charged about 11.8 MB per 8192-sample chunk with one worker and 23 MB with
+        # Z_350 is charged about 9.7 MB at 8192-sample chunks with one worker and 19 MB with
         # two; under a tighter cap the chunk halves until the run fits, with the same bits
         f = zeta_partial(350)
         uncapped = mc_norm(f, 1.0, 16384, 1, table_2k)
@@ -244,17 +245,28 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("N, alpha", [(350, 1.0), (600, 1.5)])
     def test_memory_charge_tracks_the_traced_peak(self, N, alpha, table_2k, monkeypatch):
-        # the charge covers every byte the run allocates and overstates the peak by under 25%
-        charged = []
+        # the charge covers every byte the run allocates and overstates the peak by under 25%,
+        # at the default chunk and at the chunk halved to fit an 8 MB cap
+        charged, counts = [], []
         monkeypatch.setattr(norms, "check_memory", lambda need, what: charged.append(need))
+        draw = norms._uniforms
+        monkeypatch.setattr(norms, "_uniforms", lambda *args: counts.append(args[2]) or draw(*args))
         f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table_2k)
-        tracemalloc.start()
-        try:
-            mc_norm(f, 1.0, 16384, 1, table_2k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= charged[0] <= 1.25 * peak
+        # a process's first np.unique imports numpy.ma, about 1 MB that is not the run's
+        mc_norm(f, 1.0, 64, 1, table_2k)
+        for cap, chunk in ((None, norms._CHUNK), (8_000_000, norms._CHUNK // 2)):
+            if cap is not None:
+                monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
+            charged.clear()
+            counts.clear()
+            tracemalloc.start()
+            try:
+                mc_norm(f, 1.0, 16384, 1, table_2k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert max(counts) == chunk
+            assert peak <= charged[0] <= 1.25 * peak, (cap, charged[0], peak)
 
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
         # 1999 is the 303rd prime, but the uniform block of a chunk is one column wide
@@ -409,6 +421,30 @@ class TestDiscNorm:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             disc_norm(DiscPolynomial(np.array([1.0])), 0.0)
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_many_has_the_bits_of_each_p(self, degree):
+        # one evaluation of |g| serves every p, in the order given, duplicates included
+        rng = np.random.default_rng(degree)
+        g = DiscPolynomial(np.r_[rng.standard_normal(degree) + 1j * rng.standard_normal(degree), 1.5 - 0.5j])
+        assert g.degree == degree
+        ps = [5.0, 0.5, 4 / 3, 1.0, 0.5, 3.0, 2]
+        for nodes in (64, 16384):
+            many = disc_norm_many(g, ps, nodes)
+            assert [e.p for e in many] == [float(p) for p in ps]
+            assert [e.value.hex() for e in many] == [disc_norm(g, p, nodes).value.hex() for p in ps]
+
+    def test_many_of_no_p(self):
+        assert disc_norm_many(DiscPolynomial(np.array([1.0, 2.0])), []) == []
+
+    @pytest.mark.parametrize("ps, nodes", [([1.0, 0.0], 4096), ([2.0, 3.0, -1.0], 4096), ([1.0], 35)])
+    def test_many_checks_before_evaluating(self, ps, nodes, monkeypatch):
+        def evaluate(self, z):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(DiscPolynomial, "__call__", evaluate)
+        with pytest.raises(ValueError, match="p must be positive" if nodes > 35 else "36 nodes"):
+            disc_norm_many(DiscPolynomial(np.ones(9)), ps, nodes)
 
 
 class TestDilation:
