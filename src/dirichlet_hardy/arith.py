@@ -6,6 +6,11 @@ d_alpha(n), the hybrid weight Phi_alpha(n) = d_floor(alpha)(n) * (alpha/floor(al
 truncated Euler products with certified tail bounds, and counts of integers
 by number of prime factors.
 
+An Euler product is summed in the log domain: its callers give the log of
+each local factor (with log1p where the factor is near 1) and `euler_product`
+takes their fsum, so constants such as the large-k pseudomoment constants,
+which underflow double precision, keep a finite `log_value`.
+
 `prime_power_passes` is the one loop that factors: it strips the least prime
 power from every index of an array per pass, so each index meets its prime
 powers in ascending order. Every multiplicative quantity (d_alpha, Phi_alpha,
@@ -284,9 +289,10 @@ def average_order_factor(x: float, alpha: float) -> float:
 class EulerProductValue:
     """A truncated product over primes with a certified tail bound.
 
-    tail_bound bounds |log(true/value)|. log_value is kept alongside value
-    because products such as the large-k pseudomoment constants underflow
-    double precision.
+    log_value is the fsum of the logs of the local factors, and value its
+    exponential; products such as the large-k pseudomoment constants underflow
+    double precision, where value is 0.0 and log_value stays finite.
+    tail_bound bounds |log(true/value)|.
     """
 
     value: float
@@ -296,16 +302,18 @@ class EulerProductValue:
 
 
 def euler_product(
-    local_factor: Callable[[int], float],
+    local_log: Callable[[int], float],
     prime_limit: int,
     tail_exponent: float,
     decay_constant: float = 1.0,
     table: PrimeTable | None = None,
 ) -> EulerProductValue:
-    """prod_{p <= prime_limit} local_factor(p), accumulated in the log domain.
+    """prod_{p <= prime_limit} exp(local_log(p)): the fsum of the local factors' logs.
 
-    The caller promises |log local_factor(p)| <= decay_constant * p^(-tail_exponent)
-    for p > prime_limit; the tail bound then follows from the integral test:
+    `local_log(p)` is the logarithm of the local factor at p, written with log1p
+    where the factor is near 1, and must be finite. The caller promises
+    |local_log(p)| <= decay_constant * p^(-tail_exponent) for p > prime_limit;
+    the tail bound then follows from the integral test:
     sum_{n > L} n^(-e) <= L^(1-e)/(e-1).
     """
     if prime_limit < 2:
@@ -319,18 +327,20 @@ def euler_product(
     else:
         primes = sieve_primes(prime_limit).primes
     logs = []
-    for p in primes:
-        v = local_factor(int(p))
-        if not v > 0:
-            raise ValueError(f"local factor at p={int(p)} is {v}; must be positive")
-        logs.append(math.log(v))
-    log_value = math.fsum(logs)
-    if not math.isfinite(log_value):
-        raise OverflowError("partial Euler product is not finite")
+    for p in primes.tolist():
+        v = local_log(p)
+        if not math.isfinite(v):
+            raise ValueError(f"log of the local factor at p={p} is {v}; must be finite")
+        logs.append(v)
     tail = decay_constant * prime_limit ** (1 - tail_exponent) / (tail_exponent - 1)
-    return EulerProductValue(
-        value=math.exp(log_value), log_value=log_value, prime_limit=prime_limit, tail_bound=tail
-    )
+    log_value = math.fsum(logs)
+    return EulerProductValue(math.exp(log_value), log_value, prime_limit, tail)
+
+
+def _times_exp(prod: EulerProductValue, log_factor: float) -> EulerProductValue:
+    """`prod` times exp(log_factor): the same primes and tail bound."""
+    log_value = prod.log_value + log_factor
+    return EulerProductValue(math.exp(log_value), log_value, prod.prime_limit, prod.tail_bound)
 
 
 def average_order_constant(
@@ -347,7 +357,7 @@ def average_order_constant(
     # |log G_alpha(x)| <= alpha * x^2 / (1 - 2x) for x <= 1/(L+1)
     decay = alpha / (1 - 2 / (prime_limit + 1))
     return euler_product(
-        lambda p: average_order_factor(1 / p, alpha),
+        lambda p: math.log(average_order_factor(1 / p, alpha)),
         prime_limit,
         tail_exponent=2.0,
         decay_constant=decay,
@@ -363,58 +373,31 @@ def pseudomoment_ratio_bounds(
     upper = Gamma(k+1)^(-k) * prod_p (1-1/p)^(k^2) (1 - (k/floor(k)) / p)^(-k*floor(k))
     lower = Gamma(lk+1)^(-k/l) * prod_p (1-1/p)^(k^2) (1 + lk/p)^(k/l),  l = floor(2k)
 
-    Both are limits as N grows, not finite-N brackets. For integer k the upper
-    product telescopes to exactly 1 at every truncation.
+    Both are limits as N grows, not finite-N brackets. For integer k the two
+    terms of each upper local log are the same float, so the upper product is
+    exactly 1 at every truncation, with tail bound 0.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     fk = math.floor(k)
     c = k / fk
     ksq = k * k
-
-    if c == 1.0:
-
-        def upper_local(p: int) -> float:
-            # equal bases: combine the exponents k^2 and -k*floor(k) exactly
-            return (1 - 1 / p) ** (ksq - k * fk)
-
-        upper_decay = 0.0
-    else:
-
-        def upper_local(p: int) -> float:
-            x = 1 / p
-            return (1 - x) ** ksq * (1 - c * x) ** (-k * fk)
-
-        # |log(1-x)+x| <= x^2/(2(1-x)); the linear terms cancel exactly
-        L = prime_limit
-        upper_decay = ksq / (2 * (1 - 1 / L)) + k * fk * c * c / (2 * (1 - c / L))
-
-    upper_prod = euler_product(upper_local, prime_limit, 2.0, upper_decay, table=table)
-    upper_log = upper_prod.log_value - k * math.lgamma(k + 1)
+    L = prime_limit
+    # |log(1-x)+x| <= x^2/(2(1-x)); the linear terms cancel exactly
+    upper_decay = 0.0 if c == 1 else ksq / (2 * (1 - 1 / L)) + k * fk * c * c / (2 * (1 - c / L))
+    upper = euler_product(
+        lambda p: ksq * math.log1p(-1 / p) - k * fk * math.log1p(-c / p), L, 2.0, upper_decay, table
+    )
 
     l2k = math.floor(2 * k)
-
-    def lower_local(p: int) -> float:
-        x = 1 / p
-        return (1 - x) ** ksq * (1 + l2k * k * x) ** (k / l2k)
-
-    lower_decay = ksq / (2 * (1 - 1 / prime_limit)) + l2k * k**3 / 2
-    lower_prod = euler_product(lower_local, prime_limit, 2.0, lower_decay, table=table)
-    lower_log = lower_prod.log_value - (k / l2k) * math.lgamma(l2k * k + 1)
-
-    upper = EulerProductValue(
-        value=math.exp(upper_log),
-        log_value=upper_log,
-        prime_limit=prime_limit,
-        tail_bound=upper_prod.tail_bound,
+    lower_decay = ksq / (2 * (1 - 1 / L)) + l2k * k**3 / 2
+    lower = euler_product(
+        lambda p: ksq * math.log1p(-1 / p) + (k / l2k) * math.log1p(l2k * k / p), L, 2.0, lower_decay, table
     )
-    lower = EulerProductValue(
-        value=math.exp(lower_log),
-        log_value=lower_log,
-        prime_limit=prime_limit,
-        tail_bound=lower_prod.tail_bound,
+    return (
+        _times_exp(upper, -k * math.lgamma(k + 1)),
+        _times_exp(lower, -(k / l2k) * math.lgamma(l2k * k + 1)),
     )
-    return upper, lower
 
 
 def pseudomoment_leading_factor(
@@ -423,7 +406,10 @@ def pseudomoment_leading_factor(
     """The arithmetic factor prod_p (1-1/p)^(k^2) * sum_j c_k(j)^2 p^(-j) for integer k >= 1.
 
     This is the arithmetic part of the leading pseudomoment constant; at k=1 it
-    is 1, at k=2 it equals 6/pi^2.
+    is 1, at k=2 it equals 6/pi^2. Euler's transformation of the hypergeometric
+    series 2F1(k, k; 1; x) = sum_j c_k(j)^2 x^j gives the local factor in closed
+    form, (1-x)^((k-1)^2) * sum_{j<k} C(k-1, j)^2 x^j at x = 1/p, and the
+    polynomial is evaluated in integers, so no k overflows it.
     """
     if k < 1 or int(k) != k:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -431,22 +417,23 @@ def pseudomoment_leading_factor(
     if prime_limit <= 2 * k * k:
         raise ValueError(f"prime_limit must exceed 2*k^2 = {2 * k * k} for a certified tail")
     ksq = k * k
+    m = k - 1
+    coeffs = [math.comb(m, j) ** 2 for j in range(k)]
 
-    def local(p: int) -> float:
-        x = 1 / p
-        total = 1.0
-        term_index = 1
-        while True:
-            t = binomial_series_coefficient(term_index, k) ** 2 * x**term_index
-            total += t
-            if t < 1e-20 * total:
-                break
-            term_index += 1
-        return (1 - x) ** ksq * total
+    def local_log(p: int) -> float:
+        # p^m times the polynomial at 1/p, by Horner in integers
+        whole = 0
+        for a in coeffs:
+            whole = whole * p + a
+        try:
+            log_poly = math.log1p((whole - p**m) / p**m)
+        except OverflowError:  # the polynomial passes the float range; no cancellation left
+            log_poly = math.log(whole) - m * math.log(p)
+        return m * m * math.log1p(-1 / p) + log_poly
 
     L = prime_limit
     decay = k**4 / (1 - ksq / L) + ksq / (2 * (1 - 1 / L))
-    return euler_product(local, prime_limit, 2.0, decay, table=table)
+    return euler_product(local_log, prime_limit, 2.0, decay, table=table)
 
 
 def omega_sieve(x: int, table: PrimeTable) -> np.ndarray:

@@ -145,10 +145,7 @@ def coeff_functional_bound(k: int, p: float) -> CoefficientBound:
     minimized, minimizer = _minimize_dilation_bound(k, p)
     binomial = math.sqrt(binomial_series_coefficient(k, math.ceil(2 / p)))
     candidates = {"minimized": minimized, "binomial": binomial, "minimizer_x": minimizer}
-    if minimized <= binomial:
-        value, method = minimized, "minimized"
-    else:
-        value, method = binomial, "binomial"
+    value = min(minimized, binomial)
     if k == 1:
         exact = coeff_functional_exact(p)
         candidates["closed_form"] = exact

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 fuzz or hl-check violations beyond the slack of
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -171,10 +172,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every `parse` in a process, built once: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def parse(argv: list[str]) -> Command:
     """Parse argv; value ranges the library checks are left to it (exit 2 either way)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.subcommand == "norm":
         if bool(args.input) == bool(args.generator):
             raise UsageError("norm needs exactly one of --input or --generator")

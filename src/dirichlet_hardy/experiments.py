@@ -132,7 +132,7 @@ def pseudomoment(
     seed: int | None = None,
     workers: int = 1,
 ) -> ExperimentRecord:
-    """Psi_{k,alpha}(N) with normalizer (log N)^(k^2 alpha^2).
+    """Psi_{k,alpha}(N) with normalizer (log N)^(k^2 alpha^2), inf where that overflows.
 
     method 'exact' requires integer k; 'mc' requires samples and seed. The
     routes that factor (alpha != 1, or Monte Carlo) sieve N themselves when
@@ -174,7 +174,10 @@ def pseudomoment(
         value = est.power_mean
         std_error = est.std_error
         params.update({"samples": samples, "seed": seed})
-    normalizer = math.log(N) ** (k * k * alpha * alpha) if N > 1 else 0.0
+    try:
+        normalizer = math.log(N) ** (k * k * alpha * alpha) if N > 1 else 0.0
+    except OverflowError:  # large k: past the float range, so the ratio is value / inf
+        normalizer = math.inf
     return ExperimentRecord(
         experiment="pseudomoment",
         params=params,
@@ -239,7 +242,9 @@ def pseudomoment_window_check(
     method = "exact" if float(k).is_integer() else "mc"
     rec = pseudomoment(N, k, 1.0, method, table, samples=samples, seed=seed, workers=workers)
     upper, lower = pseudomoment_ratio_bounds(k, prime_limit, table=table)
-    flagged = not (lower.value / 10 <= rec.ratio <= upper.value * 10)
+    # compared in logs: at large k the constants and the normalizer pass the float range
+    log_ratio = math.log(rec.value) - k * k * math.log(math.log(N)) if N > 1 else math.nan
+    flagged = not (lower.log_value - math.log(10) <= log_ratio <= upper.log_value + math.log(10))
     extra = {
         "upper_constant": upper.value,
         "lower_constant": lower.value,

@@ -40,9 +40,10 @@ from .dseries import DirichletPolynomial, dirichlet_power
 from .errors import SieveLimitError, check_memory, memory_cap_bytes
 
 # samples drawn together, halved until a run fits the memory cap. The uniforms are drawn per
-# chunk: drawn per block they have timed both 2x slower (glibc mapping and returning each
-# block's arrays unless a multi-MB array has raised its dynamic mmap threshold) and even, with
-# a lower peak, in separate measurements; CHANGES.md has the numbers
+# chunk, not per evaluation block: per-block draws, with the same bits, measured about 2x slower
+# (mc_dense 6.5-6.9 against 14.1-14.9 ops/s, 11x the system time, 26x the minor faults) for a
+# lower peak RSS, because glibc returns each block's freed arrays to the OS; the chunk-sized
+# uniform array raises its dynamic mmap threshold and so prevents that. CHANGES.md has the numbers
 _CHUNK = 8192
 _BLOCK_BYTES = 1 << 20  # node values of the points evaluated together; sized to stay in cache
 

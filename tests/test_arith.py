@@ -287,7 +287,7 @@ class TestAverageOrderFactor:
 
 class TestEulerProduct:
     def test_zeta_two(self):
-        result = euler_product(lambda p: 1 / (1 - p**-2), 10**5, 2.0, decay_constant=4 / 3)
+        result = euler_product(lambda p: -math.log1p(-(p**-2)), 10**5, 2.0, decay_constant=4 / 3)
         # bracket zeta(2) by partial sums plus the integral-test tail
         K = 10**6
         partial = math.fsum(n**-2 for n in range(1, K + 1))
@@ -296,24 +296,32 @@ class TestEulerProduct:
         assert result.value >= lo * math.exp(-result.tail_bound)
 
     def test_trivial_product(self):
-        result = euler_product(lambda p: 1.0, 1000, 2.0, decay_constant=0.0)
+        result = euler_product(lambda p: 0.0, 1000, 2.0, decay_constant=0.0)
         assert result.value == 1.0
         assert result.tail_bound == 0.0
 
     def test_tail_decreases_with_limit(self):
-        a = euler_product(lambda p: 1 / (1 - p**-2), 10**3, 2.0, decay_constant=4 / 3)
-        b = euler_product(lambda p: 1 / (1 - p**-2), 10**4, 2.0, decay_constant=4 / 3)
+        a = euler_product(lambda p: -math.log1p(-(p**-2)), 10**3, 2.0, decay_constant=4 / 3)
+        b = euler_product(lambda p: -math.log1p(-(p**-2)), 10**4, 2.0, decay_constant=4 / 3)
         assert b.tail_bound < a.tail_bound
 
     def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            euler_product(lambda p: 0.0, 100, 2.0)
+        # a zero or negative local factor has no finite log; the error names the prime
+        for log_factor in (-math.inf, math.nan, math.inf):
+            with pytest.raises(ValueError, match="p=7"):
+                euler_product(lambda p: log_factor if p == 7 else 0.0, 100, 2.0)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            euler_product(lambda p: 1.0, 1, 2.0)
+            euler_product(lambda p: 0.0, 1, 2.0)
         with pytest.raises(ValueError):
-            euler_product(lambda p: 1.0, 100, 1.0)
+            euler_product(lambda p: 0.0, 100, 1.0)
+
+    def test_underflowing_product_keeps_its_log(self):
+        # 2^(-2000) underflows; its log does not
+        result = euler_product(lambda p: -2000 * math.log(2) if p == 2 else 0.0, 100, 2.0, 0.0)
+        assert result.value == 0.0
+        assert result.log_value == -2000 * math.log(2)
 
 
 class TestPseudomomentConstants:
@@ -341,15 +349,28 @@ class TestPseudomomentConstants:
 
     def test_stirling_trend(self):
         # log(constant) / (k^2 log k) drifts toward -1 (upper) and -2 (lower)
+        ks = (4.0, 8.0, 16.0, 32.0, 64.0)
         ratios = {}
-        for k in (4.0, 8.0, 16.0):
+        for k in ks:
             upper, lower = pseudomoment_ratio_bounds(k, 10**5)
             denom = k * k * math.log(k)
             ratios[k] = (upper.log_value / denom, lower.log_value / denom)
-        assert abs(ratios[8.0][0] + 1) < abs(ratios[4.0][0] + 1)
-        assert abs(ratios[16.0][0] + 1) < abs(ratios[8.0][0] + 1)
-        assert abs(ratios[8.0][1] + 2) < abs(ratios[4.0][1] + 2)
-        assert abs(ratios[16.0][1] + 2) < abs(ratios[8.0][1] + 2)
+        for small, large in zip(ks, ks[1:]):
+            assert abs(ratios[large][0] + 1) < abs(ratios[small][0] + 1)
+            assert abs(ratios[large][1] + 2) < abs(ratios[small][1] + 2)
+
+    @pytest.mark.parametrize("k", [33.0, 40.5, 64.0])
+    def test_large_k_constants_are_finite_logs(self, k):
+        # (1 - 1/2)^(k^2) alone underflows past k^2 = 1074; the logs do not
+        upper, lower = pseudomoment_ratio_bounds(k, 10**5)
+        assert math.isfinite(upper.log_value) and math.isfinite(lower.log_value)
+        assert lower.log_value <= upper.log_value
+        assert upper.value == 0.0 and lower.value == 0.0
+        if k.is_integer():
+            assert upper.log_value == -k * math.lgamma(k + 1)
+            assert upper.tail_bound == 0.0
+        else:
+            assert upper.tail_bound > 0.0
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
@@ -360,6 +381,36 @@ class TestPseudomomentConstants:
         assert one.value == pytest.approx(1.0, abs=1e-12)
         two = pseudomoment_leading_factor(2, 100_000)
         assert two.value == pytest.approx(6 / math.pi**2, abs=2 * two.tail_bound + 1e-9)
+
+    def test_leading_factor_truncations_in_closed_form(self):
+        # the local factors at k = 1, 2, 3 are 1, 1 - x^2 and (1-x)^4 (1 + 4x + x^2)
+        primes = sieve_primes(100_000).primes.tolist()
+        assert pseudomoment_leading_factor(1, 100_000).log_value == 0.0
+        two = math.fsum(math.log1p(-1 / (p * p)) for p in primes)
+        assert pseudomoment_leading_factor(2, 100_000).log_value == pytest.approx(two, abs=1e-15)
+        three = math.fsum(4 * math.log1p(-1 / p) + math.log1p((4 * p + 1) / (p * p)) for p in primes)
+        assert pseudomoment_leading_factor(3, 100_000).log_value == pytest.approx(three, abs=1e-15)
+
+    def test_leading_factor_local_logs_past_the_float_range(self, monkeypatch):
+        # at k = 700 the local polynomial passes 2^1024 at p = 2, not at p = 3; both
+        # must match a log-sum-exp of its terms C(k-1, j)^2 p^(-j)
+        local_logs = []
+        monkeypatch.setattr(arith, "euler_product", lambda local_log, *args, **kw: local_logs.append(local_log))
+        m = 699
+        pseudomoment_leading_factor(m + 1, 2 * (m + 1) ** 2 + 1)
+        for p in (2, 3):
+            lg = [math.lgamma(j + 1) for j in range(m + 1)]
+            terms = [2 * (lg[m] - lg[j] - lg[m - j]) - j * math.log(p) for j in range(m + 1)]
+            top = max(terms)
+            log_poly = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+            assert local_logs[0](p) - m * m * math.log1p(-1 / p) == pytest.approx(log_poly, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [40, 200])
+    def test_large_k_leading_factor_is_a_finite_log(self, k):
+        # the squared coefficients c_k(j)^2 pass the float range at k = 200
+        lead = pseudomoment_leading_factor(k, 10**5)
+        assert math.isfinite(lead.log_value) and lead.log_value < 0
+        assert lead.value == 0.0
 
 
 class TestOmegaCounts:
@@ -419,6 +470,14 @@ class TestDivisorWeightSum:
             1.5 * math.log1p(-1 / p) - math.log1p(-1.5 / p) for p in primes
         )
         assert c.log_value == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, log_hex",
+        [(1.0, "0x0.0p+0"), (1.5, "0x1.e7a1d5534afefp-2"), (2.7, "0x1.10a653fa6fc3dp-1")],
+    )
+    def test_average_order_constant_bits(self, alpha, log_hex):
+        # pinned from the linear-domain product, which took math.log of the same factors
+        assert average_order_constant(alpha, 50_000).log_value.hex() == log_hex
 
 
 def test_sieve_memory_cap(monkeypatch, table_2k):

@@ -2,12 +2,13 @@ import json
 import math
 import os
 import shlex
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dirichlet_hardy.cli import execute, main, parse
+from dirichlet_hardy.cli import build_parser, execute, main, parse
 from dirichlet_hardy.report import CSV_COLUMNS, records_to_csv, render
 
 
@@ -155,6 +156,34 @@ class TestExecute:
         assert per_case == {case: three for case in range(4)}
 
 
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    import dirichlet_hardy.cli as cli
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    runs = [
+        "pseudomoment --N 50 --k 2 --seed 9 --format jsonl",
+        "norm --p 1.5 --generator zeta --N 30 --seed 4 --samples 4000 --format jsonl",
+        "euler-const --k 2.5 --prime-limit 5000 --seed 1 --format jsonl",
+        "pseudomoment --N 50 --k 2 --seed 9 --format jsonl",
+    ]
+    outputs = []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"{i}.jsonl"
+        assert main(shlex.split(argv) + ["--out", str(out)]) == 0
+        outputs.append(out.read_text())
+        # a parser built afresh reads the same arguments
+        assert vars(parse(shlex.split(argv)).args) == vars(build_parser().parse_args(shlex.split(argv)))
+    assert len(builds) == 1
+    assert outputs[0] == outputs[3]
+
+
 class TestOutput:
     def test_atomic_write(self, tmp_path):
         out = tmp_path / "result.json"
@@ -290,6 +319,35 @@ class TestErrorExits:
     def test_disc_degree_beyond_any_sieve_exit_3(self, capsys):
         assert main(["fuzz", "--max-degree", "1000", "--corpus", "1", "--seed", "1"]) == 3
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "pseudomoment --N 10 --k 400 --method mc --samples 100 --seed 1",
+        "scan --k 40 --grid 3,4,5,6 --method mc --samples 100 --seed 1",
+    ])
+    def test_large_k_normalizer_overflow_exit_0(self, argv, tmp_path):
+        # (log N)^(k^2) passes the float range: the normalizer renders as null
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # k = 400: |F|^800 overflows too
+            assert main(shlex.split(argv) + ["--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        pseudomoments = [r for r in records if r["experiment"] == "pseudomoment"]
+        assert pseudomoments[-1]["normalizer"] is None
+
+    @pytest.mark.parametrize("argv", [
+        "euler-const --k 33 --seed 1",
+        "euler-const --k 40 --leading-factor --seed 1",
+        "euler-const --k 64 --seed 1",
+    ])
+    def test_large_k_euler_constants_exit_0(self, argv, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(shlex.split(argv) + ["--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        k = records[0]["params"]["k"]
+        assert records[0]["extra"]["upper_log"] == -k * math.lgamma(k + 1)
+        assert records[0]["extra"]["tail_bound_upper"] == 0.0
+        assert math.isfinite(records[0]["extra"]["lower_log"])
+        assert all(math.isfinite(r["extra"]["log_value"]) for r in records[1:])
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2

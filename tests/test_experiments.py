@@ -91,6 +91,14 @@ class TestPseudomoment:
         assert rec.normalizer == pytest.approx(math.log(100) ** 4)
         assert rec.ratio == pytest.approx(rec.value / rec.normalizer)
 
+    def test_normalizer_overflows_to_inf(self):
+        # (log 10)^(40^2) passes the float range; the ratio is then value / inf
+        rec = pseudomoment(10, 40, 1.0, "mc", samples=100, seed=1)
+        assert math.isfinite(rec.value) and rec.value > 0
+        assert rec.normalizer == math.inf
+        assert rec.ratio == 0.0
+        assert pseudomoment(10, 2, 1.0, "exact").normalizer == math.log(10) ** 4
+
 
 class TestScan:
     def test_k1_slope(self):
@@ -120,6 +128,16 @@ class TestWindowCheck:
         rec = pseudomoment_window_check(2, 1000, table_2k, prime_limit=10_000)
         assert not rec.extra["flagged"]
         assert rec.extra["lower_constant"] < rec.extra["upper_constant"]
+
+    def test_large_k_verdict_from_logs(self):
+        # the normalizer and both constants pass the float range, so their values
+        # (inf, 0, 0) say nothing; in logs the ratio, about e^-703, lies far above
+        # the upper constant e^-894
+        rec = pseudomoment_window_check(20.5, 1000, samples=2000, seed=1)
+        assert rec.normalizer == math.inf
+        assert rec.extra["upper_constant"] == 0.0 and rec.extra["lower_constant"] == 0.0
+        assert rec.extra["upper_log"] < -800
+        assert rec.extra["flagged"]
 
 
 class TestPartialSumWitness:
