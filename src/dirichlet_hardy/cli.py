@@ -320,10 +320,13 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
     elif cmd.subcommand == "euler-const":
         upper, lower = pseudomoment_ratio_bounds(args.k, args.prime_limit)
         params = {"k": args.k, "prime_limit": args.prime_limit, "seed": seed}
+        try:  # from k = 11 the lower constant underflows, but the ratio may be a finite double
+            ratio = upper.value / lower.value if lower.value else math.exp(upper.log_value - lower.log_value)
+        except OverflowError:
+            ratio = math.inf
         records = [ExperimentRecord(
             experiment="euler-const", params=params, value=upper.value,
-            normalizer=lower.value,
-            ratio=upper.value / lower.value if lower.value else math.inf,
+            normalizer=lower.value, ratio=ratio,
             extra={"upper_log": upper.log_value, "lower_log": lower.log_value,
                    "tail_bound_upper": upper.tail_bound, "tail_bound_lower": lower.tail_bound},
         )]

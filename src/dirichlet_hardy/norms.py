@@ -6,9 +6,10 @@ Everything else is Monte Carlo over random completely multiplicative unit
 coefficients (Steinhaus variables) from a counter-based generator. The angle of
 prime p_j in sample i depends only on (seed, i, j), so the engine draws angles only
 for the primes that divide some index of the support, and `steinhaus_sample` gives
-the engine's bits for the primes p_1..p_J. An angle u = k 2^-53 becomes the phase
-exp(2 pi i u) by exact dyadic splitting: two 1024-entry tables give the top 20 bits
-of k and a short series the angle of the low 33 bits. The lift F = sum a_n z(n) keeps
+the engine's bits for the primes p_1..p_J. An angle is the top half k of a splitmix64
+hash, so z(p_j) = exp(2 pi i k 2^-32) is uniform on the 2^32-th roots of unity; even-p
+estimates stay unbiased, as each prime's exponents in |F|^2k lie far below 2^32. Three
+tables give the phase from k's digits. The lift F = sum a_n z(n) keeps
 one row per node n and one column per point: z(n) = z(spf n) z(n/spf n) fills the
 rows layer by layer, and the terms are summed per point by a halving fold whose
 shape depends only on the number of terms. So |F| for sample i depends only on
@@ -52,11 +53,17 @@ _GAMMA_SAMPLE = np.uint64(0x9E3779B97F4A7C15)
 _GAMMA_PRIME = np.uint64(0xD1B54A32D192ED03)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# exp(2 pi i j 2^-10) and exp(2 pi i j 2^-20) for j < 1024: the top two 10-bit digits of an angle
-_TURN_HI = np.exp(2j * np.pi * np.arange(1024) / 2**10)
-_TURN_LO = np.exp(2j * np.pi * np.arange(1024) / 2**20)
+
+def _turns(count: int, period: int) -> np.ndarray:
+    """exp(2 pi i j / period) for j < count, read-only."""
+    z = np.exp(2j * np.pi * np.arange(count) / period)
+    z.flags.writeable = False
+    return z
+
+
+# the factors of a 32-bit angle's three digits, 11, 11 and 10 bits from the top: 80 KB in all
+_TURN_A, _TURN_B, _TURN_C = _turns(2048, 2**11), _turns(2048, 2**22), _turns(1024, 2**32)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -71,48 +78,39 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> np.ndarray:
-    """Uniform angles in [0,1) for samples [first_sample, first_sample+count) and the given primes.
+    """32-bit angles k (the angle k 2^-32 turns) for samples [first_sample, first_sample+count).
 
     `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Entry
-    (i, j) depends only on (seed, first_sample + i, columns[j]), so any partition of
-    the sample range, or any choice of columns, reproduces the same values. The result
-    is the transpose of a C-ordered (columns, count) array: each prime's angles are
-    contiguous.
+    (i, j) is the top 32 bits of a splitmix64 hash of (seed, first_sample + i,
+    columns[j]), so any partition of the sample range, or any choice of columns,
+    reproduces the same values. The result is the int64 transpose of a C-ordered
+    (columns, count) array: each prime's angles are contiguous.
     """
     s0 = _mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
     idx = np.arange(first_sample + 1, first_sample + count + 1, dtype=np.uint64)
     per_sample = _mix64(s0 + idx * _GAMMA_SAMPLE)
     jdx = np.asarray(columns, dtype=np.uint64) + np.uint64(1)
     h = _mix64(jdx[:, None] * _GAMMA_PRIME + per_sample[None, :])
-    h >>= np.uint64(11)
-    u = h.astype(np.float64)
-    u *= 2.0**-53
-    return u.T
+    h >>= np.uint64(32)
+    return h.view(np.int64).T
 
 
-def _phases(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(2 pi i u) for angles u = k 2^-53, elementwise, into `out` if given.
+def _phases(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2 pi i k 2^-32) for int64 angles 0 <= k < 2^32, elementwise, into `out` if given.
 
-    The splitting is exact: with a and b the top two 10-bit digits of k and c its low
-    33 bits, exp(2 pi i u) = exp(2 pi i a 2^-10) exp(2 pi i b 2^-20) exp(i eps) with
-    eps = 2 pi c 2^-53 < 6e-6, and the two-term series of exp(i eps) is exact to
-    rounding there. Against mpmath the error stays below 8 2^-53 (libm's
-    exp(2j*pi*u) reaches about 6.4 2^-53); the tests hold both to 16 2^-53.
+    With a, b and c the top 11, the next 11 and the low 10 bits of k, the phase is the
+    product exp(2 pi i a 2^-11) exp(2 pi i b 2^-22) exp(2 pi i c 2^-32) of table factors;
+    the first goes straight into `out` (mode="raise" would buffer it). Against mpmath the
+    error stays below 7.4 2^-53 (libm's exp(2j*pi*k*2^-32) reaches about 6.4 2^-53), and
+    the tests hold both to 16 2^-53.
     """
-    t = u * 1024.0
-    a = np.floor(t)
-    t -= a
-    t *= 1024.0
-    b = np.floor(t)
-    t -= b
-    t *= 2 * np.pi / 2**20  # eps
-    z = np.take(_TURN_HI, a.astype(np.intp), out=out)
-    z *= _TURN_LO.take(b.astype(np.intp))
-    e2 = t * t
-    tail = np.empty_like(z)
-    tail.real = 1 - e2 / 2
-    tail.imag = t * (1 - e2 / 6)
-    z *= tail
+    digit = np.right_shift(k, 21)
+    z = np.take(_TURN_A, digit, out=out, mode="clip")
+    np.right_shift(k, 10, out=digit)
+    digit &= 0x7FF
+    z *= _TURN_B.take(digit)
+    np.bitwise_and(k, 0x3FF, out=digit)
+    z *= _TURN_C.take(digit)
     return z
 
 
@@ -133,11 +131,12 @@ def _fold(a: np.ndarray) -> np.ndarray:
 
 
 def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
-    """Uniform angles in [0,1) for samples [first_sample, first_sample+count) and primes 1..prime_count.
+    """Angles in [0,1), in turns, for samples [first_sample, first_sample+count) and primes 1..prime_count.
 
-    The engine's stream: column j of it is what the engine draws for the prime p_{j+1}.
+    The engine's stream: column j holds k 2^-32 for the 32-bit angle k the engine draws
+    for the prime p_{j+1}, so the angles are uniform on the 2^32-th roots of unity.
     """
-    return _uniforms(seed, first_sample, count, np.arange(prime_count))
+    return _uniforms(seed, first_sample, count, np.arange(prime_count)) * 2.0**-32
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -287,15 +286,15 @@ def mc_norm_many(
     plan = _lift_plan(f, table, *parts)
     rows, block = len(plan.members), max(1, _BLOCK_BYTES // (16 * plan.size))
     # per worker, the larger of two phases that are never alive together: the draw, which
-    # holds two 8-byte copies of the chunk's uniforms, and the blocks, which keep one copy
+    # holds two 8-byte copies of the chunk's angles, and the blocks, which keep one copy
     # beside the working set of one block; per point of that block: the node rows plus the
-    # largest of the phase temporaries (64 B per column), the widest layer's two gathers and
-    # the output rows with one member's term gather, which are never alive together; per
-    # sample of the whole run: |F| of every member, and one member's |F|^p and deviations with
-    # the copy the fold takes
+    # largest of the phase temporaries (a digit and a gathered factor, 24 B per column), the
+    # widest layer's two gathers and the output rows with one member's term gather, which are
+    # never alive together; per sample of the whole run: |F| of every member, and one member's
+    # |F|^p and deviations with the copy the fold takes
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
     longest = max(terms.size for terms, _ in plan.members)
-    per_point = 16 * plan.size + max(64 * plan.columns.size, 32 * widest, 16 * (rows + longest))
+    per_point = 16 * plan.size + max(24 * plan.columns.size, 32 * widest, 16 * (rows + longest))
 
     def need(chunk: int) -> int:
         uniforms = 8 * chunk * plan.columns.size
@@ -310,9 +309,9 @@ def mc_norm_many(
 
     def fill(start: int) -> None:
         count = min(chunk, samples - start)
-        u = _uniforms(seed, start, count, plan.columns).T
+        angles = _uniforms(seed, start, count, plan.columns).T
         for lo in range(0, count, block):
-            points = u[:, lo : lo + block]
+            points = angles[:, lo : lo + block]
             Z = np.empty((plan.size, points.shape[1]), dtype=np.complex128)
             _phases(points, out=Z[1 : 1 + plan.columns.size])
             np.abs(_lift_values(plan, Z), out=absF[:, start + lo : start + lo + points.shape[1]])
@@ -364,8 +363,7 @@ def steinhaus_sample(seed: int, index: int, prime_count: int) -> SteinhausSample
     """The sample that `mc_norm` uses at position `index` for the given seed."""
     if prime_count < 0:
         raise ValueError("prime_count must be nonnegative")
-    u = steinhaus_uniforms(seed, index, 1, prime_count)[0]
-    return SteinhausSample(values=_phases(u))
+    return SteinhausSample(values=_phases(_uniforms(seed, index, 1, np.arange(prime_count))[0]))
 
 
 def evaluate_at_sample(
@@ -403,9 +401,7 @@ class DiscPolynomial:
 @functools.lru_cache(maxsize=1)
 def _circle(nodes: int) -> np.ndarray:
     """The equispaced circle nodes exp(2 pi i k / nodes), k < nodes, read-only."""
-    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    z.flags.writeable = False
-    return z
+    return _turns(nodes, nodes)
 
 
 def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) -> list[NormEstimate]:

@@ -287,15 +287,15 @@ class TestNormExtras:
 
     def test_witness_record_pinned(self):
         # the library sizes the primorial's sieve; the record keeps its bits (recorded on the
-        # stream of table phases, node rows and the halving fold)
+        # stream of 32-bit angles, three-table phases, node rows and the halving fold)
         doc, code = execute(parse(["partial-sum", "--p", "0.5", "--k", "3", "--samples", "20000",
                                    "--seed", "1"]))
         rec = doc.records[0]
         assert code == 0 and rec["params"]["N"] == 30
         assert (rec["value"].hex(), rec["std_error"].hex()) == (
-            "0x1.8cfba03fa6c58p+0", "0x1.d16c9e28d818dp-9")
+            "0x1.8cfba03fa2b36p+0", "0x1.d16c9e28d5c6cp-9")
         assert (rec["extra"]["se_at_M"], rec["extra"]["se_before_M"]) == (
-            0.003550905520043729, 0.003238220837980064)
+            0.003550905520039607, 0.0032382208379442222)
 
     def test_probe_mode(self):
         doc, _ = execute(parse(["partial-sum", "--mode", "probe", "--p", "2",
@@ -348,6 +348,21 @@ class TestErrorExits:
         assert records[0]["extra"]["tail_bound_upper"] == 0.0
         assert math.isfinite(records[0]["extra"]["lower_log"])
         assert all(math.isfinite(r["extra"]["log_value"]) for r in records[1:])
+
+    @pytest.mark.parametrize("k, log_ratio", [(11, 595.6), (11.5, 663.0), (12, None)])
+    def test_euler_const_ratio_from_the_logs(self, k, log_ratio, tmp_path):
+        # the lower constant underflows to 0 from k = 11; the ratio is a finite double up to
+        # k = 11.5 and passes the float range (null) from k = 12
+        out = tmp_path / "out.json"
+        assert main(["euler-const", "--k", str(k), "--seed", "1", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())["records"][0]
+        assert rec["normalizer"] == 0.0
+        logs = rec["extra"]["upper_log"] - rec["extra"]["lower_log"]
+        if log_ratio is None:
+            assert rec["ratio"] is None and logs > 1024 * math.log(2)  # past the largest double
+        else:
+            assert rec["ratio"] == pytest.approx(math.exp(logs), rel=1e-12)
+            assert math.log(rec["ratio"]) == pytest.approx(log_ratio, abs=0.05)
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2

@@ -78,19 +78,42 @@ class TestCounterRng:
         )
 
     def test_pinned_values(self):
-        # the stream is part of every Monte Carlo output; these bits must not drift
+        # the stream is part of every Monte Carlo output; these bits must not drift. Each angle
+        # is the 53-bit angle k 2^-53 of the same hash (its top 53 bits) truncated to 32 bits
         u = steinhaus_uniforms(2**61 + 5, 10**6, 1, 4)[0]
         assert [x.hex() for x in u] == [
-            "0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2",
-            "0x1.4b4c1d596592cp-2", "0x1.8a63340e1a1acp-1",
+            "0x1.4d5309b400000p-1", "0x1.5f8fc6e000000p-2",
+            "0x1.4b4c1d5800000p-2", "0x1.8a63340e00000p-1",
         ]
+        wide = ["0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2", "0x1.4b4c1d596592cp-2", "0x1.8a63340e1a1acp-1"]
+        assert u.tolist() == [math.floor(float.fromhex(x) * 2**32) * 2.0**-32 for x in wide]
+
+    @pytest.mark.parametrize("seed, i, j", [(0, 0, 0), (1, 5, 3), (-3, 7, 11), (2**61 + 5, 10**6, 302),
+                                            (2**64 - 1, 2**40, 0)])
+    def test_stream_matches_splitmix64_reference(self, seed, i, j):
+        # splitmix64 on Python ints: the angle of (seed, sample i, prime p_{j+1}) is the top
+        # 32 bits of mix(mix(mix(seed) + (i+1) gamma_sample) + (j+1) gamma_prime), mod 2^64
+        mask = 2**64 - 1
+
+        def mix(x):
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+            return x ^ (x >> 31)
+
+        per_sample = mix(mix(seed & mask) + (i + 1) * 0x9E3779B97F4A7C15 & mask)
+        h = mix((j + 1) * 0xD1B54A32D192ED03 + per_sample & mask)
+        k = norms._uniforms(seed, i, 1, np.array([j]))
+        assert k.dtype == np.int64 and k.shape == (1, 1) and int(k[0, 0]) == h >> 32
+        assert steinhaus_uniforms(seed, i, 1, j + 1)[0, j] == (h >> 32) * 2.0**-32
 
     @pytest.mark.parametrize("columns", [[], [0], [302], [0, 5, 6, 301, 302], list(range(0, 303, 7))])
     def test_column_draw_is_the_full_streams_columns(self, columns):
-        # the engine draws only the columns it uses; they are the full stream's, bit for bit
+        # the engine draws only the columns it uses; they are the full stream's, bit for bit,
+        # and the published stream is the same integer angles in turns
         cols = np.array(columns, dtype=np.int64)
-        full = steinhaus_uniforms(11, 40, 300, 303)
+        full = norms._uniforms(11, 40, 300, np.arange(303))
         assert np.array_equal(norms._uniforms(11, 40, 300, cols), full[:, cols])
+        assert np.array_equal(steinhaus_uniforms(11, 40, 300, 303), full * 2.0**-32)
 
     def test_pairwise_sum_matches_fsum(self):
         rng = np.random.default_rng(0)
@@ -99,17 +122,19 @@ class TestCounterRng:
         assert pairwise_sum(np.array([])) == 0.0
 
     def test_table_phases_match_mpmath(self):
-        # the table route is as accurate as libm's exp(2 pi i u), at the tables' edges too
+        # the table route is as accurate as libm's exp(2 pi i k 2^-32), at every digit edge too
         mpmath = pytest.importorskip("mpmath")
         ulp = 2.0**-53
-        edges = [j * 2.0**-s + d for s in (10, 20) for j in range(1024) for d in (-ulp, 0.0, ulp)]
-        u = np.array([0.0, ulp, 0.25, 0.5, 0.75, 1 - ulp] + [x for x in edges if 0 <= x < 1]
-                     + steinhaus_uniforms(4, 0, 1000, 3).ravel().tolist())
+        edges = [j * 2**s + d for s in (21, 10) for j in range(2048) for d in (-1, 0, 1)]
+        k = np.array([0, 1, 2**32 - 1] + [x for x in edges if 0 <= x < 2**32]
+                     + norms._uniforms(4, 0, 1000, np.arange(3)).ravel().tolist(), dtype=np.int64)
+        routes = (norms._phases(k), np.exp(2j * np.pi * (k * 2.0**-32)))
         with mpmath.workprec(120):
-            for z in (norms._phases(u), np.exp(2j * np.pi * u)):
-                for x, zx in zip(u.tolist(), z.tolist()):
+            for x, *zs in zip(k.tolist(), *(z.tolist() for z in routes)):
+                exact = mpmath.expjpi(mpmath.ldexp(x, -31))  # exp(pi i x 2^-31), exact argument
+                for zx in zs:
                     w = mpmath.mpc(zx.real, zx.imag)
-                    assert abs(w - mpmath.expj(2 * mpmath.pi * x)) <= 16 * ulp
+                    assert abs(w - exact) <= 16 * ulp
                     assert abs(abs(w) - 1) <= 8 * ulp
 
 
@@ -268,6 +293,24 @@ class TestMonteCarlo:
             assert max(counts) == chunk
             assert peak <= charged[0] <= 1.25 * peak, (cap, charged[0], peak)
 
+    def test_memory_charge_tracks_the_phase_temporaries(self, table_2k, monkeypatch):
+        # a sum over the first 303 primes has as many prime columns as terms, so the phase
+        # temporaries set the block's working set; under an 8 MB cap the charge stays within
+        # 25% of the traced peak
+        charged = []
+        monkeypatch.setattr(norms, "check_memory", lambda need, what: charged.append(need))
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(8_000_000))
+        f = DirichletPolynomial({int(p): 1.0 for p in table_2k.primes[:303]})
+        mc_norm(f, 1.0, 64, 1, table_2k)
+        charged.clear()
+        tracemalloc.start()
+        try:
+            mc_norm(f, 1.0, 16384, 1, table_2k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[0] <= 1.25 * peak, (charged[0], peak)
+
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
         # 1999 is the 303rd prime, but the uniform block of a chunk is one column wide
         monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
@@ -290,15 +333,15 @@ class TestMonteCarlo:
         assert widths and set(widths) == {len(primes)}
 
     def test_golden_stream(self, table_2k):
-        # float.hex of (value, std_error) on the stream of table phases (two 1024-entry tables
-        # and a short series), node rows and the halving fold for the terms and the means
+        # float.hex of (value, std_error) on the stream of 32-bit angles, three-table phases,
+        # node rows and the halving fold for the terms and the means
         golden = {
-            1: [("0x1.5e2b4f474e822p+2", "0x1.2dcffb44c31b0p-8"),
-                ("0x1.7950a25e81ff7p+2", "0x1.60c4b423ca1fep-6"),
-                ("0x1.d1a4dae9869cap+2", "0x1.0394509a78ef6p+2")],
-            2: [("0x1.fcc515b04d0c8p+2", "0x1.6b23c0924c189p-8"),
-                ("0x1.1208bf6ed9ae9p+3", "0x1.005b1f8d67e1dp-5"),
-                ("0x1.524f36680ba61p+3", "0x1.8e2e2def6f074p+3")],
+            1: [("0x1.5e2b4f473b111p+2", "0x1.2dcffb44e0c5bp-8"),
+                ("0x1.7950a25e73e48p+2", "0x1.60c4b423d3f77p-6"),
+                ("0x1.d1a4dae97c584p+2", "0x1.0394509a63473p+2")],
+            2: [("0x1.fcc515b05e161p+2", "0x1.6b23c0923b292p-8"),
+                ("0x1.1208bf6ee05e3p+3", "0x1.005b1f8d599c1p-5"),
+                ("0x1.524f36680a129p+3", "0x1.8e2e2def56f35p+3")],
         }
         for k, expected in golden.items():
             f = random_dirichlet(np.random.default_rng(k), 64, 1000)
