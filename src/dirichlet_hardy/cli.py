@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: norm, pseudomoment, scan, hl-check, partial-sum, cnp-scan,
-omega-hist, euler-const, fuzz. Every run echoes its resolved parameters,
+omega-hist, euler-const, fuzz. Each parses its flags, makes one call into
+`experiments`, which picks the route, sieves the prime table and builds every
+record, and renders the records. Every run echoes its resolved parameters,
 including the seed, and writes json, jsonl, or csv atomically.
 
 Exit codes: 0 success, 1 fuzz or hl-check violations beyond the slack of
@@ -20,23 +22,21 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .arith import PrimeTable, pseudomoment_leading_factor, pseudomoment_ratio_bounds, sieve_primes
-from .bounds import HL_INEQUALITIES, hl_report
-from .dseries import DirichletPolynomial, GeneratorSpec, generate
-from .errors import ResourceLimitError, memory_cap_bytes
+from .dseries import DirichletPolynomial, GeneratorSpec
+from .errors import ResourceLimitError
 from .experiments import (
-    DISC_INEQUALITIES,
-    ExperimentRecord,
+    HL_INEQUALITIES,
     FuzzConfig,
+    hardy_norm,
     hl_fuzz_suite,
     maximal_order_scan,
     omega_concentration,
     partial_sum_ratio_probe,
     partial_sum_witness,
     pseudomoment,
+    pseudomoment_constants,
     pseudomoment_scan,
 )
-from .norms import even_norm_exact, l2_norm, mc_norm
 from .report import ResultDocument, render, write_atomic
 
 TOOL = "dhardy"
@@ -59,8 +59,8 @@ class Command:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -73,10 +73,12 @@ def _positive_int(text: str) -> int:
 
 def _grid(text: str) -> list[int]:
     try:
-        points = [int(float(part)) for part in text.split(",") if part.strip()]
+        points = [float(part) for part in text.split(",") if part.strip()]
+        if all(point.is_integer() for point in points):
+            return [int(point) for point in points]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"grid must be comma-separated integers, got {text!r}")
-    return points
+        pass
+    raise argparse.ArgumentTypeError(f"grid must be comma-separated integers, got {text!r}")
 
 
 def build_parser() -> _Parser:
@@ -194,72 +196,6 @@ def parse(argv: list[str]) -> Command:
     return Command(subcommand=args.subcommand, args=args)
 
 
-def _table(*limits: int) -> PrimeTable:
-    """The prime table of a run: covers every limit, and at least 1000."""
-    return sieve_primes(max(1000, *limits))
-
-
-def _norm_records(args, seed: int) -> list[ExperimentRecord]:
-    if args.input:
-        with open(args.input, encoding="utf-8") as handle:
-            f = DirichletPolynomial.from_json(handle.read())
-        table = _table(f.length)
-    else:
-        table = _table(args.N)
-        spec = GeneratorSpec(
-            kind=args.generator, N=args.N, alpha=args.alpha, p=args.gen_p,
-            prime_bound=args.prime_bound, prime_count=args.prime_count, beta=args.beta,
-        )
-        f = generate(spec, table)
-    method = args.method
-    if method == "auto":
-        if args.p == 2.0:
-            method = "l2"
-        elif args.p > 0 and float(args.p / 2).is_integer():
-            method = "even"
-        else:
-            method = "mc"
-    if method == "l2":
-        if args.p != 2.0:
-            raise UsageError("--method l2 requires --p 2")
-        est = l2_norm(f)
-    elif method == "even":
-        if not float(args.p / 2).is_integer():
-            raise UsageError("--method even requires p = 2k for integer k")
-        est = even_norm_exact(f, int(args.p / 2))
-    else:
-        est = mc_norm(f, args.p, args.samples, seed, table, args.threads)
-    extra = {"length": f.length, "support_size": len(f)}
-    if args.hl_report:
-        extra["hl_report"] = hl_report(f, args.p, est, table).to_dict()
-    params = {"p": args.p, "method": est.method, "samples": est.samples,
-              "seed": est.seed, "generator": args.generator, "N": args.N}
-    std_error = est.std_error if est.method == "monte_carlo" else None
-    return [ExperimentRecord(experiment="norm", params=params, value=est.value, normalizer=1.0,
-                             ratio=est.value, std_error=std_error, extra=extra)]
-
-
-def _fuzz_records(config: FuzzConfig) -> tuple[list[ExperimentRecord], int]:
-    """The fuzz suite's records closed by a summary record, and the violation count."""
-    limits = [config.max_index]
-    if DISC_INEQUALITIES.keys() & set(config.inequalities):
-        # the disc checks lift degree d to the index 2^d; a sieve takes at least a byte per
-        # index, so past the cap's bit length every degree is beyond any sieve the cap allows
-        limits.append(2 ** min(config.max_degree, memory_cap_bytes().bit_length()))
-    result = hl_fuzz_suite(config, _table(*limits))
-    violations = result.summary["violation"]
-    summary = ExperimentRecord(
-        experiment="fuzz-summary",
-        params={"seed": config.seed, "samples": config.samples, "method": "summary"},
-        value=float(violations),
-        normalizer=float(config.corpus),
-        ratio=violations / config.corpus if config.corpus else 0.0,
-        extra={"summary": result.summary, "violations": result.violations,
-               "inequalities": list(config.inequalities), "p_values": list(config.p_values)},
-    )
-    return result.records + [summary], violations
-
-
 def execute(cmd: Command) -> tuple[ResultDocument, int]:
     args = cmd.args
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big") >> 1
@@ -268,78 +204,54 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
     exit_code = 0
 
     if cmd.subcommand == "norm":
-        records = _norm_records(args, seed)
+        if args.input:
+            with open(args.input, encoding="utf-8") as handle:
+                f = DirichletPolynomial.from_json(handle.read())
+        else:
+            f = GeneratorSpec(
+                kind=args.generator, N=args.N, alpha=args.alpha, p=args.gen_p,
+                prime_bound=args.prime_bound, prime_count=args.prime_count, beta=args.beta,
+            )
+        records = [hardy_norm(f, args.p, args.method, args.samples, seed, workers=args.threads,
+                              report=args.hl_report)]
     elif cmd.subcommand == "pseudomoment":
         records = [pseudomoment(args.N, args.k, args.alpha, args.method, samples=args.samples,
                                 seed=seed, workers=args.threads)]
     elif cmd.subcommand == "scan":
-        records, slope = pseudomoment_scan(args.k, args.alpha, args.grid, args.method,
-                                           samples=args.samples, seed=seed, workers=args.threads)
-        exponent = (args.k * args.alpha) ** 2
-        records.append(ExperimentRecord(
-            experiment="scan-slope",
-            params={"k": args.k, "alpha": args.alpha, "method": args.method,
-                    "grid": ",".join(map(str, args.grid)), "seed": seed},
-            value=slope, normalizer=exponent, ratio=slope / exponent,
-            extra={"regressor": "log log N"},
-        ))
+        records = pseudomoment_scan(args.k, args.alpha, args.grid, args.method,
+                                    samples=args.samples, seed=seed, workers=args.threads)
     elif cmd.subcommand in ("hl-check", "fuzz"):
+        corpus = dict(corpus=args.corpus, max_support=args.support, max_index=args.max_index,
+                      samples=args.samples, seed=seed, workers=args.threads)
         if cmd.subcommand == "hl-check":
-            config = FuzzConfig(
-                inequalities=HL_INEQUALITIES,
-                p_values=(args.p,), corpus=args.corpus, max_support=args.support,
-                max_index=args.max_index, samples=args.samples, seed=seed, workers=args.threads,
-            )
+            config = FuzzConfig(inequalities=HL_INEQUALITIES, p_values=(args.p,), **corpus)
         else:
             config = FuzzConfig(
                 inequalities=tuple(s for s in args.inequalities.split(",") if s),
                 p_values=tuple(float(s) for s in args.p_grid.split(",") if s),
-                corpus=args.corpus, max_support=args.support, max_index=args.max_index,
-                max_degree=args.max_degree, samples=args.samples, nodes=args.nodes,
-                seed=seed, invert=args.invert, workers=args.threads,
+                max_degree=args.max_degree, nodes=args.nodes, invert=args.invert, **corpus,
             )
-        records, violations = _fuzz_records(config)
+        result = hl_fuzz_suite(config)
+        records, violations = result.records, result.summary["violation"]
         if violations:
             exit_code = 1
             warnings.append(f"{violations} violation(s) beyond slack")
     elif cmd.subcommand == "partial-sum":
         if args.mode == "witness":
-            rec = partial_sum_witness(args.p, args.k, args.samples, seed, workers=args.threads)
+            records = [partial_sum_witness(args.p, args.k, args.samples, seed, workers=args.threads)]
         else:
-            table = _table(args.N)
             spec = GeneratorSpec(kind=args.generator, N=args.N, alpha=1.0,
                                  prime_bound=args.prime_bound or args.N)
-            f = generate(spec, table)
-            rec = partial_sum_ratio_probe(f, args.probe_N, args.p, args.samples, seed,
-                                          table, args.threads)
-        records = [rec]
+            records = [partial_sum_ratio_probe(spec, args.probe_N, args.p, args.samples, seed,
+                                               workers=args.threads)]
     elif cmd.subcommand == "cnp-scan":
-        records = [maximal_order_scan(args.X, args.p, _table(args.X))]
+        records = [maximal_order_scan(args.X, args.p)]
     elif cmd.subcommand == "omega-hist":
-        records = [omega_concentration(args.x, args.C, _table(args.x))]
+        records = [omega_concentration(args.x, args.C)]
     elif cmd.subcommand == "euler-const":
-        upper, lower = pseudomoment_ratio_bounds(args.k, args.prime_limit)
-        params = {"k": args.k, "prime_limit": args.prime_limit, "seed": seed}
-        try:  # from k = 11 the lower constant underflows, but the ratio may be a finite double
-            ratio = upper.value / lower.value if lower.value else math.exp(upper.log_value - lower.log_value)
-        except OverflowError:
-            ratio = math.inf
-        records = [ExperimentRecord(
-            experiment="euler-const", params=params, value=upper.value,
-            normalizer=lower.value, ratio=ratio,
-            extra={"upper_log": upper.log_value, "lower_log": lower.log_value,
-                   "tail_bound_upper": upper.tail_bound, "tail_bound_lower": lower.tail_bound},
-        )]
-        warnings.append(f"Euler tails bounded by {max(upper.tail_bound, lower.tail_bound):.3e} in log scale")
-        if args.leading_factor:
-            if float(args.k) != int(args.k):
-                raise UsageError("--leading-factor requires integer k")
-            ak = pseudomoment_leading_factor(int(args.k), args.prime_limit)
-            records.append(ExperimentRecord(
-                experiment="leading-factor", params=params, value=ak.value,
-                normalizer=1.0, ratio=ak.value,
-                extra={"log_value": ak.log_value, "tail_bound": ak.tail_bound},
-            ))
+        records = pseudomoment_constants(args.k, args.prime_limit, args.leading_factor, seed)
+        tail = max(records[0].extra["tail_bound_upper"], records[0].extra["tail_bound_lower"])
+        warnings.append(f"Euler tails bounded by {tail:.3e} in log scale")
 
     doc = ResultDocument(
         tool=TOOL,
@@ -373,10 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cmd = parse(argv)
-    except UsageError as exc:
-        print(f"{TOOL}: usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
         doc, exit_code = execute(cmd)
     except UsageError as exc:
         print(f"{TOOL}: usage error: {exc}", file=sys.stderr)

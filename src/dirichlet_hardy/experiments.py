@@ -12,8 +12,11 @@ polynomial sum g_j 2^(-js) on the one prime 2, whose H^p norm is g's disc
 norm, so its checks are the same Hardy-Littlewood checks, with the same slack,
 against a quadrature norm in place of a Monte Carlo one.
 
-Every record echoes its full parameter set, including seeds, so any run can be
-replayed exactly.
+Each entry is one `dhardy` subcommand's whole computation: it picks the route,
+sieves the prime table it needs when given none (the limit, and at least 1000),
+and returns finished records, the closing 'scan-slope' and 'fuzz-summary' ones
+included. Every record echoes its full parameter set, including seeds, so any
+run can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .arith import (
     factoring,
     multiplicative,
     omega_class_counts,
+    pseudomoment_leading_factor,
     pseudomoment_ratio_bounds,
     sieve_primes,
 )
@@ -39,10 +43,13 @@ from .bounds import (
     coeff_functional_exact,
     coeff_functional_prime_power,
     hl_comparisons,
+    hl_report,
 )
 from .dseries import (
     DirichletPolynomial,
+    GeneratorSpec,
     extremal_product,
+    generate,
     homogeneous_projection,
     partial_sum,
     zeta_partial,
@@ -77,6 +84,65 @@ class ExperimentRecord:
 
 def _ratio(value: float, normalizer: float) -> float:
     return value / normalizer if normalizer > 0 else math.nan
+
+
+def _sieved(table: PrimeTable | None, limit: int, what: str) -> PrimeTable:
+    """`table`, checked to cover `limit` (named by `what`), or a sieve of the limit and at least 1000;
+    a sieve takes at least a byte per index, so a limit past the memory cap is refused unsieved."""
+    if table is not None:
+        if limit > table.limit:
+            raise SieveLimitError(f"{what} exceeds sieve limit {table.limit}")
+        return table
+    if limit > memory_cap_bytes():
+        raise ResourceLimitError(f"{what} is beyond any sieve under the cap", memory_cap_bytes())
+    return sieve_primes(max(limit, 1000))
+
+
+def _polynomial(
+    f: DirichletPolynomial | GeneratorSpec, table: PrimeTable | None
+) -> tuple[DirichletPolynomial, PrimeTable]:
+    """`f`, or the polynomial its spec generates, with a prime table that covers it."""
+    if isinstance(f, GeneratorSpec):
+        table = _sieved(table, f.N, f"truncation {f.N}")
+        return generate(f, table), table
+    return f, _sieved(table, f.length, f"length {f.length}")
+
+
+def hardy_norm(
+    f: DirichletPolynomial | GeneratorSpec, p: float, method: str = "auto", samples: int = 20000,
+    seed: int | None = None, table: PrimeTable | None = None, workers: int = 1, report: bool = False,
+) -> ExperimentRecord:
+    """The H^p quasi-norm of `f`, a polynomial or the spec of a generated one.
+
+    method 'auto' takes the exact l2 route at p = 2, the exact even route at p = 2k and
+    Monte Carlo ('mc') otherwise; a route that does not fit p is a ValueError. `report`
+    attaches the weighted-inequality report of `hl_report`.
+    """
+    even = float(p / 2).is_integer()
+    if method == "auto":
+        method = "l2" if p == 2.0 else "even" if even else "mc"
+    if method == "l2" and p != 2.0:
+        raise ValueError("--method l2 requires --p 2")
+    if method == "even" and not even:
+        raise ValueError("--method even requires p = 2k for integer k")
+    if method not in ("l2", "even", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    poly, table = _polynomial(f, table)
+    if method == "l2":
+        est = l2_norm(poly)
+    elif method == "even":
+        est = even_norm_exact(poly, int(p / 2))
+    else:
+        est = mc_norm(poly, p, samples, seed, table, workers)
+    extra = {"length": poly.length, "support_size": len(poly)}
+    if report:
+        extra["hl_report"] = hl_report(poly, p, est, table).to_dict()
+    kind, N = (f.kind, f.N) if isinstance(f, GeneratorSpec) else (None, None)
+    params = {"p": p, "method": est.method, "samples": est.samples, "seed": est.seed,
+              "generator": kind, "N": N}
+    std_error = est.std_error if est.method == "monte_carlo" else None
+    return ExperimentRecord(experiment="norm", params=params, value=est.value, normalizer=1.0,
+                            ratio=est.value, std_error=std_error, extra=extra)
 
 
 def harmonic_number(N: int) -> float:
@@ -140,10 +206,10 @@ def pseudomoment(
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
     params = {"N": N, "k": k, "alpha": alpha, "method": method}
     extra = {}
     if method == "exact":
@@ -160,10 +226,7 @@ def pseudomoment(
     else:
         raise ValueError(f"unknown method {method!r}")
     if alpha != 1.0 or method == "mc":
-        if table is None:
-            table = sieve_primes(max(N, 2))
-        elif N > table.limit:
-            raise SieveLimitError(f"N={N} exceeds sieve limit {table.limit}")
+        table = _sieved(table, N, f"N={N}")
     if method == "exact":
         value, algorithm = _exact_pseudomoment(N, int(k), alpha, table)
         std_error = None
@@ -198,11 +261,11 @@ def pseudomoment_scan(
     samples: int | None = None,
     seed: int | None = None,
     workers: int = 1,
-) -> tuple[list[ExperimentRecord], float]:
-    """Pseudomoments over an increasing truncation grid plus the growth exponent.
+) -> list[ExperimentRecord]:
+    """Pseudomoments over an increasing truncation grid, closed by their growth exponent.
 
-    The returned slope is the least-squares slope of log Psi against
-    log log N; for k > 1/2 it estimates (k alpha)^2 at scale.
+    The last record, 'scan-slope', holds the least-squares slope of log Psi
+    against log log N; for k > 1/2 it estimates (k alpha)^2 at scale.
     """
     grid = [int(N) for N in N_grid]
     if len(grid) < 4:
@@ -220,7 +283,13 @@ def pseudomoment_scan(
     x = np.log(np.log(np.array(grid, dtype=float)))
     y = np.log(np.array([r.value for r in records]))
     slope = float(np.polyfit(x, y, 1)[0])
-    return records, slope
+    exponent = (k * alpha) ** 2
+    records.append(ExperimentRecord(
+        experiment="scan-slope",
+        params={"k": k, "alpha": alpha, "method": method, "grid": ",".join(map(str, grid)), "seed": seed},
+        value=slope, normalizer=exponent, ratio=slope / exponent, extra={"regressor": "log log N"},
+    ))
+    return records
 
 
 def pseudomoment_window_check(
@@ -267,6 +336,31 @@ def pseudomoment_window_check(
     )
 
 
+def pseudomoment_constants(
+    k: float, prime_limit: int = 100_000, leading_factor: bool = False, seed: int | None = None
+) -> list[ExperimentRecord]:
+    """The constants of `pseudomoment_ratio_bounds` and their ratio; with `leading_factor`, also
+    `pseudomoment_leading_factor` (integer k only). `seed` is only echoed in the params."""
+    upper, lower = pseudomoment_ratio_bounds(k, prime_limit)
+    params = {"k": k, "prime_limit": prime_limit, "seed": seed}
+    try:  # from k = 11 the lower constant underflows, but the ratio may be a finite double
+        ratio = upper.value / lower.value if lower.value else math.exp(upper.log_value - lower.log_value)
+    except OverflowError:
+        ratio = math.inf
+    records = [ExperimentRecord(
+        experiment="euler-const", params=params, value=upper.value, normalizer=lower.value, ratio=ratio,
+        extra={"upper_log": upper.log_value, "lower_log": lower.log_value,
+               "tail_bound_upper": upper.tail_bound, "tail_bound_lower": lower.tail_bound},
+    )]
+    if leading_factor:
+        ak = pseudomoment_leading_factor(k, prime_limit)
+        records.append(ExperimentRecord(
+            experiment="leading-factor", params=params, value=ak.value, normalizer=1.0, ratio=ak.value,
+            extra={"log_value": ak.log_value, "tail_bound": ak.tail_bound},
+        ))
+    return records
+
+
 def partial_sum_witness(
     p: float,
     k: int,
@@ -282,30 +376,15 @@ def partial_sum_witness(
     inequality max(|S_{M-1} f|_p^p, |S_M f|_p^p) >= C(1,p)^(pk) / 2; both
     truncation norms are estimated from one sample stream. Given no table, it
     sieves M itself; a primorial beyond any sieve the memory cap allows is a
-    ResourceLimitError.
+    ResourceLimitError, and one beyond a given table a SieveLimitError.
     """
     if not 0 < p < 1:
         raise ValueError(f"witness requires 0 < p < 1, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if table is None:
-        # a sieve takes at least a byte per index, and the 168 primes below 1000 multiply
-        # past any memory cap long before k reaches their count
-        M, cap = math.prod(sieve_primes(1000).primes[:k].tolist()), memory_cap_bytes()
-        if M > cap:
-            raise ResourceLimitError(
-                f"the primorial of the first {k} primes is beyond any sieve under the cap", cap
-            )
-        table = sieve_primes(max(M, 1000))
-    if k > table.prime_count:
-        raise ResourceLimitError(f"table has only {table.prime_count} primes", None)
-    M = 1
-    for j in range(1, k + 1):
-        M *= table.prime(j)
-        if M > table.limit:
-            raise ResourceLimitError(
-                f"primorial {M} exceeds sieve limit {table.limit}; re-sieve or lower k", None
-            )
+    # a table's primes multiply past its limit, and the 168 below 1000 past any memory cap
+    M = math.prod((sieve_primes(1000) if table is None else table).primes[:k].tolist())
+    table = _sieved(table, M, f"the primorial of the first {k} primes")
     f_M, tail_l2 = extremal_product(p, k, M, table)
     a_M = f_M.coeff(M)
     a_target = coeff_functional_exact(p) ** k
@@ -336,15 +415,16 @@ def partial_sum_witness(
 
 
 def partial_sum_ratio_probe(
-    f: DirichletPolynomial,
+    f: DirichletPolynomial | GeneratorSpec,
     N: int,
     p: float,
     samples: int,
     seed: int,
-    table: PrimeTable,
+    table: PrimeTable | None = None,
     workers: int = 1,
 ) -> ExperimentRecord:
-    """Monte Carlo ratio |S_N f|_p / |f|_p with a propagated relative error."""
+    """Monte Carlo ratio |S_N f|_p / |f|_p with a propagated relative error (f may be a spec)."""
+    f, table = _polynomial(f, table)
     est_f, est_s = mc_norm_many(f, [p], samples, seed, table, workers, [partial_sum(f, N)])
     if est_f.value == 0:
         raise ValueError("cannot form a ratio: the denominator norm vanished")
@@ -364,7 +444,7 @@ def partial_sum_ratio_probe(
     )
 
 
-def maximal_order_scan(X: int, p: float, table: PrimeTable) -> ExperimentRecord:
+def maximal_order_scan(X: int, p: float, table: PrimeTable | None = None) -> ExperimentRecord:
     """max over 2 <= n <= X of log C(n, p) / (log n / log log n), with the attaining n.
 
     C(n, p) is the multiplicative coefficient-functional bound. The square-free
@@ -373,10 +453,9 @@ def maximal_order_scan(X: int, p: float, table: PrimeTable) -> ExperimentRecord:
     """
     if X < 16:
         raise ValueError(f"X must be >= 16, got {X}")
-    if X > table.limit:
-        raise SieveLimitError(f"X={X} exceeds sieve limit {table.limit}")
     if not 0 < p < 1:
         raise ValueError(f"scan requires 0 < p < 1, got {p}")
+    table = _sieved(table, X, f"X={X}")
     log_c1 = math.log(coeff_functional_exact(p))
     log_cnp = multiplicative(
         np.arange(2, X + 1), table, lambda e: math.log(coeff_functional_prime_power(e, p)), np.add
@@ -409,7 +488,7 @@ def maximal_order_scan(X: int, p: float, table: PrimeTable) -> ExperimentRecord:
     )
 
 
-def omega_concentration(x: int, C: float, table: PrimeTable) -> ExperimentRecord:
+def omega_concentration(x: int, C: float, table: PrimeTable | None = None) -> ExperimentRecord:
     """The prime-factor-count histogram and the mass outside the concentration window.
 
     The window is log log x +- C sqrt(log log x * log log log x); the outside
@@ -418,9 +497,9 @@ def omega_concentration(x: int, C: float, table: PrimeTable) -> ExperimentRecord
     """
     if x < 16:
         raise ValueError(f"x must be >= 16 so the triple logarithm is positive, got {x}")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
-    counts = omega_class_counts(x, table)
+    if not 0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
+    counts = omega_class_counts(x, _sieved(table, x, f"x={x}"))
     ll = math.log(math.log(x))
     half_width = C * math.sqrt(ll * math.log(ll))
     lo, hi = ll - half_width, ll + half_width
@@ -450,7 +529,7 @@ def homogeneous_energy(
     p: float,
     samples: int,
     seed: int,
-    table: PrimeTable,
+    table: PrimeTable | None = None,
     workers: int = 1,
 ) -> list[ExperimentRecord]:
     """Energy of the homogeneous layers of the dyadic block D = sum_{N/2 < n <= N} d_alpha(n) alpha^(-Omega(n)) n^(-1/2-s).
@@ -461,10 +540,9 @@ def homogeneous_energy(
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if N > table.limit:
-        raise SieveLimitError(f"N={N} exceeds sieve limit {table.limit}")
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+    table = _sieved(table, N, f"N={N}")
     ns = np.arange(N // 2 + 1, N + 1)
     d = divisor_values(ns, alpha, table).tolist()
     big_omega = multiplicative(ns, table, lambda e: e, np.add).tolist()
@@ -551,7 +629,7 @@ def random_disc(rng: np.random.Generator, max_degree: int) -> DiscPolynomial:
     return DiscPolynomial(values)
 
 
-def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
+def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> FuzzResult:
     """Run the selected inequality checks over a seeded random corpus.
 
     Each (case, inequality, p) yields one record with the two compared sides,
@@ -559,11 +637,11 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
     violation, and violations carry a full reproducer (case seed and polynomial
     JSON). A case draws a disc polynomial g, then a Dirichlet polynomial f.
     The disc checks are the Hardy-Littlewood checks of `hl_comparisons` on the
-    lift sum g_j 2^(-js) against g's quadrature norms, so the table must cover
-    2^max_degree and `nodes` must be at least 4 (max_degree + 1), both checked
-    before the first case; the Dirichlet checks run on f against its Monte Carlo
-    norms. Every comparison is judged with the slack of `hl_report`. A case's
-    disc records come first, then its Dirichlet records, each side in ascending p.
+    lift sum g_j 2^(-js) against g's quadrature norms, so the table (sieved when not given)
+    must cover max_index and 2^max_degree, and `nodes` must be at least 4 (max_degree + 1),
+    both checked before the first case; the Dirichlet checks run on f against its Monte Carlo
+    norms. Every comparison is judged with the slack of `hl_report`. A case's disc records come
+    first, then its Dirichlet records, each side in ascending p; 'fuzz-summary' closes the list.
 
     What does not depend on p is done once per case: one evaluation of |g| on the
     circle nodes serves every p (`disc_norm_many`), one Monte Carlo pass serves
@@ -575,13 +653,15 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
         raise ValueError(f"unknown inequalities: {sorted(unknown)}")
     if config.corpus < 0:
         raise ValueError(f"corpus must be nonnegative, got {config.corpus}")
+    if not all(0 < p < math.inf for p in config.p_values):
+        raise ValueError(f"every p must be positive and finite, got {list(config.p_values)}")
     # the selected checks of each side, keyed by their name in `hl_comparisons`
     disc_checks = {DISC_INEQUALITIES[iq]: iq for iq in config.inequalities if iq in DISC_INEQUALITIES}
     dirich_checks = {iq: iq for iq in config.inequalities if iq in DIRICHLET_INEQUALITIES}
-    if disc_checks and 2**config.max_degree > table.limit:
-        raise SieveLimitError(
-            f"disc degree {config.max_degree} lifts to 2^{config.max_degree}, beyond sieve limit {table.limit}"
-        )
+    # past the cap's bit length every disc lift is beyond any sieve the cap allows
+    lift = 2 ** min(config.max_degree, memory_cap_bytes().bit_length()) if disc_checks else 1
+    what = f"max index {config.max_index}" + (f" or disc lift 2^{config.max_degree}" if disc_checks else "")
+    table = _sieved(table, max(config.max_index, lift), what)
     if disc_checks and config.nodes < 4 * (config.max_degree + 1):
         raise ValueError(f"need at least {4 * (config.max_degree + 1)} nodes for disc degree "
                          f"{config.max_degree}, got {config.nodes}")
@@ -643,4 +723,13 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable) -> FuzzResult:
                     classify(l2_norm(poly).value / max_sqrt_d, est.power_mean, slack,
                              "divisor-chain", 1.0, case, repro, est.std_error)
 
+    count = summary["violation"]
+    records.append(ExperimentRecord(
+        experiment="fuzz-summary",
+        params={"seed": config.seed, "samples": config.samples, "method": "summary"},
+        value=float(count), normalizer=float(config.corpus),
+        ratio=count / config.corpus if config.corpus else 0.0,
+        extra={"summary": summary, "violations": violations,
+               "inequalities": list(config.inequalities), "p_values": list(config.p_values)},
+    ))
     return FuzzResult(summary=summary, records=records, violations=violations)

@@ -279,8 +279,8 @@ def mc_norm_many(
     """
     ps = [float(p) for p in ps]
     for p in ps:
-        if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _lift_plan(f, table, *parts)
@@ -415,8 +415,8 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     """
     ps = [float(p) for p in ps]
     for p in ps:
-        if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p}")
     if nodes < 4 * (f.degree + 1):
         raise ValueError(f"need at least {4 * (f.degree + 1)} nodes for degree {f.degree}")
     # the nodes, Horner's temporaries in `polyval` and |f|: traced at 64 bytes per node for

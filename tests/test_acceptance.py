@@ -97,7 +97,7 @@ def test_criterion_3_asymptotic_constants_k1():
 def test_criterion_4_growth_exponent():
     start = time.monotonic()
     grid = [100, 316, 1000, 3162, 10000]
-    _, slope = pseudomoment_scan(2, 1.0, grid, "exact")
+    slope = pseudomoment_scan(2, 1.0, grid, "exact")[-1].value
     elapsed = time.monotonic() - start
     ok = 2.5 <= slope <= 5.0 and elapsed < 600
     _report(4, "fourth-moment growth exponent in [2.5, 5]", ok, f"(slope={slope:.3f}, {elapsed:.1f}s)")

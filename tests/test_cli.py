@@ -56,10 +56,36 @@ class TestParse:
         "fuzz --corpus -1",
         "fuzz --nodes 33 --corpus 3 --samples 2000",  # degree 8 needs 36, whether or not it is drawn
         "hl-check --p 1 --corpus -3",
+        "norm --p 3 --method l2 --generator zeta --N 10",
+        "norm --p 3 --method even --generator zeta --N 10",
+        "euler-const --k 2.5 --leading-factor",
+        "fuzz --p-grid nan --corpus 1",
+        "fuzz --p-grid 0.5,inf --corpus 0",
     ])
     def test_library_checks_exit_2(self, argv, capsys):
         assert main(argv.split() + ["--seed", "1"]) == 2
         assert "invalid arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "norm --p nan --generator zeta --N 10",
+        "norm --p inf --generator zeta --N 10",
+        "pseudomoment --N 10 --k nan --method mc",
+        "pseudomoment --N 10 --k 2 --alpha inf",
+        "omega-hist --x 100 --C inf",
+        "euler-const --k inf",
+        "scan --k 1 --grid 3,4,5,1e400",
+        "scan --k 1 --grid 3.9,4,5,6",
+        "scan --k 1 --grid 3,4,nan,6",
+    ])
+    def test_non_finite_values_exit_2(self, argv, capsys):
+        assert main(argv.split() + ["--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
+    def test_grid_takes_integral_numbers(self):
+        doc, _ = execute(parse(["scan", "--k", "1", "--grid", "1e2,316,1000,3162.0", "--seed", "1"]))
+        assert [r["params"]["N"] for r in doc.records[:-1]] == [100, 316, 1000, 3162]
+        assert doc.command[doc.command.index("--grid") + 1] == "100,316,1000,3162"
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"

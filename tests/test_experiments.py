@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from oracle import d_alpha
 from dirichlet_hardy import arith, experiments, norms
 from dirichlet_hardy.arith import sieve_primes
 from dirichlet_hardy.bounds import HL_INEQUALITIES, hl_report
-from dirichlet_hardy.dseries import euler_factor_power, zeta_partial
+from dirichlet_hardy.dseries import GeneratorSpec, euler_factor_power, zeta_partial
 from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
 from dirichlet_hardy.experiments import (
     FuzzConfig,
+    hardy_norm,
     harmonic_number,
     hl_fuzz_suite,
     homogeneous_energy,
@@ -19,6 +21,7 @@ from dirichlet_hardy.experiments import (
     partial_sum_ratio_probe,
     partial_sum_witness,
     pseudomoment,
+    pseudomoment_constants,
     pseudomoment_scan,
     pseudomoment_window_check,
     random_dirichlet,
@@ -72,6 +75,13 @@ class TestPseudomoment:
         with pytest.raises(ValueError):
             pseudomoment(10, 1.5, 1.0, "exact")
 
+    @pytest.mark.parametrize("k, alpha, method", [
+        (math.nan, 1.0, "mc"), (math.inf, 1.0, "exact"), (2, math.inf, "exact"), (2, math.nan, "mc"),
+    ])
+    def test_rejects_non_finite_k_and_alpha(self, k, alpha, method):
+        with pytest.raises(ValueError, match="finite"):
+            pseudomoment(10, k, alpha, method, samples=100, seed=1)
+
     def test_rejects_missing_mc_params(self, table_2k):
         with pytest.raises(ValueError):
             pseudomoment(10, 1.5, 1.0, "mc", table_2k)
@@ -102,13 +112,23 @@ class TestPseudomoment:
 
 class TestScan:
     def test_k1_slope(self):
-        _, slope = pseudomoment_scan(1, 1.0, [100, 1000, 10_000, 100_000], "exact")
+        slope = pseudomoment_scan(1, 1.0, [100, 1000, 10_000, 100_000], "exact")[-1].value
         assert 0.9 <= slope <= 1.1
 
     def test_k2_slope_window(self):
-        recs, slope = pseudomoment_scan(2, 1.0, [100, 316, 1000, 3162], "exact")
-        assert 2.5 <= slope <= 5.0
+        *recs, slope = pseudomoment_scan(2, 1.0, [100, 316, 1000, 3162], "exact")
+        assert 2.5 <= slope.value <= 5.0
         assert len(recs) == 4
+
+    def test_slope_record_closes_the_scan(self):
+        # the slope is the least-squares fit of log Psi against log log N, echoing the grid
+        *recs, slope = pseudomoment_scan(1.5, 2.0, [10, 20, 40, 80], "mc", samples=2000, seed=2)
+        assert [r.params["seed"] for r in recs] == [2, 3, 4, 5]
+        x = np.log(np.log([10, 20, 40, 80]))
+        fit = np.polyfit(x, np.log([r.value for r in recs]), 1)[0]
+        assert slope.experiment == "scan-slope" and slope.value == float(fit)
+        assert slope.params == {"k": 1.5, "alpha": 2.0, "method": "mc", "grid": "10,20,40,80", "seed": 2}
+        assert slope.normalizer == 9.0 and slope.ratio == slope.value / 9.0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -155,8 +175,9 @@ class TestPartialSumWitness:
         assert rec.normalizer == pytest.approx(1.29904**0.5 / 2, abs=1e-4)
 
     def test_primorial_too_large(self, table_2k):
-        with pytest.raises(ResourceLimitError):
-            partial_sum_witness(0.5, 6, 100, 1, table_2k)  # 2*3*5*7*11*13 = 30030 > 2000
+        # 2*3*5*7*11*13 = 30030 > 2000: the given table cannot cover the primorial
+        with pytest.raises(SieveLimitError, match="primorial of the first 6 primes"):
+            partial_sum_witness(0.5, 6, 100, 1, table_2k)
 
     def test_rejects_p_out_of_range(self, table_2k):
         with pytest.raises(ValueError):
@@ -192,12 +213,57 @@ class TestRatioProbe:
         rec = partial_sum_ratio_probe(f, 10, 1.0, 20_000, 5, table_2k)
         assert 0 < rec.ratio <= 1 + 5 * rec.std_error
         assert rec.extra["ratio_rel_error"] > 0
+        # given a spec and no table, the probe generates f on a table it sieves itself
+        spec = GeneratorSpec(kind="euler-power", N=50, alpha=1.0, prime_bound=7)
+        assert partial_sum_ratio_probe(spec, 10, 1.0, 20_000, 5) == rec
+
+
+class TestNormRoute:
+    @pytest.mark.parametrize("p, method", [(2.0, "exact_l2"), (4.0, "exact_even"), (6.0, "exact_even"),
+                                           (1.5, "monte_carlo"), (3.0, "monte_carlo")])
+    def test_auto_route(self, p, method):
+        rec = hardy_norm(zeta_partial(20), p, samples=2000, seed=3)
+        assert rec.experiment == "norm" and rec.params["method"] == method
+        assert (rec.std_error is None) == (method != "monte_carlo")
+
+    @pytest.mark.parametrize("p, method", [(3.0, "l2"), (4.0, "l2"), (3.0, "even"), (1.5, "even"),
+                                           (2.0, "simpson")])
+    def test_route_that_does_not_fit_p(self, p, method):
+        with pytest.raises(ValueError):
+            hardy_norm(zeta_partial(20), p, method, samples=2000, seed=3)
+
+    def test_explicit_routes_agree(self, table_2k):
+        f = zeta_partial(20)
+        exact = hardy_norm(f, 4.0, "even").value
+        assert exact == even_norm_exact(f, 2).value
+        assert hardy_norm(f, 2.0, "l2").value == hardy_norm(f, 2.0, "even").value == l2_norm(f).value
+        mc = hardy_norm(f, 4.0, "mc", samples=20_000, seed=5, table=table_2k)
+        assert abs(mc.value - exact) <= 4 * mc.std_error
+
+    def test_spec_and_report(self, table_2k):
+        spec = GeneratorSpec(kind="zeta-power", N=60, alpha=1.5)
+        rec = hardy_norm(spec, 1.5, samples=2000, seed=3, report=True)
+        assert (rec.params["generator"], rec.params["N"]) == ("zeta-power", 60)
+        assert rec == hardy_norm(spec, 1.5, samples=2000, seed=3, table=table_2k, report=True)
+        assert rec.extra["hl_report"]["verdict"] == "consistent"
+        assert hardy_norm(zeta_partial(20), 2.0).params["generator"] is None
+
+
+def test_pseudomoment_constants():
+    euler, lead = pseudomoment_constants(2, 5000, leading_factor=True, seed=7)
+    upper, lower = arith.pseudomoment_ratio_bounds(2, 5000)
+    assert (euler.value, euler.normalizer, euler.ratio) == (upper.value, lower.value, upper.value / lower.value)
+    assert euler.params == lead.params == {"k": 2, "prime_limit": 5000, "seed": 7}
+    assert lead.value == arith.pseudomoment_leading_factor(2, 5000).value
+    with pytest.raises(ValueError):
+        pseudomoment_constants(2.5, 5000, leading_factor=True)
 
 
 class TestMaximalOrder:
     def test_smoke_minimal(self, table_2k):
         rec = maximal_order_scan(16, 0.5, table_2k)
         assert rec.value > 0
+        assert maximal_order_scan(16, 0.5) == rec  # sieves its own table
 
     def test_dominates_primorial_floor(self, table_20k):
         rec = maximal_order_scan(10_000, 0.5, table_20k)
@@ -225,8 +291,12 @@ class TestOmegaConcentration:
     def test_small_x_guard(self, table_2k):
         with pytest.raises(ValueError):
             omega_concentration(15, 2.0, table_2k)
+        for C in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="C must be positive and finite"):
+                omega_concentration(100, C, table_2k)
         rec = omega_concentration(16, 2.0, table_2k)
         assert rec.extra["total"] == 16
+        assert omega_concentration(16, 2.0) == rec  # sieves its own table
 
     def test_mode_at_scale(self, table_1m):
         rec = omega_concentration(10**6, 2.0, table_1m)
@@ -242,6 +312,7 @@ class TestHomogeneousEnergy:
         block = math.fsum(1 / n for n in range(51, 101))
         # p = 2 Monte Carlo is close to exact l2 for each layer, so compare loosely
         assert total == pytest.approx(block, rel=0.05)
+        assert homogeneous_energy(100, 1.0, 2.0, 5_000, 1) == recs  # sieves its own table
 
     def test_projection_bound_holds(self, table_2k):
         for p in (0.5, 2 / 3):
@@ -288,7 +359,21 @@ class TestFuzzSuite:
     def test_empty_corpus(self, table_2k):
         res = hl_fuzz_suite(FuzzConfig(corpus=0), table_2k)
         assert res.summary == {"pass": 0, "pass-within-slack": 0, "violation": 0}
-        assert res.records == []
+        assert [r.experiment for r in res.records] == ["fuzz-summary"]
+        assert (res.records[0].value, res.records[0].normalizer, res.records[0].ratio) == (0.0, 0.0, 0.0)
+
+    def test_summary_record_closes_the_run(self, table_2k):
+        config = FuzzConfig(corpus=3, seed=1, samples=2000, invert=True)
+        res = hl_fuzz_suite(config, table_2k)
+        *cases, summary = res.records
+        assert all(r.experiment.startswith("fuzz:") for r in cases)
+        assert summary.experiment == "fuzz-summary"
+        assert summary.params == {"seed": 1, "samples": 2000, "method": "summary"}
+        assert summary.value == res.summary["violation"] == len(res.violations) > 0
+        assert summary.ratio == summary.value / 3
+        assert summary.extra == {"summary": res.summary, "violations": res.violations,
+                                 "inequalities": list(config.inequalities),
+                                 "p_values": list(config.p_values)}
 
     def test_unknown_inequality(self, table_2k):
         with pytest.raises(ValueError):
@@ -297,6 +382,12 @@ class TestFuzzSuite:
     def test_negative_corpus(self, table_2k):
         with pytest.raises(ValueError):
             hl_fuzz_suite(FuzzConfig(corpus=-1), table_2k)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+    def test_p_must_be_positive_and_finite(self, p, table_2k):
+        # refused before the first case, so an empty corpus is refused too
+        with pytest.raises(ValueError, match="positive and finite"):
+            hl_fuzz_suite(FuzzConfig(p_values=(1.0, p), corpus=0), table_2k)
 
     def test_constant_polynomial_clean(self, table_2k):
         # support 1 and max index 1 force f = {1: c}, and max degree 0 forces every disc
@@ -312,7 +403,7 @@ class TestFuzzSuite:
         config = FuzzConfig(inequalities=(*HL_INEQUALITIES, "divisor-chain"), corpus=300,
                             max_support=1, max_index=1, seed=4, samples=2000)
         res = hl_fuzz_suite(config, table_2k)
-        flagged = {(r.params["case"], r.params["p"]) for r in res.records
+        flagged = {(r.params["case"], r.params["p"]) for r in res.records[:-1]
                    if r.extra["verdict"] == "violation" and r.experiment != "fuzz:divisor-chain"}
         for case in range(config.corpus):
             # with no disc checks the case's generator draws f first; f = {1: c} uses no
@@ -328,7 +419,7 @@ class TestFuzzSuite:
         config = FuzzConfig(corpus=3, seed=2, samples=2000)
         res = hl_fuzz_suite(config, table_2k)
         for case in range(config.corpus):
-            records = [r for r in res.records if r.params["case"] == case]
+            records = [r for r in res.records[:-1] if r.params["case"] == case]
             assert len(records) == 14
             for disc, count in ((True, 5), (False, 9)):
                 ps = [r.params["p"] for r in records if r.experiment.startswith("fuzz:disc") == disc]
@@ -338,6 +429,14 @@ class TestFuzzSuite:
         # the disc checks lift degree 12 to the index 2^12
         with pytest.raises(SieveLimitError):
             hl_fuzz_suite(FuzzConfig(max_degree=12), sieve_primes(1000))
+
+    def test_sieves_the_disc_lift_itself(self):
+        # given no table, the suite sieves 2^12 = 4096 for the disc lift of degree 12
+        config = FuzzConfig(max_degree=12, corpus=2, seed=3, samples=2000)
+        per_case = Counter(r.params["case"] for r in hl_fuzz_suite(config).records[:-1])
+        assert per_case == {0: 14, 1: 14}
+        config = FuzzConfig(max_degree=10, corpus=2, seed=3, samples=2000)
+        assert hl_fuzz_suite(config).records == hl_fuzz_suite(config, sieve_primes(1024)).records
 
     @pytest.mark.parametrize("seed", range(4))
     def test_too_few_nodes_refused_before_the_first_case(self, seed, table_2k, monkeypatch):
@@ -349,14 +448,14 @@ class TestFuzzSuite:
         assert not drawn
         # without a disc check the node count is not used
         config = FuzzConfig(inequalities=("hl-upper",), corpus=1, seed=seed, samples=2000, nodes=33)
-        assert len(hl_fuzz_suite(config, table_2k).records) == 2
+        assert len(hl_fuzz_suite(config, table_2k).records[:-1]) == 2
 
     def test_golden_records(self, table_2k):
         # float.hex of (value, normalizer) per record, from one evaluation of g per case and one
         # factoring per support; the same bits as a disc_norm per p and a factoring per weight
         res = hl_fuzz_suite(FuzzConfig(corpus=2, seed=3, samples=2000), table_2k)
         assert [(r.experiment.removeprefix("fuzz:"), r.params["case"], r.params["p"],
-                 r.value.hex(), r.normalizer.hex()) for r in res.records] == [
+                 r.value.hex(), r.normalizer.hex()) for r in res.records[:-1]] == [
             ("disc-lower", 0, 0.5, "0x1.06f058569ff9ap+1", "0x1.1085ac3d37c22p+1"),
             ("disc-lower", 0, 1.0, "0x1.17231739b3553p+2", "0x1.2e2e9de66d014p+2"),
             ("disc-lower", 0, 1.3333333333333333, "0x1.c585d7ade9a02p+2", "0x1.05adc3ae0f4bdp+3"),

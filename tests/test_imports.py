@@ -66,3 +66,19 @@ def test_no_dead_public_code(path):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert public <= exported | used, public - exported - used
+
+
+def test_cli_only_parses_dispatches_and_renders():
+    # the CLI reaches the library through `experiments` (routes, tables, records), `dseries`
+    # (its input types), `report` and `errors`; it builds no record itself
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    allowed = {("experiments", None), ("dseries", None), ("report", None), ("errors", None),
+               (None, "__version__")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                assert (node.module, None) in allowed or (node.module, alias.name) in allowed, alias.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # absolute: the standard library only
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert not any(m.startswith("dirichlet_hardy") for m in modules), modules
+    assert "ExperimentRecord" not in set(used_names(tree))

@@ -163,6 +163,9 @@ class TestMonteCarlo:
             mc_norm(f, 0.0, 100, 1, table_2k)
         with pytest.raises(ValueError):
             mc_norm(f, 2.0, 1, 1, table_2k)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mc_norm_many(f, [1.0, p], 100, 1, table_2k)
 
     def test_std_error_centred(self, table_2k):
         # |F| = |1e8 + z|: |F|^p is nearly constant, so sumsq - n*mean^2 cancels to nothing
@@ -480,7 +483,8 @@ class TestDiscNorm:
     def test_many_of_no_p(self):
         assert disc_norm_many(DiscPolynomial(np.array([1.0, 2.0])), []) == []
 
-    @pytest.mark.parametrize("ps, nodes", [([1.0, 0.0], 4096), ([2.0, 3.0, -1.0], 4096), ([1.0], 35)])
+    @pytest.mark.parametrize("ps, nodes", [([1.0, 0.0], 4096), ([2.0, 3.0, -1.0], 4096), ([1.0], 35),
+                                           ([math.nan], 4096), ([1.0, math.inf], 4096)])
     def test_many_checks_before_evaluating(self, ps, nodes, monkeypatch):
         def evaluate(self, z):
             raise AssertionError("evaluated before the arguments were checked")
