@@ -188,6 +188,11 @@ def parse(argv: list[str]) -> Command:
             raise UsageError("norm needs exactly one of --input or --generator")
         if args.generator and not args.N:
             raise UsageError("--generator requires --N")
+        generator_flags = [name for name in ("N", "alpha", "beta", "gen_p", "prime_bound", "prime_count")
+                           if getattr(args, name) is not None]
+        if args.input and generator_flags:
+            raise UsageError("--input takes no generator flags, got "
+                             + ", ".join("--" + name.replace("_", "-") for name in generator_flags))
     if args.subcommand == "partial-sum":
         if args.mode == "witness" and not args.k:
             raise UsageError("witness mode requires --k")
@@ -231,8 +236,8 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
                 p_values=tuple(float(s) for s in args.p_grid.split(",") if s),
                 max_degree=args.max_degree, nodes=args.nodes, invert=args.invert, **corpus,
             )
-        result = hl_fuzz_suite(config)
-        records, violations = result.records, result.summary["violation"]
+        records = hl_fuzz_suite(config)
+        violations = records[-1].extra["summary"]["violation"]
         if violations:
             exit_code = 1
             warnings.append(f"{violations} violation(s) beyond slack")

@@ -1,10 +1,11 @@
 """Desk-scale studies: pseudomoments, partial-sum probes, coefficient scans, and fuzzing.
 
 The pseudomoment of order k at truncation N is the 2k-th power of the 2k-th
-quasi-norm of Z_N = sum_{n<=N} n^(-1/2-s) (or of its d_alpha-weighted variant).
-Exact evaluation uses the l2 route at k=1, a coprime-parametrization identity
-at (k=2, alpha=1) that avoids materializing the convolution square, and sparse
-convolution otherwise. Monte Carlo covers non-integer k.
+quasi-norm of the d_alpha-weighted partial sum sum_{n<=N} d_alpha(n) n^(-1/2-s),
+which is Z_N at alpha = 1. Exact evaluation uses the l2 route at k=1 for every
+alpha, a coprime-parametrization identity at (k=2, alpha=1) that avoids
+materializing the convolution square, and sparse convolution otherwise. Monte
+Carlo covers non-integer k.
 
 The fuzz suite checks the weighted inequalities of `bounds` on two kinds of
 random polynomial. A disc polynomial g(z) = sum g_j z^j is the Dirichlet
@@ -13,10 +14,11 @@ norm, so its checks are the same Hardy-Littlewood checks, with the same slack,
 against a quadrature norm in place of a Monte Carlo one.
 
 Each entry is one `dhardy` subcommand's whole computation: it picks the route,
-sieves the prime table it needs when given none (the limit, and at least 1000),
-and returns finished records, the closing 'scan-slope' and 'fuzz-summary' ones
-included. Every record echoes its full parameter set, including seeds, so any
-run can be replayed exactly.
+sieves one prime table when given none (its largest limit, and at least 1000;
+`_sieved` is the one rule that sizes a table), passes that table to every route
+and Euler product it runs, and returns finished records, the closing
+'scan-slope' and 'fuzz-summary' ones included. Every record echoes its full
+parameter set, including seeds, so any run can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .dseries import (
     generate,
     homogeneous_projection,
     partial_sum,
-    zeta_partial,
     zeta_power_partial,
 )
 from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
@@ -145,12 +146,7 @@ def hardy_norm(
                             ratio=est.value, std_error=std_error, extra=extra)
 
 
-def harmonic_number(N: int) -> float:
-    """H_N by exact (fsum) accumulation."""
-    return math.fsum(1.0 / n for n in range(1, N + 1))
-
-
-def _pair_correlation_moment(N: int) -> float:
+def _pair_correlation_moment(N: int, table: PrimeTable) -> float:
     """Exact fourth pseudomoment of Z_N via the coprime parametrization of ab = cd.
 
     Solutions of ab = cd with all four factors at most N biject with
@@ -161,7 +157,7 @@ def _pair_correlation_moment(N: int) -> float:
     H = np.zeros(N + 1)
     H[1:] = np.cumsum(1.0 / np.arange(1, N + 1))
     mu = np.zeros(N + 1, dtype=np.int64)
-    mu[1:] = multiplicative(np.arange(1, N + 1), sieve_primes(N), lambda e: -1 if e == 1 else 0)
+    mu[1:] = multiplicative(np.arange(1, N + 1), table, lambda e: -1 if e == 1 else 0)
     # T[m] = sum over v <= m coprime to m of 1/v, by Moebius over common divisors
     T = np.zeros(N + 1)
     for d in range(1, N + 1):
@@ -176,16 +172,12 @@ def _pair_correlation_moment(N: int) -> float:
 
 def _exact_pseudomoment(N: int, k: int, alpha: float, table: PrimeTable) -> tuple[float, str]:
     """Psi_{k,alpha}(N) by the cheapest exact route; returns (value, algorithm tag)."""
-    if k == 1:
-        if alpha == 1.0:
-            return harmonic_number(N), "harmonic"
+    if k == 1:  # d_1 is exactly 1.0, so at alpha = 1 this is the harmonic number H_N
         d = divisor_values(np.arange(1, N + 1), alpha, table)
         return math.fsum(d * d / np.arange(1, N + 1)), "l2"
     if k == 2 and alpha == 1.0:
-        return _pair_correlation_moment(N), "pair-correlation"
-    f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table)
-    est = even_norm_exact(f, k)
-    return est.power_mean, "convolution"
+        return _pair_correlation_moment(N, table), "pair-correlation"
+    return even_norm_exact(zeta_power_partial(N, alpha, table), k).power_mean, "convolution"
 
 
 def pseudomoment(
@@ -200,9 +192,11 @@ def pseudomoment(
 ) -> ExperimentRecord:
     """Psi_{k,alpha}(N) with normalizer (log N)^(k^2 alpha^2), inf where that overflows.
 
-    method 'exact' requires integer k; 'mc' requires samples and seed. The
-    routes that factor (alpha != 1, or Monte Carlo) sieve N themselves when
-    given no table; a table that is given must cover N.
+    method 'exact' requires integer k: the l2 route at k = 1, the coprime
+    parametrization at (k = 2, alpha = 1) and the convolution power of
+    Z_N's d_alpha-weighted variant otherwise; 'mc' requires samples and seed.
+    Every route reads one prime table, sieved from N when not given; a table
+    that is given must cover N.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -215,25 +209,18 @@ def pseudomoment(
     if method == "exact":
         if int(k) != k:
             raise ValueError(f"exact pseudomoments need integer k, got {k}")
-        if N == 1:
-            return ExperimentRecord(
-                experiment="pseudomoment", params=params, value=1.0, normalizer=0.0,
-                ratio=math.nan, std_error=None, extra={"algorithm": "trivial"},
-            )
     elif method == "mc":
         if samples is None or seed is None:
             raise ValueError("mc route requires samples and seed")
     else:
         raise ValueError(f"unknown method {method!r}")
-    if alpha != 1.0 or method == "mc":
-        table = _sieved(table, N, f"N={N}")
+    table = _sieved(table, N, f"N={N}")
     if method == "exact":
         value, algorithm = _exact_pseudomoment(N, int(k), alpha, table)
         std_error = None
         extra["algorithm"] = algorithm
     else:
-        f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table)
-        est = mc_norm(f, 2 * k, samples, seed, table, workers)
+        est = mc_norm(zeta_power_partial(N, alpha, table), 2 * k, samples, seed, table, workers)
         value = est.power_mean
         std_error = est.std_error
         params.update({"samples": samples, "seed": seed})
@@ -264,7 +251,8 @@ def pseudomoment_scan(
 ) -> list[ExperimentRecord]:
     """Pseudomoments over an increasing truncation grid, closed by their growth exponent.
 
-    The last record, 'scan-slope', holds the least-squares slope of log Psi
+    One table, sieved from the largest grid point when not given, serves every
+    point. The last record, 'scan-slope', holds the least-squares slope of log Psi
     against log log N; for k > 1/2 it estimates (k alpha)^2 at scale.
     """
     grid = [int(N) for N in N_grid]
@@ -274,6 +262,7 @@ def pseudomoment_scan(
         raise ValueError("grid must be strictly increasing")
     if grid[0] < 3:
         raise ValueError("grid points must be >= 3 so that log log N is positive")
+    table = _sieved(table, grid[-1], f"N={grid[-1]}")
     records = []
     for i, N in enumerate(grid):
         case_seed = None if seed is None else seed + i
@@ -304,10 +293,13 @@ def pseudomoment_window_check(
     """Compare Psi_k(N)/(log N)^(k^2) against the asymptotic constants.
 
     The constants bound the limit, not finite-N ratios; only an
-    order-of-magnitude escape (outside [lower/10, upper*10]) is flagged.
+    order-of-magnitude escape (outside [lower/10, upper*10]) is flagged. Given
+    no table, it sieves one that covers both N and prime_limit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if table is None:
+        table = _sieved(None, max(N, prime_limit), f"N={N} or prime_limit={prime_limit}")
     method = "exact" if float(k).is_integer() else "mc"
     rec = pseudomoment(N, k, 1.0, method, table, samples=samples, seed=seed, workers=workers)
     upper, lower = pseudomoment_ratio_bounds(k, prime_limit, table=table)
@@ -340,8 +332,10 @@ def pseudomoment_constants(
     k: float, prime_limit: int = 100_000, leading_factor: bool = False, seed: int | None = None
 ) -> list[ExperimentRecord]:
     """The constants of `pseudomoment_ratio_bounds` and their ratio; with `leading_factor`, also
-    `pseudomoment_leading_factor` (integer k only). `seed` is only echoed in the params."""
-    upper, lower = pseudomoment_ratio_bounds(k, prime_limit)
+    `pseudomoment_leading_factor` (integer k only), both over one table of prime_limit. `seed` is
+    only echoed in the params."""
+    table = _sieved(None, prime_limit, f"prime_limit={prime_limit}")
+    upper, lower = pseudomoment_ratio_bounds(k, prime_limit, table)
     params = {"k": k, "prime_limit": prime_limit, "seed": seed}
     try:  # from k = 11 the lower constant underflows, but the ratio may be a finite double
         ratio = upper.value / lower.value if lower.value else math.exp(upper.log_value - lower.log_value)
@@ -353,7 +347,7 @@ def pseudomoment_constants(
                "tail_bound_upper": upper.tail_bound, "tail_bound_lower": lower.tail_bound},
     )]
     if leading_factor:
-        ak = pseudomoment_leading_factor(k, prime_limit)
+        ak = pseudomoment_leading_factor(k, prime_limit, table)
         records.append(ExperimentRecord(
             experiment="leading-factor", params=params, value=ak.value, normalizer=1.0, ratio=ak.value,
             extra={"log_value": ak.log_value, "tail_bound": ak.tail_bound},
@@ -375,16 +369,19 @@ def partial_sum_witness(
     primorial M. Its coefficient at M is C(1,p)^k exactly, so by the p-triangle
     inequality max(|S_{M-1} f|_p^p, |S_M f|_p^p) >= C(1,p)^(pk) / 2; both
     truncation norms are estimated from one sample stream. Given no table, it
-    sieves M itself; a primorial beyond any sieve the memory cap allows is a
+    sieves 1000 for the first primes, and M itself only when that table does not
+    cover M; a primorial beyond any sieve the memory cap allows is a
     ResourceLimitError, and one beyond a given table a SieveLimitError.
     """
     if not 0 < p < 1:
         raise ValueError(f"witness requires 0 < p < 1, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # a table's primes multiply past its limit, and the 168 below 1000 past any memory cap
-    M = math.prod((sieve_primes(1000) if table is None else table).primes[:k].tolist())
-    table = _sieved(table, M, f"the primorial of the first {k} primes")
+    # the given table, or a sieve of 1000: a table's primes multiply past its limit, and
+    # the 168 below 1000 past any memory cap
+    first = _sieved(table, 1, "the first primes")
+    M = math.prod(first.primes[:k].tolist())
+    table = first if M <= first.limit else _sieved(table, M, f"the primorial of the first {k} primes")
     f_M, tail_l2 = extremal_product(p, k, M, table)
     a_M = f_M.coeff(M)
     a_target = coeff_functional_exact(p) ** k
@@ -601,13 +598,6 @@ class FuzzConfig:
     workers: int = 1
 
 
-@dataclass
-class FuzzResult:
-    summary: dict
-    records: list[ExperimentRecord]
-    violations: list[dict]
-
-
 # each disc check is a Hardy-Littlewood check on the lift of g to the prime 2
 DISC_INEQUALITIES = {"disc-upper": "hl-upper", "disc-lower": "hl-lower"}
 DIRICHLET_INEQUALITIES = {*HL_INEQUALITIES, "divisor-chain"}
@@ -629,7 +619,7 @@ def random_disc(rng: np.random.Generator, max_degree: int) -> DiscPolynomial:
     return DiscPolynomial(values)
 
 
-def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> FuzzResult:
+def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[ExperimentRecord]:
     """Run the selected inequality checks over a seeded random corpus.
 
     Each (case, inequality, p) yields one record with the two compared sides,
@@ -641,7 +631,8 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> FuzzRe
     must cover max_index and 2^max_degree, and `nodes` must be at least 4 (max_degree + 1),
     both checked before the first case; the Dirichlet checks run on f against its Monte Carlo
     norms. Every comparison is judged with the slack of `hl_report`. A case's disc records come
-    first, then its Dirichlet records, each side in ascending p; 'fuzz-summary' closes the list.
+    first, then its Dirichlet records, each side in ascending p; 'fuzz-summary' closes the list,
+    with the verdict counts and every violation in its extra.
 
     What does not depend on p is done once per case: one evaluation of |g| on the
     circle nodes serves every p (`disc_norm_many`), one Monte Carlo pass serves
@@ -732,4 +723,4 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> FuzzRe
         extra={"summary": summary, "violations": violations,
                "inequalities": list(config.inequalities), "p_values": list(config.p_values)},
     ))
-    return FuzzResult(summary=summary, records=records, violations=violations)
+    return records

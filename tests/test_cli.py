@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dirichlet_hardy import arith, experiments
 from dirichlet_hardy.cli import build_parser, execute, main, parse
 from dirichlet_hardy.report import CSV_COLUMNS, records_to_csv, render
 
@@ -39,6 +40,15 @@ class TestParse:
     def test_norm_needs_source(self):
         with pytest.raises(Exception):
             parse(["norm", "--p", "2"])
+
+    @pytest.mark.parametrize("flags", ["--N 5", "--alpha 3", "--beta 1", "--gen-p 0.5",
+                                       "--prime-bound 7", "--prime-count 2", "--N 5 --alpha 3"])
+    def test_input_takes_no_generator_flags(self, flags, tmp_path, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text('{"coeffs": [[1, 1.0, 0.0]]}')
+        assert main(["norm", "--p", "2", "--input", str(path), *flags.split(), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and all(flag in err for flag in flags.split()[::2])
 
     def test_witness_validations(self, capsys):
         assert main(["partial-sum", "--p", "1.5", "--k", "2"]) == 2
@@ -180,6 +190,32 @@ class TestExecute:
             per_case.setdefault(rec["params"]["case"], []).append(rec["experiment"])
         three = ["fuzz:hl-upper", "fuzz:hl-lower", "fuzz:squarefree-lower"]
         assert per_case == {case: three for case in range(4)}
+
+
+@pytest.mark.parametrize("argv, most", [
+    ("norm --p 1.5 --generator zeta --N 100 --samples 2000 --hl-report", 1),
+    ("pseudomoment --N 60 --k 3", 1),
+    ("pseudomoment --N 200 --k 1.5 --method mc --samples 2000", 1),
+    ("scan --k 2 --grid 100,316,1000,3162", 1),
+    ("scan --k 1.5 --grid 100,1000,10000,30000 --method mc --samples 500", 1),
+    ("hl-check --p 1.5 --corpus 2 --samples 2000", 1),
+    ("partial-sum --p 0.5 --k 3 --samples 2000", 1),
+    ("partial-sum --p 0.5 --k 5 --samples 2000", 2),  # 2*3*5*7*11 = 2310 needs a second sieve
+    ("partial-sum --mode probe --p 1 --probe-N 20 --N 100 --samples 2000", 1),
+    ("cnp-scan --p 0.5 --X 2000", 1),
+    ("omega-hist --x 5000 --C 2", 1),
+    ("euler-const --k 2 --prime-limit 5000 --leading-factor", 1),
+    ("fuzz --corpus 2 --samples 2000", 1),
+])
+def test_one_sieve_per_command(argv, most, monkeypatch):
+    # each command sieves one table and hands it to every route and Euler product it runs
+    sieves = []
+    sieve = arith.sieve_primes
+    for module in (arith, experiments):
+        monkeypatch.setattr(module, "sieve_primes", lambda limit: sieves.append(limit) or sieve(limit))
+    _, code = execute(parse(argv.split() + ["--seed", "1"]))
+    assert code == 0
+    assert 1 <= len(sieves) <= most, sieves
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
 from dirichlet_hardy.experiments import (
     FuzzConfig,
     hardy_norm,
-    harmonic_number,
     hl_fuzz_suite,
     homogeneous_energy,
     maximal_order_scan,
@@ -34,11 +33,18 @@ class TestPseudomoment:
     def test_harmonic_oracle(self):
         rec = pseudomoment(10, 1, 1.0, "exact")
         assert rec.value == pytest.approx(7381 / 2520, rel=1e-15)
-        assert rec.extra["algorithm"] == "harmonic"
+        # d_1 is exactly 1.0, so the l2 route sums 1/n in the same fsum
+        assert rec.value == math.fsum(1.0 / n for n in range(1, 11))
+        assert rec.extra["algorithm"] == "l2"
 
     def test_trivial_truncation(self):
+        # N = 1 takes each route's own path: every route gives Psi = 1 with normalizer 0
         rec = pseudomoment(1, 3, 1.0, "exact")
         assert rec.value == 1.0
+        assert (rec.normalizer, rec.extra["algorithm"]) == (0.0, "convolution") and math.isnan(rec.ratio)
+        recs = [pseudomoment(1, k, alpha, "exact") for k, alpha in ((1, 1.0), (2, 1.0), (2, 1.5))]
+        assert [r.extra["algorithm"] for r in recs] == ["l2", "pair-correlation", "convolution"]
+        assert [r.value for r in recs] == [1.0, 1.0, 1.0]
 
     def test_fourth_moment_small(self):
         assert pseudomoment(2, 2, 1.0, "exact").value == 3.25
@@ -95,6 +101,10 @@ class TestPseudomoment:
     def test_given_table_must_cover_N(self, table_2k):
         with pytest.raises(SieveLimitError):
             pseudomoment(3000, 1, 1.5, "exact", table_2k)
+        # every route reads the table, the unweighted exact ones included
+        for k in (1, 2, 3):
+            with pytest.raises(SieveLimitError, match="N=3000"):
+                pseudomoment(3000, k, 1.0, "exact", table_2k)
 
     def test_normalizer(self):
         rec = pseudomoment(100, 2, 1.0, "exact")
@@ -140,7 +150,7 @@ class TestScan:
 class TestWindowCheck:
     def test_k1_small(self):
         rec = pseudomoment_window_check(1, 10, prime_limit=10_000)
-        assert rec.ratio == pytest.approx(harmonic_number(10) / math.log(10), rel=1e-12)
+        assert rec.ratio == pytest.approx(7381 / 2520 / math.log(10), rel=1e-12)
         assert rec.extra["upper_constant"] == 1.0
         assert not rec.extra["flagged"]
 
@@ -148,6 +158,16 @@ class TestWindowCheck:
         rec = pseudomoment_window_check(2, 1000, table_2k, prime_limit=10_000)
         assert not rec.extra["flagged"]
         assert rec.extra["lower_constant"] < rec.extra["upper_constant"]
+
+    def test_one_sieve_covers_N_and_the_constants(self, table_100k, monkeypatch):
+        # given no table, the pseudomoment and both Euler products read one sieve
+        sieves = []
+        sieve = arith.sieve_primes
+        for module in (arith, experiments):
+            monkeypatch.setattr(module, "sieve_primes", lambda limit: sieves.append(limit) or sieve(limit))
+        rec = pseudomoment_window_check(2, 1000)
+        assert sieves == [100_000]
+        assert rec == pseudomoment_window_check(2, 1000, table_100k)
 
     def test_large_k_verdict_from_logs(self):
         # the normalizer and both constants pass the float range, so their values
@@ -346,32 +366,38 @@ def test_one_lift_plan_per_experiment(experiment, table_2k, monkeypatch):
 
 class TestFuzzSuite:
     def test_default_clean(self, table_2k):
-        res = hl_fuzz_suite(FuzzConfig(corpus=25, seed=11), table_2k)
-        assert res.summary["violation"] == 0
-        assert res.summary["pass"] > 0
-        assert not res.violations
+        summary = hl_fuzz_suite(FuzzConfig(corpus=25, seed=11), table_2k)[-1].extra
+        assert summary["summary"]["violation"] == 0
+        assert summary["summary"]["pass"] > 0
+        assert not summary["violations"]
 
     def test_inverted_self_test(self, table_2k):
-        res = hl_fuzz_suite(FuzzConfig(corpus=4, seed=1, invert=True), table_2k)
-        assert res.summary["violation"] > 0
-        assert all("reproducer" in v for v in res.violations)
+        summary = hl_fuzz_suite(FuzzConfig(corpus=4, seed=1, invert=True), table_2k)[-1].extra
+        assert summary["summary"]["violation"] > 0
+        assert all("reproducer" in v for v in summary["violations"])
 
     def test_empty_corpus(self, table_2k):
-        res = hl_fuzz_suite(FuzzConfig(corpus=0), table_2k)
-        assert res.summary == {"pass": 0, "pass-within-slack": 0, "violation": 0}
-        assert [r.experiment for r in res.records] == ["fuzz-summary"]
-        assert (res.records[0].value, res.records[0].normalizer, res.records[0].ratio) == (0.0, 0.0, 0.0)
+        records = hl_fuzz_suite(FuzzConfig(corpus=0), table_2k)
+        assert records[-1].extra["summary"] == {"pass": 0, "pass-within-slack": 0, "violation": 0}
+        assert [r.experiment for r in records] == ["fuzz-summary"]
+        assert (records[0].value, records[0].normalizer, records[0].ratio) == (0.0, 0.0, 0.0)
 
     def test_summary_record_closes_the_run(self, table_2k):
         config = FuzzConfig(corpus=3, seed=1, samples=2000, invert=True)
-        res = hl_fuzz_suite(config, table_2k)
-        *cases, summary = res.records
+        *cases, summary = hl_fuzz_suite(config, table_2k)
         assert all(r.experiment.startswith("fuzz:") for r in cases)
         assert summary.experiment == "fuzz-summary"
         assert summary.params == {"seed": 1, "samples": 2000, "method": "summary"}
-        assert summary.value == res.summary["violation"] == len(res.violations) > 0
+        counts, violations = summary.extra["summary"], summary.extra["violations"]
+        assert summary.value == counts["violation"] == len(violations) > 0
         assert summary.ratio == summary.value / 3
-        assert summary.extra == {"summary": res.summary, "violations": res.violations,
+        # the counts and the violations are those of the case records
+        verdicts = Counter(r.extra["verdict"] for r in cases)
+        assert counts == {v: verdicts[v] for v in ("pass", "pass-within-slack", "violation")}
+        assert [(v["inequality"], v["p"], v["case"], v["lhs"], v["rhs"], v["slack"]) for v in violations] == [
+            (r.experiment.removeprefix("fuzz:"), r.params["p"], r.params["case"], r.value, r.normalizer,
+             r.extra["slack"]) for r in cases if r.extra["verdict"] == "violation"]
+        assert summary.extra == {"summary": counts, "violations": violations,
                                  "inequalities": list(config.inequalities),
                                  "p_values": list(config.p_values)}
 
@@ -395,15 +421,15 @@ class TestFuzzSuite:
         # equality up to rounding, which the slack must absorb
         for config in (FuzzConfig(corpus=20, max_support=1, max_index=1, seed=1),
                        FuzzConfig(corpus=20, max_degree=0, seed=1, samples=2000)):
-            res = hl_fuzz_suite(config, table_2k)
-            assert res.summary["violation"] == 0
-            assert res.summary["pass-within-slack"] > 0
+            counts = hl_fuzz_suite(config, table_2k)[-1].extra["summary"]
+            assert counts["violation"] == 0
+            assert counts["pass-within-slack"] > 0
 
     def test_constant_polynomial_agrees_with_hl_report(self, table_2k):
         config = FuzzConfig(inequalities=(*HL_INEQUALITIES, "divisor-chain"), corpus=300,
                             max_support=1, max_index=1, seed=4, samples=2000)
-        res = hl_fuzz_suite(config, table_2k)
-        flagged = {(r.params["case"], r.params["p"]) for r in res.records[:-1]
+        *cases, summary = hl_fuzz_suite(config, table_2k)
+        flagged = {(r.params["case"], r.params["p"]) for r in cases
                    if r.extra["verdict"] == "violation" and r.experiment != "fuzz:divisor-chain"}
         for case in range(config.corpus):
             # with no disc checks the case's generator draws f first; f = {1: c} uses no
@@ -413,13 +439,13 @@ class TestFuzzSuite:
                 est = mc_norm(f, p, config.samples, case, table_2k)
                 consistent = hl_report(f, p, est, table_2k).verdict == "consistent"
                 assert consistent == ((case, p) not in flagged), (case, p)
-        assert res.summary["violation"] == 0
+        assert summary.extra["summary"]["violation"] == 0
 
     def test_dirichlet_records_ascend_in_p(self, table_2k):
         config = FuzzConfig(corpus=3, seed=2, samples=2000)
-        res = hl_fuzz_suite(config, table_2k)
+        *cases, _ = hl_fuzz_suite(config, table_2k)
         for case in range(config.corpus):
-            records = [r for r in res.records[:-1] if r.params["case"] == case]
+            records = [r for r in cases if r.params["case"] == case]
             assert len(records) == 14
             for disc, count in ((True, 5), (False, 9)):
                 ps = [r.params["p"] for r in records if r.experiment.startswith("fuzz:disc") == disc]
@@ -433,10 +459,10 @@ class TestFuzzSuite:
     def test_sieves_the_disc_lift_itself(self):
         # given no table, the suite sieves 2^12 = 4096 for the disc lift of degree 12
         config = FuzzConfig(max_degree=12, corpus=2, seed=3, samples=2000)
-        per_case = Counter(r.params["case"] for r in hl_fuzz_suite(config).records[:-1])
+        per_case = Counter(r.params["case"] for r in hl_fuzz_suite(config)[:-1])
         assert per_case == {0: 14, 1: 14}
         config = FuzzConfig(max_degree=10, corpus=2, seed=3, samples=2000)
-        assert hl_fuzz_suite(config).records == hl_fuzz_suite(config, sieve_primes(1024)).records
+        assert hl_fuzz_suite(config) == hl_fuzz_suite(config, sieve_primes(1024))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_too_few_nodes_refused_before_the_first_case(self, seed, table_2k, monkeypatch):
@@ -448,14 +474,14 @@ class TestFuzzSuite:
         assert not drawn
         # without a disc check the node count is not used
         config = FuzzConfig(inequalities=("hl-upper",), corpus=1, seed=seed, samples=2000, nodes=33)
-        assert len(hl_fuzz_suite(config, table_2k).records[:-1]) == 2
+        assert len(hl_fuzz_suite(config, table_2k)[:-1]) == 2
 
     def test_golden_records(self, table_2k):
         # float.hex of (value, normalizer) per record, from one evaluation of g per case and one
         # factoring per support; the same bits as a disc_norm per p and a factoring per weight
-        res = hl_fuzz_suite(FuzzConfig(corpus=2, seed=3, samples=2000), table_2k)
+        records = hl_fuzz_suite(FuzzConfig(corpus=2, seed=3, samples=2000), table_2k)
         assert [(r.experiment.removeprefix("fuzz:"), r.params["case"], r.params["p"],
-                 r.value.hex(), r.normalizer.hex()) for r in res.records[:-1]] == [
+                 r.value.hex(), r.normalizer.hex()) for r in records[:-1]] == [
             ("disc-lower", 0, 0.5, "0x1.06f058569ff9ap+1", "0x1.1085ac3d37c22p+1"),
             ("disc-lower", 0, 1.0, "0x1.17231739b3553p+2", "0x1.2e2e9de66d014p+2"),
             ("disc-lower", 0, 1.3333333333333333, "0x1.c585d7ade9a02p+2", "0x1.05adc3ae0f4bdp+3"),
@@ -551,5 +577,5 @@ def test_sixth_moment_convolution_route(table_2k):
 def test_fuzz_deterministic_across_workers(table_2k):
     a = hl_fuzz_suite(FuzzConfig(corpus=6, seed=13, samples=6000, workers=1), table_2k)
     b = hl_fuzz_suite(FuzzConfig(corpus=6, seed=13, samples=6000, workers=4), table_2k)
-    assert [r.value for r in a.records] == [r.value for r in b.records]
-    assert a.summary == b.summary
+    assert [r.value for r in a] == [r.value for r in b]
+    assert a[-1].extra["summary"] == b[-1].extra["summary"]

@@ -82,3 +82,11 @@ def test_cli_only_parses_dispatches_and_renders():
             modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             assert not any(m.startswith("dirichlet_hardy") for m in modules), modules
     assert "ExperimentRecord" not in set(used_names(tree))
+
+
+def test_experiments_sieves_only_in_sieved():
+    # `_sieved` is the one rule that sizes a prime table; every other entry takes its table
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    users = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+             if "sieve_primes" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert users == {"_sieved"}, users
