@@ -383,6 +383,8 @@ def pseudomoment_ratio_bounds(
     c = k / fk
     ksq = k * k
     L = prime_limit
+    if table is None or table.limit < L:  # one table for both products
+        table = sieve_primes(L)
     # |log(1-x)+x| <= x^2/(2(1-x)); the linear terms cancel exactly
     upper_decay = 0.0 if c == 1 else ksq / (2 * (1 - 1 / L)) + k * fk * c * c / (2 * (1 - c / L))
     upper = euler_product(

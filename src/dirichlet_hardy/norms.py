@@ -11,12 +11,14 @@ hash, so z(p_j) = exp(2 pi i k 2^-32) is uniform on the 2^32-th roots of unity; 
 estimates stay unbiased, as each prime's exponents in |F|^2k lie far below 2^32. Three
 tables give the phase from k's digits. The lift F = sum a_n z(n) keeps
 one row per node n and one column per point: z(n) = z(spf n) z(n/spf n) fills the
-rows layer by layer, and the terms are summed per point by a halving fold whose
-shape depends only on the number of terms. So |F| for sample i depends only on
-(seed, i), whatever the chunk, the block of points evaluated together or the worker
-count. Neither the angles nor the node values depend on the rest of the plan, so
-polynomials whose supports lie inside f's (its partial sums, its homogeneous parts)
-are evaluated on f's nodes in the same pass, each with the bits of its own run.
+rows layer by layer, in slot order (Omega(n), n). F is then one sequential sum over
+the support in slot order, acc = acc + Re(a_n) z(n), with the imaginary parts of the
+coefficients summed the same way apart and combined at the end; the order depends only
+on the support. So |F| for sample i depends only on (seed, i), whatever the chunk, the
+block of points evaluated together or the worker count. Neither the angles nor the
+node values depend on the rest of the plan, so polynomials whose supports lie inside
+f's (its partial sums, its homogeneous parts) are evaluated on f's nodes in the same
+pass, each with the bits of its own run. Sample means are reduced by a halving fold.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -114,22 +116,6 @@ def _phases(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _fold(a: np.ndarray) -> np.ndarray:
-    """The sum of `a` along axis 0 by a halving fold, in place: a[:h] += a[n-h:n].
-
-    The fold's shape depends only on len(a), and every column is folded on its own,
-    so a column's sum does not depend on the columns beside it.
-    """
-    n = len(a)
-    if not n:
-        return np.zeros(a.shape[1:], dtype=a.dtype)
-    while n > 1:
-        h = n // 2
-        a[:h] += a[n - h : n]
-        n -= h
-    return a[0]
-
-
 def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
     """Angles in [0,1), in turns, for samples [first_sample, first_sample+count) and primes 1..prime_count.
 
@@ -140,12 +126,20 @@ def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: in
 
 
 def pairwise_sum(values: np.ndarray) -> float:
-    """Sum by the halving fold of `_fold`, whose shape depends only on the length.
+    """Sum by a halving fold, a[:h] += a[n-h:n], whose shape depends only on the length.
 
     Used for all Monte Carlo reductions: the result is bit-identical however
     the input array was produced.
     """
-    return float(_fold(np.array(values, dtype=np.float64)))
+    a = np.array(values, dtype=np.float64)
+    n = len(a)
+    if not n:
+        return 0.0
+    while n > 1:
+        h = n // 2
+        a[:h] += a[n - h : n]
+        n -= h
+    return float(a[0])
 
 
 @dataclass(frozen=True)
@@ -202,7 +196,9 @@ class _LiftPlan(NamedTuple):
     columns: np.ndarray  # 0-based table positions of the primes used, ascending
     size: int  # number of nodes
     layers: list  # (lo, hi, spf slots, cofactor slots) for Omega = 2, 3, ...
-    members: list  # f, then each part: (slots of its support in ascending n, a_n in that order)
+    # f, then each part: (Re a_n, Im a_n or None if every a_n is real, slots or None if the
+    # support is every node), each over the member's support in slot order
+    members: list
 
 
 def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolynomial) -> _LiftPlan:
@@ -221,13 +217,19 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
     slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
     left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
     bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
+    members = []
+    for g in (f, *parts):
+        slots = slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))]
+        coeffs = np.array([g.coeff(m) for m in g.support], dtype=np.complex128)
+        by_slot = np.argsort(slots)
+        slots, coeffs = slots[by_slot], coeffs[by_slot]
+        members.append((coeffs.real.copy(), coeffs.imag.copy() if coeffs.imag.any() else None,
+                        None if slots.size == nodes.size else slots))
     return _LiftPlan(
         columns=np.searchsorted(table.primes, nodes[omega == 1]),
         size=nodes.size,
         layers=[(lo, hi, left[lo:hi], right[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
-        members=[(slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))],
-                  np.array([g.coeff(m) for m in g.support], dtype=np.complex128))
-                 for g in (f, *parts)],
+        members=members,
     )
 
 
@@ -235,18 +237,25 @@ def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
     """F = sum a_n z(n) of each member (row) at each point (column) of Z, whose rows are nodes.
 
     The caller writes z at the plan's primes into rows 1..P; z(n) = z(spf n) z(n/spf n)
-    fills the other rows layer by layer, and each member's terms (ascending n) are summed
-    by `_fold`. No operation mixes columns, so a point's F does not depend on the points
+    fills the other rows layer by layer. A member's F is the sequential sum over its
+    support in slot order, acc = acc + Re(a_n) z(n), on the float view of the node rows
+    (gathered first when the member skips nodes); a complex member sums Im(a_n) z(n) the
+    same way and adds i times it. numpy's einsum on "i,ij->j" is that unfused loop in row
+    order (the tests hold it to a Python loop bit for bit), and zero coefficients add
+    nothing. No operation mixes columns, so a point's F does not depend on the points
     evaluated with it.
     """
     Z[0] = 1
     for lo, hi, left, right in plan.layers:
         np.multiply(Z.take(left, axis=0), Z.take(right, axis=0), out=Z[lo:hi])
     F = np.empty((len(plan.members), Z.shape[1]), dtype=np.complex128)
-    for row, (terms, coeffs) in zip(F, plan.members):
-        gathered = Z.take(terms, axis=0)
-        gathered *= coeffs[:, None]
-        row[:] = _fold(gathered)
+    for row, (re, im, slots) in zip(F, plan.members):
+        rows = (Z if slots is None else Z.take(slots, axis=0)).view(np.float64)
+        v = np.einsum("i,ij->j", re, rows, out=row.view(np.float64))
+        if im is not None:
+            b = np.einsum("i,ij->j", im, rows)
+            v[0::2] -= b[1::2]
+            v[1::2] += b[0::2]
     return F
 
 
@@ -289,12 +298,15 @@ def mc_norm_many(
     # holds two 8-byte copies of the chunk's angles, and the blocks, which keep one copy
     # beside the working set of one block; per point of that block: the node rows plus the
     # largest of the phase temporaries (a digit and a gathered factor, 24 B per column), the
-    # widest layer's two gathers and the output rows with one member's term gather, which are
-    # never alive together; per sample of the whole run: |F| of every member, and one member's
-    # |F|^p and deviations with the copy the fold takes
+    # widest layer's two gathers and the contraction, which are never alive together. The
+    # contraction holds the output rows, the largest gathered member's rows and, with a
+    # complex member, the 16 B imaginary-part sum. Per sample of the whole run: |F| of every
+    # member, and one member's |F|^p and deviations with the copy the fold takes
     widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
-    longest = max(terms.size for terms, _ in plan.members)
-    per_point = 16 * plan.size + max(24 * plan.columns.size, 32 * widest, 16 * (rows + longest))
+    gathered = max((slots.size for _, _, slots in plan.members if slots is not None), default=0)
+    complex_sum = any(im is not None for _, im, _ in plan.members)
+    per_point = 16 * plan.size + max(24 * plan.columns.size, 32 * widest,
+                                     16 * (rows + gathered + complex_sum))
 
     def need(chunk: int) -> int:
         uniforms = 8 * chunk * plan.columns.size

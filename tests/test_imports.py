@@ -90,3 +90,16 @@ def test_experiments_sieves_only_in_sieved():
     users = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
              if "sieve_primes" in (getattr(node, "id", None), getattr(node, "attr", None))}
     assert users == {"_sieved"}, users
+
+
+def test_engine_calls_no_blas():
+    # BLAS picks its blocking and threads by the machine, so a product through it could give
+    # other bits for another worker count; norms contracts with einsum's plain loop only
+    tree = ast.parse((PACKAGE / "norms.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        assert name not in {"dot", "matmul", "tensordot"}, node.lineno
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), node.lineno
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
+            assert "optimize" not in {k.arg for k in node.keywords}, node.lineno

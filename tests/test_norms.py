@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import factor, prime_position
+from oracle import big_omega, factor, prime_position
 
 from dirichlet_hardy import norms
 from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power
@@ -216,12 +216,92 @@ class TestMonteCarlo:
             _, other = run(8193, block_bytes=block_bytes)
             assert np.array_equal(other[0], arrays[0][:8193])
             assert np.array_equal(other[2], arrays[2][:8193])
-        # parts evaluated on f's nodes give the bits of their own runs, f's estimates first
-        parts = [partial_sum(f, 300), homogeneous_projection(f, 2, table_2k), DirichletPolynomial({})]
-        alone = [e for g in (f, *parts) for e in run(16384, g=g)[0]]
-        for chunk, block_bytes, workers in ((8192, 1 << 20, 1), (8192, 1 << 20, 2),
-                                            (1024, 1 << 16, 1), (1024, 1 << 16, 2)):
-            assert run(16384, chunk, block_bytes, workers, parts=parts)[0] == alone
+        # parts evaluated on f's nodes give the bits of their own runs, f's estimates first;
+        # the second f is complex, and its first part has real coefficients
+        g = DirichletPolynomial({n: 1j if n % 7 == 0 else 1 for n in range(1, 351)})
+        for h, parts in ((f, [partial_sum(f, 300), homogeneous_projection(f, 2, table_2k),
+                              DirichletPolynomial({})]),
+                         (g, [partial_sum(f, 300), partial_sum(g, 300)])):
+            alone = [e for part in (h, *parts) for e in run(16384, g=part)[0]]
+            for chunk, block_bytes, workers in ((8192, 1 << 20, 1), (8192, 1 << 20, 2),
+                                                (1024, 1 << 16, 1), (1024, 1 << 16, 2)):
+                assert run(16384, chunk, block_bytes, workers, g=h, parts=parts)[0] == alone
+
+    def test_contraction_is_a_sequential_slot_order_sum(self, table_2k):
+        # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support in the
+        # order (Omega(n), n), on the float view of the node rows, with the imaginary parts
+        # summed apart and combined at the end: a kernel that fuses the multiply and add or
+        # reorders the sum gives other bits. Node rows sit in an unaligned buffer at a column offset
+        def rows_of(support):
+            # the closure of the support and 1 under n -> p, n/p for the least prime p of n
+            nodes, todo = {1}, list(support)
+            while todo:
+                n = todo.pop()
+                if n not in nodes:
+                    nodes.add(n)
+                    q = factor(n)[0][0]
+                    todo += [q, n // q]
+            return {n: r for r, n in enumerate(sorted(nodes, key=lambda n: (big_omega(n), n)))}
+
+        rng = np.random.default_rng(8)
+        dense = zeta_partial(120)
+        cplx = DirichletPolynomial({n: complex(*rng.standard_normal(2)) for n in range(1, 121)})
+        sparse = random_dirichlet(rng, 64, 1000)
+        cases = [
+            (dense, [homogeneous_projection(dense, 2, table_2k), partial_sum(dense, 100),
+                     DirichletPolynomial({n: 2j - n for n in range(2, 121, 3)})]),
+            (cplx, [partial_sum(cplx, 90), DirichletPolynomial({n: 0.5 for n in range(1, 121, 5)})]),
+            (sparse, [partial_sum(sparse, 500), DirichletPolynomial({n: 1.5 for n in sparse.support[::2]})]),
+        ]
+        for f, parts in cases:
+            plan = norms._lift_plan(f, table_2k, *parts)
+            rows = rows_of(f.support)
+            assert plan.size == len(rows)
+            for _ in range(4):
+                width, offset = int(rng.integers(1, 600)), int(rng.integers(0, 8))
+                cells = plan.size * (width + offset)
+                buffer = np.empty(16 * cells + 8, dtype=np.uint8)[8:].view(np.complex128)
+                Z = buffer.reshape(plan.size, width + offset)[:, offset:]
+                Z[1 : 1 + plan.columns.size] = np.exp(2j * np.pi * rng.random((plan.columns.size, width)))
+                F = norms._lift_values(plan, Z)
+                Zf = Z.view(np.float64)
+                for g, got in zip((f, *parts), F, strict=True):
+                    re = im = np.zeros(2 * width)
+                    for n in sorted(g.support, key=rows.get):
+                        re = re + g.coeff(n).real * Zf[rows[n]]
+                        im = im + g.coeff(n).imag * Zf[rows[n]]
+                    expected = np.empty(width, dtype=np.complex128)
+                    expected.real, expected.imag = re[0::2] - im[1::2], re[1::2] + im[0::2]
+                    assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("primes, limit, M", [((2, 3), 200, 128), ((2, 3, 5), 100, 64)])
+    def test_tensor_grid_oracle(self, primes, limit, M, table_2k):
+        # F of a {2,3}- or {2,3,5}-smooth f on the M^P grid of roots of unity: |F|^4 has no
+        # frequency beyond 2 * 7 < M in any variable, so its grid mean is exact; at p = 1 and 3
+        # the grid mean is the torus mean to about 1e-5, and the Monte Carlo mean lies within
+        # 4 SE of it
+        P = len(primes)
+        rng = np.random.default_rng(P)
+        support = [n for n in range(1, limit + 1) if all(q in primes for q, _ in factor(n))]
+        f = DirichletPolynomial({n: complex(*rng.standard_normal(2)) for n in support})
+        plan = norms._lift_plan(f, table_2k)
+        assert plan.columns.tolist() == list(range(P))
+        circle = np.exp(2j * np.pi * np.arange(M) / M)
+        rest = [axis.ravel() for axis in np.meshgrid(*[circle] * (P - 1), indexing="ij")]
+        absF = []
+        for z2 in circle:  # one block of M^(P-1) points per value of z(2)
+            Z = np.empty((plan.size, M ** (P - 1)), dtype=np.complex128)
+            Z[1] = z2
+            Z[2 : 1 + P] = rest
+            absF.append(np.abs(norms._lift_values(plan, Z)[0]))
+        absF = np.concatenate(absF)
+
+        def grid_mean(p):
+            return math.fsum((absF**p).tolist()) / absF.size
+
+        assert grid_mean(4.0) == pytest.approx(even_norm_exact(f, 2).power_mean, rel=1e-12)
+        for est in mc_norm_many(f, [1.0, 3.0], 65536, 7, table_2k):
+            assert abs(est.power_mean - grid_mean(est.p)) <= 4 * est.std_error
 
     def test_parts_must_lie_in_the_support(self, table_2k):
         # 351 is no node of Z_350's lift and 2 is a node of {6: 1}'s, but neither is in the support
@@ -337,9 +417,9 @@ class TestMonteCarlo:
 
     def test_golden_stream(self, table_2k):
         # float.hex of (value, std_error) on the stream of 32-bit angles, three-table phases,
-        # node rows and the halving fold for the terms and the means
+        # node rows, the sequential slot-order contraction and the halving fold for the means
         golden = {
-            1: [("0x1.5e2b4f473b111p+2", "0x1.2dcffb44e0c5bp-8"),
+            1: [("0x1.5e2b4f473b111p+2", "0x1.2dcffb44e0c5cp-8"),
                 ("0x1.7950a25e73e48p+2", "0x1.60c4b423d3f77p-6"),
                 ("0x1.d1a4dae97c584p+2", "0x1.0394509a63473p+2")],
             2: [("0x1.fcc515b05e161p+2", "0x1.6b23c0923b292p-8"),
