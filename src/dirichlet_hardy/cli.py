@@ -7,8 +7,8 @@ record, and renders the records. Every run echoes its resolved parameters,
 including the seed, and writes json, jsonl, or csv atomically.
 
 Exit codes: 0 success, 1 fuzz or hl-check violations beyond the slack of
---hl-report, 2 usage error or a value the library rejects, 3 resource limit,
-4 internal error (a library invariant check failed).
+--hl-report, 2 usage error or a value the library rejects, 3 resource limit (the
+memory cap or the float range), 4 internal error (a library invariant failed).
 """
 
 from __future__ import annotations
@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"{TOOL}: resource limit: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError:  # a power mean past the float range
+        print(f"{TOOL}: resource limit: a value passed the float range", file=sys.stderr)
         return 3
     text = render(doc, cmd.args.format)
     if cmd.args.out:

@@ -5,7 +5,8 @@ quasi-norm of the d_alpha-weighted partial sum sum_{n<=N} d_alpha(n) n^(-1/2-s),
 which is Z_N at alpha = 1. Exact evaluation uses the l2 route at k=1 for every
 alpha, a coprime-parametrization identity at (k=2, alpha=1) that avoids
 materializing the convolution square, and sparse convolution otherwise. Monte
-Carlo covers non-integer k.
+Carlo covers non-integer k; a scan lifts its largest Z_N once and evaluates the
+smaller ones, its partial sums, on those nodes in the same pass.
 
 The fuzz suite checks the weighted inequalities of `bounds` on two kinds of
 random polynomial. A disc polynomial g(z) = sum g_j z^j is the Dirichlet
@@ -180,6 +181,48 @@ def _exact_pseudomoment(N: int, k: int, alpha: float, table: PrimeTable) -> tupl
     return even_norm_exact(zeta_power_partial(N, alpha, table), k).power_mean, "convolution"
 
 
+def _pseudomoments(grid: Sequence[int], k: float, alpha: float, method: str, table: PrimeTable | None,
+                   samples: int | None, seed: int | None, workers: int) -> list[ExperimentRecord]:
+    """`pseudomoment` at each N of the increasing `grid`, from one table sieved from the largest N
+    when not given. The exact routes run per N; Monte Carlo lifts Z_{N_max,alpha} once and
+    evaluates each smaller Z_{N,alpha}, its partial sum, on those nodes in the same pass, so
+    every point has the bits of a run of its own at `seed`."""
+    if grid[0] < 1:
+        raise ValueError(f"N must be >= 1, got {grid[0]}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exact" and int(k) != k:
+        raise ValueError(f"exact pseudomoments need integer k, got {k}")
+    if method == "mc" and (samples is None or seed is None):
+        raise ValueError("mc route requires samples and seed")
+    table = _sieved(table, grid[-1], f"N={grid[-1]}")
+    params = {"k": k, "alpha": alpha, "method": method}
+    if method == "exact":
+        points = [(value, None, {"algorithm": algorithm})
+                  for value, algorithm in (_exact_pseudomoment(N, int(k), alpha, table) for N in grid)]
+    else:
+        params.update({"samples": samples, "seed": seed})
+        Z = zeta_power_partial(grid[-1], alpha, table)
+        top, *rest = mc_norm_many(Z, [2 * k], samples, seed, table, workers,
+                                  [partial_sum(Z, N) for N in grid[:-1]])
+        points = [(est.power_mean, est.std_error, {}) for est in (*rest, top)]
+    records = []
+    for N, (value, std_error, extra) in zip(grid, points):
+        try:
+            normalizer = math.log(N) ** (k * k * alpha * alpha) if N > 1 else 0.0
+        except OverflowError:  # large k: past the float range, so the ratio is value / inf
+            normalizer = math.inf
+        records.append(ExperimentRecord(
+            experiment="pseudomoment", params={"N": N, **params}, value=value, normalizer=normalizer,
+            ratio=_ratio(value, normalizer), std_error=std_error, extra=extra,
+        ))
+    return records
+
+
 def pseudomoment(
     N: int,
     k: float,
@@ -198,45 +241,7 @@ def pseudomoment(
     Every route reads one prime table, sieved from N when not given; a table
     that is given must cover N.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 0 < k < math.inf:
-        raise ValueError(f"k must be positive and finite, got {k}")
-    if not 1 <= alpha < math.inf:
-        raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
-    params = {"N": N, "k": k, "alpha": alpha, "method": method}
-    extra = {}
-    if method == "exact":
-        if int(k) != k:
-            raise ValueError(f"exact pseudomoments need integer k, got {k}")
-    elif method == "mc":
-        if samples is None or seed is None:
-            raise ValueError("mc route requires samples and seed")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    table = _sieved(table, N, f"N={N}")
-    if method == "exact":
-        value, algorithm = _exact_pseudomoment(N, int(k), alpha, table)
-        std_error = None
-        extra["algorithm"] = algorithm
-    else:
-        est = mc_norm(zeta_power_partial(N, alpha, table), 2 * k, samples, seed, table, workers)
-        value = est.power_mean
-        std_error = est.std_error
-        params.update({"samples": samples, "seed": seed})
-    try:
-        normalizer = math.log(N) ** (k * k * alpha * alpha) if N > 1 else 0.0
-    except OverflowError:  # large k: past the float range, so the ratio is value / inf
-        normalizer = math.inf
-    return ExperimentRecord(
-        experiment="pseudomoment",
-        params=params,
-        value=value,
-        normalizer=normalizer,
-        ratio=_ratio(value, normalizer),
-        std_error=std_error,
-        extra=extra,
-    )
+    return _pseudomoments([N], k, alpha, method, table, samples, seed, workers)[0]
 
 
 def pseudomoment_scan(
@@ -252,8 +257,10 @@ def pseudomoment_scan(
     """Pseudomoments over an increasing truncation grid, closed by their growth exponent.
 
     One table, sieved from the largest grid point when not given, serves every
-    point. The last record, 'scan-slope', holds the least-squares slope of log Psi
-    against log log N; for k > 1/2 it estimates (k alpha)^2 at scale.
+    point, and Monte Carlo is one pass over the largest truncation: point i is
+    `pseudomoment(N_i, ...)` at the same seed, bit for bit. The last record, 'scan-slope',
+    holds the least-squares slope of log Psi against log log N; for k > 1/2 it
+    estimates (k alpha)^2 at scale.
     """
     grid = [int(N) for N in N_grid]
     if len(grid) < 4:
@@ -262,13 +269,7 @@ def pseudomoment_scan(
         raise ValueError("grid must be strictly increasing")
     if grid[0] < 3:
         raise ValueError("grid points must be >= 3 so that log log N is positive")
-    table = _sieved(table, grid[-1], f"N={grid[-1]}")
-    records = []
-    for i, N in enumerate(grid):
-        case_seed = None if seed is None else seed + i
-        records.append(
-            pseudomoment(N, k, alpha, method, table, samples=samples, seed=case_seed, workers=workers)
-        )
+    records = _pseudomoments(grid, k, alpha, method, table, samples, seed, workers)
     x = np.log(np.log(np.array(grid, dtype=float)))
     y = np.log(np.array([r.value for r in records]))
     slope = float(np.polyfit(x, y, 1)[0])
@@ -459,7 +460,7 @@ def maximal_order_scan(X: int, p: float, table: PrimeTable | None = None) -> Exp
     )
     best, best_n = -math.inf, 0
     for n, log_c in enumerate(log_cnp.tolist(), start=2):
-        denom = math.log(n) / math.log(math.log(n)) if n > 2 else math.log(2) / math.log(math.log(2))
+        denom = math.log(n) / math.log(math.log(n))
         val = log_c / denom
         if val > best:
             best, best_n = val, n

@@ -146,21 +146,20 @@ def pairwise_sum(values: np.ndarray) -> float:
 class NormEstimate:
     """A quasi-norm value with its method and, for Monte Carlo, its precision.
 
-    std_error is the standard error of the p-th power mean (the quantity the
-    sampler actually averages); the error of `value` itself follows by the
-    delta method, see `value_std_error`.
+    power_mean is the p-th power mean the engine computed, and `value` its p-th root;
+    readers take the mean from here, not from value**p, which would round it again.
+    std_error is the standard error of the power mean (the quantity the sampler
+    actually averages); the error of `value` itself follows by the delta method,
+    see `value_std_error`.
     """
 
     p: float
     value: float
+    power_mean: float
     method: str
     samples: int | None = None
     std_error: float = 0.0
     seed: int | None = None
-
-    @property
-    def power_mean(self) -> float:
-        return self.value**self.p
 
     @property
     def value_std_error(self) -> float:
@@ -175,7 +174,7 @@ class NormEstimate:
 def l2_norm(f: DirichletPolynomial) -> NormEstimate:
     """sqrt of the sum of squared coefficient moduli."""
     total = math.fsum(abs(c) ** 2 for c in f.coefficients.values())
-    return NormEstimate(p=2.0, value=math.sqrt(total), method="exact_l2")
+    return NormEstimate(p=2.0, value=math.sqrt(total), power_mean=total, method="exact_l2")
 
 
 def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
@@ -183,11 +182,8 @@ def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
     if k < 1 or int(k) != k:
         raise ValueError(f"k must be a positive integer, got {k}")
     k = int(k)
-    if not f.coefficients:
-        return NormEstimate(p=2.0 * k, value=0.0, method="exact_even")
-    fk = dirichlet_power(f, k)
-    total = math.fsum(abs(c) ** 2 for c in fk.coefficients.values())
-    return NormEstimate(p=2.0 * k, value=total ** (1.0 / (2 * k)), method="exact_even")
+    total = math.fsum(abs(c) ** 2 for c in dirichlet_power(f, k).coefficients.values())
+    return NormEstimate(p=2.0 * k, value=total ** (1.0 / (2 * k)), power_mean=total, method="exact_even")
 
 
 class _LiftPlan(NamedTuple):
@@ -343,7 +339,7 @@ def mc_norm_many(
             mean = pairwise_sum(x) / samples
             var = pairwise_sum((x - mean) ** 2) / (samples - 1)
             se = math.sqrt(var / samples)
-            out.append(NormEstimate(p=p, value=mean ** (1.0 / p), method="monte_carlo",
+            out.append(NormEstimate(p=p, value=mean ** (1.0 / p), power_mean=mean, method="monte_carlo",
                                     samples=samples, std_error=se, seed=seed))
     return out
 
@@ -438,7 +434,7 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     out = []
     for p in ps:
         mean = float(np.mean(absf**p))
-        out.append(NormEstimate(p=p, value=mean ** (1.0 / p), method="disc_quadrature"))
+        out.append(NormEstimate(p=p, value=mean ** (1.0 / p), power_mean=mean, method="disc_quadrature"))
     return out
 
 

@@ -256,7 +256,8 @@ class TestHLReport:
     def test_violation_flagged(self, table_2k):
         f = DirichletPolynomial({1: 1, 2: 1})
         # an implausibly small norm estimate breaks the lower bounds
-        fake = NormEstimate(p=1.0, value=0.1, method="monte_carlo", samples=10, std_error=0.001)
+        fake = NormEstimate(p=1.0, value=0.1, power_mean=0.1, method="monte_carlo", samples=10,
+                            std_error=0.001)
         rep = hl_report(f, 1.0, fake, table_2k)
         assert rep.verdict == "violation-suspected"
 

@@ -396,6 +396,17 @@ class TestErrorExits:
         pseudomoments = [r for r in records if r["experiment"] == "pseudomoment"]
         assert pseudomoments[-1]["normalizer"] is None
 
+    @pytest.mark.parametrize("p", [400, 800])
+    def test_value_past_the_float_range_exit_3(self, p, capsys):
+        # the Hardy-Littlewood upper side upper^(p/2) passes the float range (at p = 800 so
+        # does |F|^p): a one-line resource-limit message, not a traceback and exit 1
+        argv = f"norm --generator zeta --N 10 --p {p} --method mc --samples 100 --seed 1 --hl-report"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(shlex.split(argv)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("dhardy: resource limit:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         "euler-const --k 33 --seed 1",
         "euler-const --k 40 --leading-factor --seed 1",

@@ -8,7 +8,13 @@ from oracle import d_alpha
 from dirichlet_hardy import arith, experiments, norms
 from dirichlet_hardy.arith import sieve_primes
 from dirichlet_hardy.bounds import HL_INEQUALITIES, hl_report
-from dirichlet_hardy.dseries import GeneratorSpec, euler_factor_power, zeta_partial
+from dirichlet_hardy.dseries import (
+    GeneratorSpec,
+    dirichlet_power,
+    euler_factor_power,
+    zeta_partial,
+    zeta_power_partial,
+)
 from dirichlet_hardy.errors import ResourceLimitError, SieveLimitError
 from dirichlet_hardy.experiments import (
     FuzzConfig,
@@ -133,12 +139,23 @@ class TestScan:
     def test_slope_record_closes_the_scan(self):
         # the slope is the least-squares fit of log Psi against log log N, echoing the grid
         *recs, slope = pseudomoment_scan(1.5, 2.0, [10, 20, 40, 80], "mc", samples=2000, seed=2)
-        assert [r.params["seed"] for r in recs] == [2, 3, 4, 5]
+        assert [r.params["seed"] for r in recs] == [2, 2, 2, 2]
         x = np.log(np.log([10, 20, 40, 80]))
         fit = np.polyfit(x, np.log([r.value for r in recs]), 1)[0]
         assert slope.experiment == "scan-slope" and slope.value == float(fit)
         assert slope.params == {"k": 1.5, "alpha": 2.0, "method": "mc", "grid": "10,20,40,80", "seed": 2}
         assert slope.normalizer == 9.0 and slope.ratio == slope.value / 9.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_points_are_single_point_runs(self, alpha, workers, table_2k):
+        # one pass over the largest truncation gives each point the bits of its own run
+        grid = [10, 30, 100, 300]
+        *recs, _ = pseudomoment_scan(1.5, alpha, grid, "mc", table_2k, samples=1000, seed=7, workers=workers)
+        for N, rec in zip(grid, recs):
+            alone = pseudomoment(N, 1.5, alpha, "mc", table_2k, samples=1000, seed=7)
+            assert (rec.value.hex(), rec.std_error.hex()) == (alone.value.hex(), alone.std_error.hex())
+            assert rec == alone
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -357,9 +374,10 @@ class TestHomogeneousEnergy:
             homogeneous_energy(100, 0.5, 0.5, 100, 1, table_2k)
 
 
-@pytest.mark.parametrize("experiment", ["witness", "ratio-probe", "homogeneous-energy"])
+@pytest.mark.parametrize("experiment", ["witness", "ratio-probe", "homogeneous-energy", "scan"])
 def test_one_lift_plan_per_experiment(experiment, table_2k, monkeypatch):
-    # the partial sums and the homogeneous layers are evaluated on the whole polynomial's nodes
+    # the partial sums (the smaller truncations of a scan among them) and the homogeneous
+    # layers are evaluated on the whole polynomial's nodes
     plans = []
     build = norms._lift_plan
     monkeypatch.setattr(norms, "_lift_plan", lambda *args: plans.append(args) or build(*args))
@@ -367,6 +385,7 @@ def test_one_lift_plan_per_experiment(experiment, table_2k, monkeypatch):
         "witness": lambda: partial_sum_witness(0.5, 3, 2_000, 1, table_2k),
         "ratio-probe": lambda: partial_sum_ratio_probe(zeta_partial(200), 50, 1.0, 2_000, 1, table_2k),
         "homogeneous-energy": lambda: homogeneous_energy(200, 1.5, 0.5, 2_000, 1, table_2k),
+        "scan": lambda: pseudomoment_scan(1.5, 1.0, [10, 20, 40, 80], "mc", table_2k, samples=2_000, seed=1),
     }[experiment]()
     assert len(plans) == 1
 
@@ -485,38 +504,39 @@ class TestFuzzSuite:
 
     def test_golden_records(self, table_2k):
         # float.hex of (value, normalizer) per record, from one evaluation of g per case and one
-        # factoring per support; the same bits as a disc_norm per p and a factoring per weight
+        # factoring per support; the same bits as a disc_norm per p and a factoring per weight.
+        # The power-mean sides are the engine's means, not value**p rounded again
         records = hl_fuzz_suite(FuzzConfig(corpus=2, seed=3, samples=2000), table_2k)
         assert [(r.experiment.removeprefix("fuzz:"), r.params["case"], r.params["p"],
                  r.value.hex(), r.normalizer.hex()) for r in records[:-1]] == [
             ("disc-lower", 0, 0.5, "0x1.06f058569ff9ap+1", "0x1.1085ac3d37c22p+1"),
             ("disc-lower", 0, 1.0, "0x1.17231739b3553p+2", "0x1.2e2e9de66d014p+2"),
-            ("disc-lower", 0, 1.3333333333333333, "0x1.c585d7ade9a02p+2", "0x1.05adc3ae0f4bdp+3"),
-            ("disc-upper", 0, 3.0, "0x1.29757da41b275p+7", "0x1.6bf8a04834944p+9"),
-            ("disc-upper", 0, 5.0, "0x1.749e52815b6d5p+12", "0x1.5d50a00f6b6d2p+18"),
+            ("disc-lower", 0, 1.3333333333333333, "0x1.c585d7ade9a02p+2", "0x1.05adc3ae0f4bep+3"),
+            ("disc-upper", 0, 3.0, "0x1.29757da41b276p+7", "0x1.6bf8a04834944p+9"),
+            ("disc-upper", 0, 5.0, "0x1.749e52815b6d0p+12", "0x1.5d50a00f6b6d2p+18"),
             ("hl-lower", 0, 0.5, "0x1.a114dbbb93458p-1", "0x1.8e10fe08208cdp+0"),
             ("squarefree-lower", 0, 0.5, "0x1.a114dbbb93458p-1", "0x1.8e10fe08208cdp+0"),
             ("hl-lower", 0, 1.0, "0x1.556de8c814107p+0", "0x1.462e0ed754ceap+1"),
             ("squarefree-lower", 0, 1.0, "0x1.556de8c814107p+0", "0x1.462e0ed754ceap+1"),
             ("divisor-chain", 0, 1.0, "0x1.ee51e4dc732d3p-1", "0x1.462e0ed754ceap+1"),
-            ("hl-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.cff511e1d1905p+1"),
-            ("squarefree-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.cff511e1d1905p+1"),
-            ("hl-upper", 0, 3.0, "0x1.9a1c9a069bac9p+4", "0x1.289582209edffp+6"),
-            ("hl-upper", 0, 5.0, "0x1.5fa5ebea843a7p+8", "0x1.4f539129c1b38p+14"),
+            ("hl-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.cff511e1d1906p+1"),
+            ("squarefree-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.cff511e1d1906p+1"),
+            ("hl-upper", 0, 3.0, "0x1.9a1c9a069bacbp+4", "0x1.289582209edffp+6"),
+            ("hl-upper", 0, 5.0, "0x1.5fa5ebea843a6p+8", "0x1.4f539129c1b38p+14"),
             ("disc-lower", 1, 0.5, "0x1.1e1ec25ba1972p+0", "0x1.bbfc61e81b51bp+0"),
             ("disc-lower", 1, 1.0, "0x1.ea93167d2d6c2p+0", "0x1.9711799ddcebap+1"),
-            ("disc-lower", 1, 1.3333333333333333, "0x1.4825ea7825aa2p+1", "0x1.38645b5d50c5fp+2"),
-            ("disc-upper", 1, 3.0, "0x1.929ad4c187a6bp+5", "0x1.a81b88ce38cbap+9"),
+            ("disc-lower", 1, 1.3333333333333333, "0x1.4825ea7825aa2p+1", "0x1.38645b5d50c60p+2"),
+            ("disc-upper", 1, 3.0, "0x1.929ad4c187a6cp+5", "0x1.a81b88ce38cbap+9"),
             ("disc-upper", 1, 5.0, "0x1.06bc1daaf0825p+10", "0x1.19a11a811208fp+19"),
             ("hl-lower", 1, 0.5, "0x1.15c50e5441881p+0", "0x1.148840daa863dp+1"),
             ("squarefree-lower", 1, 0.5, "0x1.03e56c5907057p+0", "0x1.148840daa863dp+1"),
             ("hl-lower", 1, 1.0, "0x1.2b098f26ab117p+1", "0x1.407c291802cf6p+2"),
             ("squarefree-lower", 1, 1.0, "0x1.ac5d8dfc86d3bp+0", "0x1.407c291802cf6p+2"),
             ("divisor-chain", 1, 1.0, "0x1.1189c4306b6e5p+0", "0x1.407c291802cf6p+2"),
-            ("hl-lower", 1, 1.3333333333333333, "0x1.1f33b447fa11ep+2", "0x1.2152be8ff041ep+3"),
-            ("squarefree-lower", 1, 1.3333333333333333, "0x1.5c6bbc6c51490p+1", "0x1.2152be8ff041ep+3"),
-            ("hl-upper", 1, 3.0, "0x1.c3cbb27435ad1p+7", "0x1.164191323a280p+11"),
-            ("hl-upper", 1, 5.0, "0x1.efd0ec1d7e12fp+13", "0x1.4eb1df1996ed8p+24"),
+            ("hl-lower", 1, 1.3333333333333333, "0x1.1f33b447fa11ep+2", "0x1.2152be8ff041fp+3"),
+            ("squarefree-lower", 1, 1.3333333333333333, "0x1.5c6bbc6c51490p+1", "0x1.2152be8ff041fp+3"),
+            ("hl-upper", 1, 3.0, "0x1.c3cbb27435ad4p+7", "0x1.164191323a280p+11"),
+            ("hl-upper", 1, 5.0, "0x1.efd0ec1d7e129p+13", "0x1.4eb1df1996ed8p+24"),
         ]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -572,6 +592,17 @@ class TestFractionalOrderMoment:
         norm = rec.value ** (1 / 3)
         rel = rec.std_error / (3 * rec.value)  # delta method on the cube root
         assert e1 * (1 - 3 * rel) <= norm <= e2 * (1 + 3 * rel)
+
+
+@pytest.mark.parametrize("N, k, alpha", [(40, 4, 1.0), (300, 2, 1.5), (10, 3, 1.0)])
+def test_convolution_value_is_the_fsum(N, k, alpha, table_2k):
+    # the record keeps the engine's power mean, not its 2k-th root raised to 2k again
+    fk = dirichlet_power(zeta_power_partial(N, alpha, table_2k), k)
+    total = math.fsum(abs(c) ** 2 for c in fk.coefficients.values())
+    rec = pseudomoment(N, k, alpha, "exact", table_2k)
+    assert rec.extra["algorithm"] == "convolution"
+    assert rec.value.hex() == total.hex()
+    assert even_norm_exact(zeta_power_partial(N, alpha, table_2k), k).power_mean.hex() == total.hex()
 
 
 def test_sixth_moment_convolution_route(table_2k):

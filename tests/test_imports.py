@@ -103,3 +103,14 @@ def test_engine_calls_no_blas():
             assert not isinstance(node.op, ast.MatMult), node.lineno
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
             assert "optimize" not in {k.arg for k in node.keywords}, node.lineno
+
+
+def test_only_norms_builds_norm_estimates():
+    # the engines decide an estimate's power mean; every other module reads theirs
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "norms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name != "NormEstimate", f"{path.name}:{node.lineno}"
