@@ -14,8 +14,10 @@ one row per node n and one column per point: z(n) = z(spf n) z(n/spf n) fills th
 rows layer by layer, in slot order (Omega(n), n). F is then one sequential sum over
 the support in slot order, acc = acc + Re(a_n) z(n), with the imaginary parts of the
 coefficients summed the same way apart and combined at the end; the order depends only
-on the support. So |F| for sample i depends only on (seed, i), whatever the chunk, the
-block of points evaluated together or the worker count. Neither the angles nor the
+on the support. So |F| for sample i depends only on (seed, i), whatever the block of
+points evaluated together or the worker count. The block is the one unit of work: a block's
+angles are hashed, turned into phases and lifted in one flat workspace per worker, and the
+block halves until the run fits the memory cap. Neither the angles nor the
 node values depend on the rest of the plan, so polynomials whose supports lie inside
 f's (its partial sums, its homogeneous parts) are evaluated on f's nodes in the same
 pass, each with the bits of its own run. Sample means are reduced by a halving fold.
@@ -42,13 +44,16 @@ from .arith import PrimeTable, factorize, multiplicative
 from .dseries import DirichletPolynomial, dirichlet_power
 from .errors import SieveLimitError, check_memory, memory_cap_bytes
 
-# samples drawn together, halved until a run fits the memory cap. The uniforms are drawn per
-# chunk, not per evaluation block: per-block draws, with the same bits, measured about 2x slower
-# (mc_dense 6.5-6.9 against 14.1-14.9 ops/s, 11x the system time, 26x the minor faults) for a
-# lower peak RSS, because glibc returns each block's freed arrays to the OS; the chunk-sized
-# uniform array raises its dynamic mmap threshold and so prevents that. CHANGES.md has the numbers
-_CHUNK = 8192
-_BLOCK_BYTES = 1 << 20  # node values of the points evaluated together; sized to stay in cache
+# node values of the points evaluated together, sized to stay in cache. The block is the one unit
+# of work: each worker allocates one flat workspace per call and hashes, phases and lifts each
+# block of its share in views of it. Drawing an 8192-sample chunk of angles at once (7 MB at
+# N = 600) raised glibc's dynamic mmap threshold, without which freed block arrays go back to the
+# OS: a variant that drew per block into fresh arrays took 370K-760K minor faults per 200
+# fuzz_sparse ops against 33K and ran about 20% slower. One workspace allocates nothing in the
+# loop instead, and needs no such threshold: over 96 in-process ops on a 2-vCPU host, mc_dense
+# took 405 minor faults against 24K-27K with the chunk and fuzz_sparse 2.2K against 32K, and the
+# benchmark's mc_dense peak RSS fell from 50 to 39 MB
+_BLOCK_BYTES = 1 << 20
 
 # splitmix64 increments (odd 64-bit constants)
 _GAMMA_SAMPLE = np.uint64(0x9E3779B97F4A7C15)
@@ -68,51 +73,83 @@ def _turns(count: int, period: int) -> np.ndarray:
 _TURN_A, _TURN_B, _TURN_C = _turns(2048, 2**11), _turns(2048, 2**22), _turns(1024, 2**32)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer, in place: callers pass a fresh array."""
-    # uint64 arithmetic wraps mod 2^64 by design
-    with np.errstate(over="ignore"):
-        for shift, mult in ((30, _M1), (27, _M2)):
-            x ^= x >> np.uint64(shift)
-            x *= mult
-        x ^= x >> np.uint64(31)
+def _mix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64's finalizer, in place, with `scratch` (shaped like x) for the shifted copies."""
+    t = np.empty_like(x) if scratch is None else scratch
+    # uint64 array arithmetic (0-d arrays too, unlike numpy scalars) wraps mod 2^64 silently
+    for shift, mult in ((30, _M1), (27, _M2)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= mult
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
-def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _seed_key(seed: int) -> int:
+    """The hashed seed, splitmix64's finalizer of seed mod 2^64; every block of a run reuses it."""
+    return int(_mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)))
+
+
+def _uniforms(
+    seed: int,
+    first_sample: int,
+    count: int,
+    columns: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """32-bit angles k (the angle k 2^-32 turns) for samples [first_sample, first_sample+count).
 
     `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Entry
     (i, j) is the top 32 bits of a splitmix64 hash of (seed, first_sample + i,
     columns[j]), so any partition of the sample range, or any choice of columns,
     reproduces the same values. The result is the int64 transpose of a C-ordered
-    (columns, count) array: each prime's angles are contiguous.
+    (columns, count) array: each prime's angles are contiguous. That array is `out` if
+    given; `scratch`, a flat uint64 array of at least max(len(columns), 2) * count entries,
+    then holds the temporaries, so the draw allocates nothing of the count's size.
     """
-    s0 = _mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
-    idx = np.arange(first_sample + 1, first_sample + count + 1, dtype=np.uint64)
-    per_sample = _mix64(s0 + idx * _GAMMA_SAMPLE)
-    jdx = np.asarray(columns, dtype=np.uint64) + np.uint64(1)
-    h = _mix64(jdx[:, None] * _GAMMA_PRIME + per_sample[None, :])
+    width = len(columns)
+    h = np.empty((width, count), dtype=np.uint64) if out is None else out.view(np.uint64)
+    if scratch is None:
+        scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
+    # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64, as a running sum
+    keys = scratch[:count]
+    keys.fill(_GAMMA_SAMPLE)
+    keys[:1] = (_seed_key(seed) + (first_sample + 1) * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF
+    keys.cumsum(out=keys)
+    np.copyto(h, _mix64(keys, scratch[count : 2 * count]))
+    # (j + 1) gamma for each column j, added elementwise: a broadcasting add takes numpy's
+    # iterator buffers (64 KB an operand), a broadcasting copy does not
+    t = scratch[: width * count].reshape(width, count)
+    np.copyto(t, ((np.asarray(columns, dtype=np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
+    h += t
+    _mix64(h, t)
     h >>= np.uint64(32)
     return h.view(np.int64).T
 
 
-def _phases(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _phases(
+    k: np.ndarray,
+    out: np.ndarray | None = None,
+    digit: np.ndarray | None = None,
+    factor: np.ndarray | None = None,
+) -> np.ndarray:
     """exp(2 pi i k 2^-32) for int64 angles 0 <= k < 2^32, elementwise, into `out` if given.
 
     With a, b and c the top 11, the next 11 and the low 10 bits of k, the phase is the
     product exp(2 pi i a 2^-11) exp(2 pi i b 2^-22) exp(2 pi i c 2^-32) of table factors;
-    the first goes straight into `out` (mode="raise" would buffer it). Against mpmath the
+    the first goes straight into `out` (mode="raise" would buffer it). `digit` (int64) and
+    `factor` (complex128), shaped like k, hold the temporaries if given. Against mpmath the
     error stays below 7.4 2^-53 (libm's exp(2j*pi*k*2^-32) reaches about 6.4 2^-53), and
     the tests hold both to 16 2^-53.
     """
-    digit = np.right_shift(k, 21)
-    z = np.take(_TURN_A, digit, out=out, mode="clip")
+    digit = np.right_shift(k, 21, out=digit)
+    z = _TURN_A.take(digit, out=out, mode="clip")
     np.right_shift(k, 10, out=digit)
     digit &= 0x7FF
-    z *= _TURN_B.take(digit)
+    z *= _TURN_B.take(digit, out=factor, mode="clip")
     np.bitwise_and(k, 0x3FF, out=digit)
-    z *= _TURN_C.take(digit)
+    z *= _TURN_C.take(digit, out=factor, mode="clip")
     return z
 
 
@@ -191,10 +228,14 @@ class _LiftPlan(NamedTuple):
 
     columns: np.ndarray  # 0-based table positions of the primes used, ascending
     size: int  # number of nodes
-    layers: list  # (lo, hi, spf slots, cofactor slots) for Omega = 2, 3, ...
+    layers: list  # (lo, hi, spf slots then cofactor slots) for Omega = 2, 3, ...
     # f, then each part: (Re a_n, Im a_n or None if every a_n is real, slots or None if the
     # support is every node), each over the member's support in slot order
     members: list
+    # complex entries per point that `_lift_values` needs beside the node rows and F: the
+    # widest layer's two gathers, or the largest gathered member's rows with, when a member
+    # is complex, its imaginary-part sum; the two are never alive together
+    scratch: int
 
 
 def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolynomial) -> _LiftPlan:
@@ -221,15 +262,21 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
         slots, coeffs = slots[by_slot], coeffs[by_slot]
         members.append((coeffs.real.copy(), coeffs.imag.copy() if coeffs.imag.any() else None,
                         None if slots.size == nodes.size else slots))
+    layers = [(lo, hi, np.r_[left[lo:hi], right[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+    gathered = max((slots.size for _, _, slots in members if slots is not None), default=0)
+    complex_sum = any(im is not None for _, im, _ in members)
     return _LiftPlan(
         columns=np.searchsorted(table.primes, nodes[omega == 1]),
         size=nodes.size,
-        layers=[(lo, hi, left[lo:hi], right[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        layers=layers,
         members=members,
+        scratch=max(max((pairs.size for _, _, pairs in layers), default=0), gathered + complex_sum),
     )
 
 
-def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
+def _lift_values(
+    plan: _LiftPlan, Z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """F = sum a_n z(n) of each member (row) at each point (column) of Z, whose rows are nodes.
 
     The caller writes z at the plan's primes into rows 1..P; z(n) = z(spf n) z(n/spf n)
@@ -239,17 +286,25 @@ def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
     same way and adds i times it. numpy's einsum on "i,ij->j" is that unfused loop in row
     order (the tests hold it to a Python loop bit for bit), and zero coefficients add
     nothing. No operation mixes columns, so a point's F does not depend on the points
-    evaluated with it.
+    evaluated with it. F goes into `out` if given; `scratch`, a flat complex128 array of at
+    least plan.scratch entries per point, holds the gathers if given.
     """
+    width = Z.shape[1]
+    F = np.empty((len(plan.members), width), dtype=np.complex128) if out is None else out
+    if scratch is None:
+        scratch = np.empty(plan.scratch * width, dtype=np.complex128)
     Z[0] = 1
-    for lo, hi, left, right in plan.layers:
-        np.multiply(Z.take(left, axis=0), Z.take(right, axis=0), out=Z[lo:hi])
-    F = np.empty((len(plan.members), Z.shape[1]), dtype=np.complex128)
+    for lo, hi, pairs in plan.layers:
+        factors = Z.take(pairs, axis=0, out=scratch[: pairs.size * width].reshape(-1, width), mode="clip")
+        # the product stays out of place: an in-place variant changed a last bit
+        np.multiply(factors[: hi - lo], factors[hi - lo :], out=Z[lo:hi])
     for row, (re, im, slots) in zip(F, plan.members):
-        rows = (Z if slots is None else Z.take(slots, axis=0)).view(np.float64)
+        m = 0 if slots is None else slots.size * width
+        rows = Z if slots is None else Z.take(slots, axis=0, out=scratch[:m].reshape(-1, width), mode="clip")
+        rows = rows.view(np.float64)
         v = np.einsum("i,ij->j", re, rows, out=row.view(np.float64))
         if im is not None:
-            b = np.einsum("i,ij->j", im, rows)
+            b = np.einsum("i,ij->j", im, rows, out=scratch[m : m + width].view(np.float64))
             v[0::2] -= b[1::2]
             v[1::2] += b[0::2]
     return F
@@ -278,9 +333,9 @@ def mc_norm_many(
     p-th power mean from the same |F| values. Each of the `parts`, whose supports
     must lie inside f's, is evaluated from the same samples and nodes with the bits
     of its own run; the estimates are f's, then each part's, each in the order of
-    `ps`. Deterministic for fixed (seed, samples) regardless of `workers`. The chunk
-    of samples drawn together is halved until the run fits the memory cap; a run
-    that fits at no chunk size is a ResourceLimitError.
+    `ps`. Deterministic for fixed (seed, samples), whatever the block or the worker
+    count. The block of points evaluated together is halved until the run fits the
+    memory cap; a run that fits at no block size is a ResourceLimitError.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -289,48 +344,60 @@ def mc_norm_many(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _lift_plan(f, table, *parts)
-    rows, block = len(plan.members), max(1, _BLOCK_BYTES // (16 * plan.size))
-    # per worker, the larger of two phases that are never alive together: the draw, which
-    # holds two 8-byte copies of the chunk's angles, and the blocks, which keep one copy
-    # beside the working set of one block; per point of that block: the node rows plus the
-    # largest of the phase temporaries (a digit and a gathered factor, 24 B per column), the
-    # widest layer's two gathers and the contraction, which are never alive together. The
-    # contraction holds the output rows, the largest gathered member's rows and, with a
-    # complex member, the 16 B imaginary-part sum. Per sample of the whole run: |F| of every
-    # member, and one member's |F|^p and deviations with the copy the fold takes
-    widest = max((hi - lo for lo, hi, _, _ in plan.layers), default=0)
-    gathered = max((slots.size for _, _, slots in plan.members if slots is not None), default=0)
-    complex_sum = any(im is not None for _, im, _ in plan.members)
-    per_point = 16 * plan.size + max(24 * plan.columns.size, 32 * widest,
-                                     16 * (rows + gathered + complex_sum))
+    rows, primes = len(plan.members), plan.columns.size
+    # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
+    # area the stages take in turn: the phases' angles, digit and factor (2 entries a prime,
+    # which also hold the hash's angles and temporaries, or 1 entry with no prime) and the
+    # lift's gathers (plan.scratch)
+    per_point = plan.size + rows + max(2 * primes, 1, plan.scratch)
+    block = min(max(1, _BLOCK_BYTES // (16 * plan.size)), samples)
 
-    def need(chunk: int) -> int:
-        uniforms = 8 * chunk * plan.columns.size
-        per_worker = max(2 * uniforms, uniforms + min(chunk, block) * per_point)
-        return min(workers, -(-samples // chunk)) * per_worker + (24 + 8 * rows) * samples
+    def in_flight(block: int) -> int:
+        return min(workers, -(-samples // block))
 
-    chunk, cap = min(_CHUNK, samples), memory_cap_bytes()
-    while chunk > 1 and need(chunk) > cap:
-        chunk //= 2
-    check_memory(need(chunk), "Monte Carlo sampling")
+    def need(block: int) -> int:
+        # the plan's arrays (at most 24 bytes a node for the slots and columns and 24 per member
+        # for its coefficients and slots), 32 KB for the run's Python objects and numpy's call
+        # temporaries, and |F| of every member over the run; beside them either the workspaces
+        # of the workers in flight or, once those are freed, one member's |F|^p and deviations
+        # with the copy the fold takes
+        workspaces = in_flight(block) * 16 * block * per_point
+        return (24 + 24 * rows) * plan.size + (1 << 15) + 8 * rows * samples + max(workspaces, 24 * samples)
+
+    cap = memory_cap_bytes()
+    while block > 1 and need(block) > cap:
+        block //= 2
+    check_memory(need(block), "Monte Carlo sampling")
     absF = np.empty((rows, samples), dtype=np.float64)
+    busy = in_flight(block)
 
-    def fill(start: int) -> None:
-        count = min(chunk, samples - start)
-        angles = _uniforms(seed, start, count, plan.columns).T
-        for lo in range(0, count, block):
-            points = angles[:, lo : lo + block]
-            Z = np.empty((plan.size, points.shape[1]), dtype=np.complex128)
-            _phases(points, out=Z[1 : 1 + plan.columns.size])
-            np.abs(_lift_values(plan, Z), out=absF[:, start + lo : start + lo + points.shape[1]])
+    def fill(worker: int) -> None:
+        workspace = np.empty(block * per_point, dtype=np.complex128)
+        stage = workspace[(plan.size + rows) * block :]
 
-    starts = range(0, samples, chunk)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+        def views(n: int) -> tuple:
+            # for a block of n points: the node rows, F, and in the stage area the angles, the
+            # hash's temporaries, the digit and the factor, each C-ordered
+            ints = stage.view(np.int64)
+            return (workspace[: plan.size * n].reshape(plan.size, n),
+                    workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n),
+                    ints[: primes * n].reshape(primes, n), stage.view(np.uint64)[primes * n :],
+                    ints[primes * n : 2 * primes * n].reshape(primes, n),
+                    stage[primes * n : 2 * primes * n].reshape(primes, n))
+
+        full = views(block)
+        for start in range(worker * block, samples, busy * block):
+            n = min(block, samples - start)
+            Z, F, angles, temporaries, digit, factor = full if n == block else views(n)
+            _uniforms(seed, start, n, plan.columns, out=angles, scratch=temporaries)
+            _phases(angles, out=Z[1 : 1 + primes], digit=digit, factor=factor)
+            np.abs(_lift_values(plan, Z, out=F, scratch=stage), out=absF[:, start : start + n])
+
+    if busy > 1:
+        with ThreadPoolExecutor(max_workers=busy) as pool:
+            list(pool.map(fill, range(busy)))
     else:
-        for start in starts:
-            fill(start)
+        fill(0)
 
     out = []
     for row in absF:

@@ -184,19 +184,19 @@ class TestMonteCarlo:
         assert runs[0].value == runs[1].value == runs[2].value
         assert runs[0].std_error == runs[2].std_error
 
-    def test_chunk_size_leaves_outputs_unchanged(self, table_2k, monkeypatch):
-        # |F| of sample i depends only on (seed, i), not on the chunk or block that evaluates it
-        # or on the worker count. A last-bit change in a few samples can vanish from the means,
-        # so the arrays handed to the reduction (|F|^p and the squared deviations) are compared too.
+    def test_block_size_leaves_outputs_unchanged(self, table_2k, monkeypatch):
+        # |F| of sample i depends only on (seed, i), not on the block that evaluates it or on the
+        # worker count. A last-bit change in a few samples can vanish from the means, so the arrays
+        # handed to the reduction (|F|^p and the squared deviations) are compared too.
         f = zeta_partial(350)
+        nodes = norms._lift_plan(f, table_2k).size
         reduced = []
 
         def recording_sum(values):
             reduced[-1].append(np.array(values))
             return pairwise_sum(values)
 
-        def run(samples, chunk=norms._CHUNK, block_bytes=norms._BLOCK_BYTES, workers=1, g=f, parts=()):
-            monkeypatch.setattr(norms, "_CHUNK", chunk)
+        def run(samples, block_bytes=norms._BLOCK_BYTES, workers=1, g=f, parts=()):
             monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
             reduced.append([])
             ests = mc_norm_many(g, [1.0, 3.0], samples, 5, table_2k, workers, parts)
@@ -204,18 +204,20 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
         default, arrays = run(16384)
-        for chunk, block_bytes, workers in ((1024, 1 << 20, 1), (4096, 1 << 16, 1),
-                                            (8192, 1 << 20, 1), (8192, 1 << 20, 2)):
-            ests, other = run(16384, chunk, block_bytes, workers)
-            assert ests == default
-            assert all(np.array_equal(a, b) for a, b in zip(arrays, other, strict=True))
-        # blocks of one point, and blocks of 7 that leave 2 points over in the first chunk and
-        # 1 in the second; |F| and |F|^3 (reduced first and third) are the default run's prefix
-        nodes = norms._lift_plan(f, table_2k).size
+        # blocks of 64 KB (11 points, the last holding 5) and the default (187, the last 115),
+        # with two workers taking every other block
+        for block_bytes in (1 << 16, norms._BLOCK_BYTES):
+            for workers in (1, 2):
+                ests, other = run(16384, block_bytes, workers)
+                assert ests == default
+                assert all(np.array_equal(a, b) for a, b in zip(arrays, other, strict=True))
+        # blocks of one point, and of 7 that leave 2 points over, on a 4097-sample prefix: |F| and
+        # |F|^3 (reduced first and third) are the default run's prefix
         for block_bytes in (1, 7 * 16 * nodes):
-            _, other = run(8193, block_bytes=block_bytes)
-            assert np.array_equal(other[0], arrays[0][:8193])
-            assert np.array_equal(other[2], arrays[2][:8193])
+            for workers in (1, 2):
+                _, other = run(4097, block_bytes, workers)
+                assert np.array_equal(other[0], arrays[0][:4097])
+                assert np.array_equal(other[2], arrays[2][:4097])
         # parts evaluated on f's nodes give the bits of their own runs, f's estimates first;
         # the second f is complex, and its first part has real coefficients
         g = DirichletPolynomial({n: 1j if n % 7 == 0 else 1 for n in range(1, 351)})
@@ -223,9 +225,8 @@ class TestMonteCarlo:
                               DirichletPolynomial({})]),
                          (g, [partial_sum(f, 300), partial_sum(g, 300)])):
             alone = [e for part in (h, *parts) for e in run(16384, g=part)[0]]
-            for chunk, block_bytes, workers in ((8192, 1 << 20, 1), (8192, 1 << 20, 2),
-                                                (1024, 1 << 16, 1), (1024, 1 << 16, 2)):
-                assert run(16384, chunk, block_bytes, workers, g=h, parts=parts)[0] == alone
+            for block_bytes, workers in ((1 << 20, 1), (1 << 20, 2), (1 << 16, 1), (1 << 16, 2)):
+                assert run(16384, block_bytes, workers, g=h, parts=parts)[0] == alone
 
     def test_contraction_is_a_sequential_slot_order_sum(self, table_2k):
         # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support in the
@@ -333,20 +334,21 @@ class TestMonteCarlo:
             assert est.power_mean == pytest.approx(reference, rel=1e-12)
 
     def test_memory_cap(self, table_2k, monkeypatch):
-        # Z_350 is charged about 9.7 MB at 8192-sample chunks with one worker and 19 MB with
-        # two; under a tighter cap the chunk halves until the run fits, with the same bits
+        # Z_350 is charged about 1.9 MB at the default block of 187 points with one worker and
+        # 3.6 MB with two; under a tighter cap the block halves until the run fits, with the same bits
         f = zeta_partial(350)
         uncapped = mc_norm(f, 1.0, 16384, 1, table_2k)
+        block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
         counts = []
         draw = norms._uniforms
-        monkeypatch.setattr(norms, "_uniforms", lambda *args: counts.append(args[2]) or draw(*args))
-        for cap, workers in ((8_000_000, 1), (15_000_000, 2)):
+        monkeypatch.setattr(norms, "_uniforms", lambda *args, **buffers: counts.append(args[2]) or draw(*args, **buffers))
+        for cap, workers in ((1_500_000, 1), (3_000_000, 2)):
             monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
             counts.clear()
             est = mc_norm(f, 1.0, 16384, 1, table_2k, workers=workers)
-            assert max(counts) < norms._CHUNK
+            assert max(counts) < block
             assert (est.value.hex(), est.std_error.hex()) == (uncapped.value.hex(), uncapped.std_error.hex())
-        # even a one-sample chunk is refused: |F| and the reductions over 2M samples need 64 MB
+        # even a one-point block is refused: |F| and the reductions over 2M samples need 64 MB
         monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(15_000_000))
         with pytest.raises(ResourceLimitError):
             mc_norm(DirichletPolynomial({1: 1, 2: 1}), 1.0, 2_000_000, 1, table_2k)
@@ -354,15 +356,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("N, alpha", [(350, 1.0), (600, 1.5)])
     def test_memory_charge_tracks_the_traced_peak(self, N, alpha, table_2k, monkeypatch):
         # the charge covers every byte the run allocates and overstates the peak by under 25%,
-        # at the default chunk and at the chunk halved to fit an 8 MB cap
+        # at the default block and at the block halved to fit a 1.5 MB cap
         charged, counts = [], []
         monkeypatch.setattr(norms, "check_memory", lambda need, what: charged.append(need))
         draw = norms._uniforms
-        monkeypatch.setattr(norms, "_uniforms", lambda *args: counts.append(args[2]) or draw(*args))
+        monkeypatch.setattr(norms, "_uniforms", lambda *args, **buffers: counts.append(args[2]) or draw(*args, **buffers))
         f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table_2k)
+        block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
         # a process's first np.unique imports numpy.ma, about 1 MB that is not the run's
         mc_norm(f, 1.0, 64, 1, table_2k)
-        for cap, chunk in ((None, norms._CHUNK), (8_000_000, norms._CHUNK // 2)):
+        for cap, width in ((None, block), (1_500_000, block // 2)):
             if cap is not None:
                 monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
             charged.clear()
@@ -373,8 +376,26 @@ class TestMonteCarlo:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert max(counts) == chunk
+            assert max(counts) == width
             assert peak <= charged[0] <= 1.25 * peak, (cap, charged[0], peak)
+
+    def test_peak_grows_only_by_the_per_sample_arrays(self, table_2k):
+        # the workspace is one block per worker whatever the sample count, so from 1024 to 16384
+        # to 65536 samples the traced peak may grow only by the per-sample arrays (|F|, |F|^p,
+        # the deviations and the fold's copy: 32 bytes a sample) and 16 KB of allocator noise;
+        # angles drawn for a chunk of samples at once would grow it by megabytes
+        f = zeta_partial(350)
+        mc_norm(f, 1.0, 64, 1, table_2k)
+        peaks = []
+        for samples in (1024, 16384, 65536):
+            tracemalloc.start()
+            try:
+                mc_norm_many(f, [1.0], samples, 1, table_2k)
+                peaks.append((samples, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+        for (small, low), (large, high) in zip(peaks, peaks[1:]):
+            assert high - low <= 32 * (large - small) + (1 << 14), peaks
 
     def test_memory_charge_tracks_the_phase_temporaries(self, table_2k, monkeypatch):
         # a sum over the first 303 primes has as many prime columns as terms, so the phase
@@ -395,7 +416,7 @@ class TestMonteCarlo:
         assert peak <= charged[0] <= 1.25 * peak, (charged[0], peak)
 
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
-        # 1999 is the 303rd prime, but the uniform block of a chunk is one column wide
+        # 1999 is the 303rd prime, but a block's angles are one column wide
         monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
         est = mc_norm(DirichletPolynomial({1: 1, 1999: 1}), 1.0, 16384, 1, table_2k, workers=2)
         assert est.value == pytest.approx(4 / math.pi, rel=0.02)  # E|1 + z| over the circle
@@ -404,9 +425,9 @@ class TestMonteCarlo:
         widths = []
         draw = norms._uniforms
 
-        def recording(seed, first_sample, count, columns):
+        def recording(seed, first_sample, count, columns, **buffers):
             widths.append(len(columns))
-            return draw(seed, first_sample, count, columns)
+            return draw(seed, first_sample, count, columns, **buffers)
 
         monkeypatch.setattr(norms, "_uniforms", recording)
         f = random_dirichlet(np.random.default_rng(5), 64, 1000)
