@@ -20,7 +20,7 @@ prime powers bounds the n-th coefficient functional on Dirichlet series.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .arith import (
@@ -268,9 +268,6 @@ class HLReport:
     squarefree_sum: float | None
     verdict: str
     slack_sigma: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def hl_report(

@@ -8,7 +8,8 @@ including the seed, and writes json, jsonl, or csv atomically.
 
 Exit codes: 0 success, 1 fuzz or hl-check violations beyond the slack of
 --hl-report, 2 usage error or a value the library rejects, 3 resource limit (the
-memory cap or the float range), 4 internal error (a library invariant failed).
+memory cap or the float range), 4 internal error (a library invariant failed, or a record
+holds a value with no output form).
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def build_parser() -> _Parser:
                           help="weighted-inequality corpus check at one exponent")
     p_hl.add_argument("--p", type=_positive_float, required=True)
     p_hl.add_argument("--corpus", type=int, required=True)
-    p_hl.add_argument("--support", type=_positive_int, default=64)
-    p_hl.add_argument("--max-index", type=_positive_int, default=1000)
-    p_hl.add_argument("--samples", type=_positive_int, default=20000)
+    p_hl.add_argument("--support", type=_positive_int, default=FuzzConfig.max_support)
+    p_hl.add_argument("--max-index", type=_positive_int, default=FuzzConfig.max_index)
+    p_hl.add_argument("--samples", type=_positive_int, default=FuzzConfig.samples)
 
     p_ps = sub.add_parser("partial-sum", parents=[common],
                           help="partial-sum witness or truncation-ratio probe")
@@ -161,14 +162,14 @@ def build_parser() -> _Parser:
                       help="also evaluate the arithmetic leading factor (integer k)")
 
     p_fz = sub.add_parser("fuzz", parents=[common], help="inequality fuzz suite")
-    p_fz.add_argument("--corpus", type=int, default=500)
-    p_fz.add_argument("--p-grid", default="0.5,1,1.3333333333333333,3,5")
-    p_fz.add_argument("--inequalities", default=",".join(FuzzConfig().inequalities))
-    p_fz.add_argument("--support", type=_positive_int, default=64)
-    p_fz.add_argument("--max-index", type=_positive_int, default=1000)
-    p_fz.add_argument("--max-degree", type=_positive_int, default=8)
-    p_fz.add_argument("--samples", type=_positive_int, default=20000)
-    p_fz.add_argument("--nodes", type=_positive_int, default=16384)
+    p_fz.add_argument("--corpus", type=int, default=FuzzConfig.corpus)
+    p_fz.add_argument("--p-grid", default=",".join(f"{p:.17g}" for p in FuzzConfig.p_values))
+    p_fz.add_argument("--inequalities", default=",".join(FuzzConfig.inequalities))
+    p_fz.add_argument("--support", type=_positive_int, default=FuzzConfig.max_support)
+    p_fz.add_argument("--max-index", type=_positive_int, default=FuzzConfig.max_index)
+    p_fz.add_argument("--max-degree", type=_positive_int, default=FuzzConfig.max_degree)
+    p_fz.add_argument("--samples", type=_positive_int, default=FuzzConfig.samples)
+    p_fz.add_argument("--nodes", type=_positive_int, default=FuzzConfig.nodes)
     p_fz.add_argument("--invert", action="store_true",
                       help="self-test: flip every comparison and expect violations")
     return parser
@@ -264,8 +265,8 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
         command=[cmd.subcommand] + _echo_args(args),
         seed=seed,
         threads=args.threads,
-        records=[r.to_dict() for r in records],
         warnings=warnings,
+        records=records,
         wall_time_s=time.monotonic() - started,
     )
     return doc, exit_code

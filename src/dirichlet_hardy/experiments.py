@@ -25,7 +25,7 @@ parameter set, including seeds, so any run can be replayed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -79,9 +79,6 @@ class ExperimentRecord:
     ratio: float
     std_error: float | None = None
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _ratio(value: float, normalizer: float) -> float:
@@ -138,7 +135,7 @@ def hardy_norm(
         est = mc_norm(poly, p, samples, seed, table, workers)
     extra = {"length": poly.length, "support_size": len(poly)}
     if report:
-        extra["hl_report"] = hl_report(poly, p, est, table).to_dict()
+        extra["hl_report"] = hl_report(poly, p, est, table)
     kind, N = (f.kind, f.N) if isinstance(f, GeneratorSpec) else (None, None)
     params = {"p": p, "method": est.method, "samples": est.samples, "seed": est.seed,
               "generator": kind, "N": N}

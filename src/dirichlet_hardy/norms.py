@@ -34,10 +34,12 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from . import errors
 
 # factorize is unused here; perfbench's tracer tests rebind and restore it in this module
 from .arith import PrimeTable, factorize, multiplicative
@@ -204,9 +206,6 @@ class NormEstimate:
             return 0.0
         return self.value * self.std_error / (self.p * self.power_mean)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def l2_norm(f: DirichletPolynomial) -> NormEstimate:
     """sqrt of the sum of squared coefficient moduli."""
@@ -244,6 +243,13 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
         raise ValueError("a part's support must lie inside the polynomial's support")
     if f.length > table.limit:
         raise SieveLimitError(f"support reaches {f.length}, beyond sieve limit {table.limit}")
+    # charged before anything is allocated, on a bound of the closure: at most f.length nodes,
+    # and an index n adds at most 2 Omega(n) < 2 log2(n) beside node 1. Building the plan traces
+    # at most 129 bytes a node plus 8 KB on Z_N (N = 1 to 500000), where the bound is the node
+    # count; on sparse supports it overstates the nodes 8-14 times. The run that samples on the
+    # plan charges its retained arrays with its own working set
+    bound = min(f.length, 1 + 2 * len(f) * f.length.bit_length())
+    errors.check_memory((1 << 13) + 130 * bound, f"the lift plan of up to {bound} nodes")
     spf = table.smallest_factor
     support = np.array(f.support, dtype=np.int64)
     nodes = np.union1d(support, [1])
@@ -335,7 +341,8 @@ def mc_norm_many(
     of its own run; the estimates are f's, then each part's, each in the order of
     `ps`. Deterministic for fixed (seed, samples), whatever the block or the worker
     count. The block of points evaluated together is halved until the run fits the
-    memory cap; a run that fits at no block size is a ResourceLimitError.
+    memory cap; a run that fits at no block size is a ResourceLimitError, and a power
+    mean or standard error past the float range an OverflowError.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -402,10 +409,13 @@ def mc_norm_many(
     out = []
     for row in absF:
         for p in ps:
-            x = row**p
-            mean = pairwise_sum(x) / samples
-            var = pairwise_sum((x - mean) ** 2) / (samples - 1)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+                x = row**p
+                mean = pairwise_sum(x) / samples
+                var = pairwise_sum((x - mean) ** 2) / (samples - 1)
             se = math.sqrt(var / samples)
+            if not (math.isfinite(mean) and math.isfinite(se)):
+                raise OverflowError(f"the p = {p} power mean of |F| or its error passes the float range")
             out.append(NormEstimate(p=p, value=mean ** (1.0 / p), power_mean=mean, method="monte_carlo",
                                     samples=samples, std_error=se, seed=seed))
     return out
@@ -486,7 +496,8 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     the equispaced nodes, with the bits of `disc_norm` at that p. For periodic
     integrands the trapezoidal rule is the plain node mean. With nodes > 2*degree
     the p=2 case is aliasing-free and matches the coefficient l2 norm to rounding.
-    Every p and the node count are checked before f is evaluated.
+    Every p and the node count are checked before f is evaluated; a power mean past the
+    float range is an OverflowError.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -500,7 +511,10 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     absf = np.abs(f(_circle(nodes)))
     out = []
     for p in ps:
-        mean = float(np.mean(absf**p))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+            mean = float(np.mean(absf**p))
+        if not math.isfinite(mean):
+            raise OverflowError(f"the p = {p} power mean of |f| on the circle passes the float range")
         out.append(NormEstimate(p=p, value=mean ** (1.0 / p), power_mean=mean, method="disc_quadrature"))
     return out
 

@@ -266,7 +266,7 @@ class TestHLReport:
         est = mc_norm(f, 1.0, 20_000, 3, table_2k)
         rep = hl_report(f, 1.0, est, table_2k)
         assert rep.verdict == "consistent"
-        assert rep.to_dict()["norm"]["seed"] == 3
+        assert rep.norm.seed == 3
 
 
 class TestPointEvaluationWithMC:

@@ -4,12 +4,14 @@ import os
 import shlex
 import warnings
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from dirichlet_hardy import arith, experiments
+from dirichlet_hardy import arith, cli, experiments
 from dirichlet_hardy.cli import build_parser, execute, main, parse
+from dirichlet_hardy.experiments import HL_INEQUALITIES, ExperimentRecord, FuzzConfig
 from dirichlet_hardy.report import CSV_COLUMNS, records_to_csv, render
 
 
@@ -26,6 +28,25 @@ class TestParse:
     def test_hl_check(self):
         cmd = parse(["hl-check", "--p", "1", "--corpus", "500", "--seed", "42"])
         assert cmd.args.corpus == 500 and cmd.args.seed == 42
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("fuzz --seed 1", FuzzConfig(seed=1)),
+        ("hl-check --p 1 --corpus 500 --seed 1",
+         FuzzConfig(seed=1, inequalities=HL_INEQUALITIES, p_values=(1.0,))),
+    ])
+    def test_fuzz_flags_default_to_the_config(self, argv, expected, monkeypatch):
+        seen = []
+
+        def suite(config):
+            seen.append(config)
+            return [ExperimentRecord(experiment="fuzz-summary", params={}, value=0.0, normalizer=0.0,
+                                     ratio=0.0, extra={"summary": {"violation": 0}})]
+
+        monkeypatch.setattr(cli, "hl_fuzz_suite", suite)
+        execute(parse(shlex.split(argv)))
+        (config,) = seen
+        for field in fields(FuzzConfig):
+            assert getattr(config, field.name) == getattr(expected, field.name), field.name
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["pseudomoment", "--N", "10", "--k", "1", "--bogus", "1"]) == 2
@@ -383,29 +404,42 @@ class TestErrorExits:
         assert "cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        "pseudomoment --N 10 --k 400 --method mc --samples 100 --seed 1",
+        "pseudomoment --N 10 --k 40 --method mc --samples 100 --seed 1",
         "scan --k 40 --grid 3,4,5,6 --method mc --samples 100 --seed 1",
     ])
     def test_large_k_normalizer_overflow_exit_0(self, argv, tmp_path):
-        # (log N)^(k^2) passes the float range: the normalizer renders as null
+        # (log N)^(k^2) passes the float range, the power mean |F|^(2k) does not: the
+        # normalizer renders as null
         out = tmp_path / "out.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # k = 400: |F|^800 overflows too
-            assert main(shlex.split(argv) + ["--out", str(out)]) == 0
+        assert main(shlex.split(argv) + ["--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
         pseudomoments = [r for r in records if r["experiment"] == "pseudomoment"]
         assert pseudomoments[-1]["normalizer"] is None
+        assert all(math.isfinite(r["value"]) and math.isfinite(r["std_error"]) for r in pseudomoments)
 
     @pytest.mark.parametrize("p", [400, 800])
     def test_value_past_the_float_range_exit_3(self, p, capsys):
-        # the Hardy-Littlewood upper side upper^(p/2) passes the float range (at p = 800 so
-        # does |F|^p): a one-line resource-limit message, not a traceback and exit 1
+        # the standard error of |F|^400, and at p = 800 |F|^p itself, pass the float range: a
+        # one-line resource-limit message, not a traceback, a numpy warning or exit 1
         argv = f"norm --generator zeta --N 10 --p {p} --method mc --samples 100 --seed 1 --hl-report"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(shlex.split(argv)) == 3
         err = capsys.readouterr().err
         assert err.startswith("dhardy: resource limit:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "pseudomoment --N 10 --k 400 --method mc --samples 100 --seed 1",  # Monte Carlo
+        "fuzz --corpus 1 --p-grid 400 --seed 1",  # the disc quadrature, first in a case
+    ])
+    def test_power_mean_past_the_float_range_exit_3(self, argv, capsys):
+        # exit 3 with one stderr line, not a numpy warning and a record whose value is null
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(shlex.split(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "dhardy: resource limit: a value passed the float range\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         "euler-const --k 33 --seed 1",

@@ -289,7 +289,7 @@ class TestNormRoute:
         rec = hardy_norm(spec, 1.5, samples=2000, seed=3, report=True)
         assert (rec.params["generator"], rec.params["N"]) == ("zeta-power", 60)
         assert rec == hardy_norm(spec, 1.5, samples=2000, seed=3, table=table_2k, report=True)
-        assert rec.extra["hl_report"]["verdict"] == "consistent"
+        assert rec.extra["hl_report"].verdict == "consistent"
         assert hardy_norm(zeta_partial(20), 2.0).params["generator"] is None
 
 

@@ -114,3 +114,16 @@ def test_only_norms_builds_norm_estimates():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 assert name != "NormEstimate", f"{path.name}:{node.lineno}"
+
+
+def test_only_report_turns_records_into_output_data():
+    # a record becomes output data in one walk, in `report`: no module deep-copies it with
+    # asdict or keeps a to_dict of its own, and only `report` reads dataclass fields generically
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set(used_names(tree)) | set(imported_names(tree))
+        assert not names & {"asdict", "astuple", "to_dict"}, path.name
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "to_dict" not in defined, path.name
+        if path.name != "report.py":
+            assert not names & {"fields", "is_dataclass"}, path.name

@@ -1,12 +1,13 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from oracle import big_omega, factor, prime_position
 
-from dirichlet_hardy import norms
+from dirichlet_hardy import errors, norms
 from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power
 from dirichlet_hardy.bounds import _slack, hl_lower_sum, hl_upper_sum
 from dirichlet_hardy.dseries import (
@@ -17,7 +18,7 @@ from dirichlet_hardy.dseries import (
     zeta_partial,
     zeta_power_partial,
 )
-from dirichlet_hardy.errors import ResourceLimitError
+from dirichlet_hardy.errors import MEMORY_CAP_ENV, ResourceLimitError
 from dirichlet_hardy.experiments import random_dirichlet, random_disc
 from dirichlet_hardy.norms import (
     DiscPolynomial,
@@ -415,6 +416,49 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak <= charged[0] <= 1.25 * peak, (charged[0], peak)
 
+    def test_lift_plan_is_charged_before_it_is_built(self, table_2k, monkeypatch):
+        # building the plan of Z_2000 traces about 260 KB, charged within 25%; under a cap below
+        # the charge the run is refused before the closure allocates anything
+        f = zeta_partial(2000)
+        charged = []
+        check = errors.check_memory
+        monkeypatch.setattr(errors, "check_memory", lambda need, what: charged.append(need) or check(need, what))
+        norms._lift_plan(f, table_2k)  # a process's first calls import what is not the plan's
+        charged.clear()
+        tracemalloc.start()
+        try:
+            norms._lift_plan(f, table_2k)
+            _, built = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built <= charged[0] <= 1.25 * built, (charged, built)
+        cap = charged[0] - 1
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(cap))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="lift plan"):
+                mc_norm(f, 1.0, 1000, 1, table_2k)
+            _, refused = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused < cap // 10, (refused, cap)
+
+    def test_power_mean_past_the_float_range(self, table_2k):
+        # |F| of Z_10 reaches about 4.4 in 100 samples: at p = 400 the standard error passes the
+        # float range, at p = 800 the power mean too. Either is an OverflowError with no numpy
+        # warning, and ordinary p keeps the bits it had before the check
+        Z = zeta_power_partial(10, 1.0, table_2k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (400.0, 800.0):
+                with pytest.raises(OverflowError, match="float range"):
+                    mc_norm_many(Z, [2.0, p], 100, 1, table_2k)
+            ests = mc_norm_many(Z, [2.0, 3.0, 100.0], 100, 1, table_2k)
+        assert [(e.power_mean.hex(), e.std_error.hex()) for e in ests] == [
+            ("0x1.64dbe808aa58cp+1", "0x1.6755a919b3478p-2"),
+            ("0x1.bc1f7b15e1cb6p+2", "0x1.4c8dce1aa8712p+0"),
+            ("0x1.3bbfc09365f0dp+207", "0x1.3bbfc01d4f0bfp+207")]
+
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
         # 1999 is the 303rd prime, but a block's angles are one column wide
         monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(30_000_000))
@@ -580,6 +624,14 @@ class TestDiscNorm:
             many = disc_norm_many(g, ps, nodes)
             assert [e.p for e in many] == [float(p) for p in ps]
             assert [e.value.hex() for e in many] == [disc_norm(g, p, nodes).value.hex() for p in ps]
+
+    def test_power_mean_past_the_float_range(self):
+        # |g| reaches 13 on the circle, and 13^400 passes the float range
+        g = DiscPolynomial(np.array([10.0, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                disc_norm_many(g, [1.0, 400.0], 64)
 
     def test_many_of_no_p(self):
         assert disc_norm_many(DiscPolynomial(np.array([1.0, 2.0])), []) == []
