@@ -17,7 +17,9 @@ coefficients summed the same way apart and combined at the end; the order depend
 on the support. So |F| for sample i depends only on (seed, i), whatever the block of
 points evaluated together or the worker count. The block is the one unit of work: a block's
 angles are hashed, turned into phases and lifted in one flat workspace per worker, and the
-block halves until the run fits the memory cap. Neither the angles nor the
+block halves until the run fits the memory cap. Each worker builds its blocks' schedule once
+per call: the hash's sample steps and column keys, and every view the stages take (one more
+for a short last block), so a block only runs the stages. Neither the angles nor the
 node values depend on the rest of the plan, so polynomials whose supports lie inside
 f's (its partial sums, its homogeneous parts) are evaluated on f's nodes in the same
 pass, each with the bits of its own run. Sample means are reduced by a halving fold.
@@ -54,7 +56,11 @@ from .errors import SieveLimitError, check_memory, memory_cap_bytes
 # fuzz_sparse ops against 33K and ran about 20% slower. One workspace allocates nothing in the
 # loop instead, and needs no such threshold: over 96 in-process ops on a 2-vCPU host, mc_dense
 # took 405 minor faults against 24K-27K with the chunk and fuzz_sparse 2.2K against 32K, and the
-# benchmark's mc_dense peak RSS fell from 50 to 39 MB
+# benchmark's mc_dense peak RSS fell from 50 to 39 MB. With the per-worker schedule a block pays
+# about 24 us of numpy calls at Z_600 (37 us when each block rebuilt its keys and views), and
+# 1 MB is still the fastest size: six Z_N^1.5 runs (N = 100 to 600, 16384 samples) took 129, 104,
+# 102, 108 and 115 ms at 0.25, 0.5, 1, 1.5 and 2 MB, and six sparse 64-term runs (20000
+# samples) 42.4, 36.8, 36.3, 37.3 and 39.1 ms (medians of 7, on a 2-vCPU host)
 _BLOCK_BYTES = 1 << 20
 
 # splitmix64 increments (odd 64-bit constants)
@@ -75,14 +81,19 @@ def _turns(count: int, period: int) -> np.ndarray:
 _TURN_A, _TURN_B, _TURN_C = _turns(2048, 2**11), _turns(2048, 2**22), _turns(1024, 2**32)
 
 
+# splitmix64's finalizer shifts, and the shift that keeps a hash's top 32 bits
+_S30, _S27, _S31, _S32 = (np.uint64(shift) for shift in (30, 27, 31, 32))
+
+
 def _mix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """splitmix64's finalizer, in place, with `scratch` (shaped like x) for the shifted copies."""
     t = np.empty_like(x) if scratch is None else scratch
     # uint64 array arithmetic (0-d arrays too, unlike numpy scalars) wraps mod 2^64 silently
-    for shift, mult in ((30, _M1), (27, _M2)):
-        x ^= np.right_shift(x, np.uint64(shift), out=t)
-        x *= mult
-    x ^= np.right_shift(x, np.uint64(31), out=t)
+    x ^= np.right_shift(x, _S30, out=t)
+    x *= _M1
+    x ^= np.right_shift(x, _S27, out=t)
+    x *= _M2
+    x ^= np.right_shift(x, _S31, out=t)
     return x
 
 
@@ -92,13 +103,48 @@ def _seed_key(seed: int) -> int:
     return int(_mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)))
 
 
-def _uniforms(
-    seed: int,
-    first_sample: int,
-    count: int,
+class _Hashing(NamedTuple):
+    """`_uniforms`' arrays for blocks of one sample count: what no block's samples change, and views."""
+
+    steps: np.ndarray  # (i + 1) gamma for the block's samples i, mod 2^64
+    keys: np.ndarray  # (columns[j] + 1) gamma' for each column j across the block, mod 2^64
+    angles: np.ndarray  # uint64 (columns, count): the hashes, then the angles
+    sample: np.ndarray  # the block's sample keys
+    temporary: np.ndarray  # their shifted copy
+    scratch: np.ndarray  # (columns, count): the hashes' shifted copy
+
+
+def _hashing(
     columns: np.ndarray,
+    count: int,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    keys: np.ndarray | None = None,
+) -> _Hashing:
+    """The build step of `_uniforms` for blocks of `count` samples of the given columns.
+
+    Each array is allocated if not given: `out` is the C-ordered int64 (len(columns), count)
+    array for the angles, `scratch` a flat uint64 array of at least max(len(columns), 2) * count
+    entries for the temporaries, and `keys` a flat uint64 array of at least (len(columns) + 1)
+    * count entries, which takes the steps and the column keys.
+    """
+    width = len(columns)
+    h = np.empty((width, count), dtype=np.uint64) if out is None else out.view(np.uint64)
+    if scratch is None:
+        scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
+    if keys is None:
+        keys = np.empty((width + 1) * count, dtype=np.uint64)
+    steps = np.multiply(np.arange(1, count + 1, dtype=np.uint64), _GAMMA_SAMPLE, out=keys[:count])
+    # (j + 1) gamma for each column j, across the block: a block's hashes then take one plain add,
+    # as a broadcasting add takes numpy's iterator buffers (64 KB an operand)
+    column_keys = keys[count : (width + 1) * count].reshape(width, count)
+    np.copyto(column_keys, ((np.asarray(columns, dtype=np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
+    return _Hashing(steps, column_keys, h, scratch[:count], scratch[count : 2 * count],
+                    scratch[: width * count].reshape(width, count))
+
+
+def _uniforms(
+    seed: int, first_sample: int, count: int, columns: np.ndarray, hashing: _Hashing | None = None
 ) -> np.ndarray:
     """32-bit angles k (the angle k 2^-32 turns) for samples [first_sample, first_sample+count).
 
@@ -106,27 +152,19 @@ def _uniforms(
     (i, j) is the top 32 bits of a splitmix64 hash of (seed, first_sample + i,
     columns[j]), so any partition of the sample range, or any choice of columns,
     reproduces the same values. The result is the int64 transpose of a C-ordered
-    (columns, count) array: each prime's angles are contiguous. That array is `out` if
-    given; `scratch`, a flat uint64 array of at least max(len(columns), 2) * count entries,
-    then holds the temporaries, so the draw allocates nothing of the count's size.
+    (columns, count) array: each prime's angles are contiguous. The run step: `hashing`
+    is `_hashing(columns, count, ...)`, built here if not given, and holds that array, the
+    temporaries and the keys, so a run allocates nothing of the count's size.
     """
-    width = len(columns)
-    h = np.empty((width, count), dtype=np.uint64) if out is None else out.view(np.uint64)
-    if scratch is None:
-        scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
-    # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64, as a running sum
-    keys = scratch[:count]
-    keys.fill(_GAMMA_SAMPLE)
-    keys[:1] = (_seed_key(seed) + (first_sample + 1) * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF
-    keys.cumsum(out=keys)
-    np.copyto(h, _mix64(keys, scratch[count : 2 * count]))
-    # (j + 1) gamma for each column j, added elementwise: a broadcasting add takes numpy's
-    # iterator buffers (64 KB an operand), a broadcasting copy does not
-    t = scratch[: width * count].reshape(width, count)
-    np.copyto(t, ((np.asarray(columns, dtype=np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
-    h += t
-    _mix64(h, t)
-    h >>= np.uint64(32)
+    if hashing is None:
+        hashing = _hashing(columns, count)
+    steps, keys, h, sample, temporary, scratch = hashing
+    # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64
+    np.add(steps, np.uint64((_seed_key(seed) + first_sample * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF), out=sample)
+    np.copyto(h, _mix64(sample, temporary))
+    h += keys
+    _mix64(h, scratch)
+    h >>= _S32
     return h.view(np.int64).T
 
 
@@ -243,19 +281,37 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
         raise ValueError("a part's support must lie inside the polynomial's support")
     if f.length > table.limit:
         raise SieveLimitError(f"support reaches {f.length}, beyond sieve limit {table.limit}")
-    # charged before anything is allocated, on a bound of the closure: at most f.length nodes,
-    # and an index n adds at most 2 Omega(n) < 2 log2(n) beside node 1. Building the plan traces
-    # at most 129 bytes a node plus 8 KB on Z_N (N = 1 to 500000), where the bound is the node
-    # count; on sparse supports it overstates the nodes 8-14 times. The run that samples on the
-    # plan charges its retained arrays with its own working set
-    bound = min(f.length, 1 + 2 * len(f) * f.length.bit_length())
-    errors.check_memory((1 << 13) + 130 * bound, f"the lift plan of up to {bound} nodes")
+
+    def merged(n: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the distinct n, ascending, each with the Omega of its first entry
+        n, first = np.unique(n, return_index=True)
+        return n, omega[first]
+
+    def counted() -> tuple[np.ndarray, np.ndarray]:
+        # the support and 1, with Omega: the plan's one factoring
+        support = np.array(f.support, dtype=np.int64)
+        return merged(np.append(1, support), np.append(0, multiplicative(support, table, lambda e: e, np.add)))
+
+    # charged before the closure is built, on a bound of it: at most f.length nodes, and an index
+    # n > 1 brings at most 2 Omega(n) - 1 nodes beside node 1 (n, then each cofactor n/spf(n), ...
+    # down to a prime, and the least prime of each). Building the plan traces at most 155 bytes a
+    # node plus 8 KB on Z_N (N = 1 to 500000), where the bound is the node count; on random
+    # sparse supports the bound overstates the nodes about 2 times. A sparse support is factored
+    # first, under the factoring kernel's own charge; the run that samples on the plan charges
+    # its retained arrays with its own working set
+    bound, nodes = f.length, None
+    if len(f) < f.length:
+        nodes, omega = counted()
+        bound = min(bound, 1 + int(np.maximum(2 * omega - 1, 0).sum()))
+    errors.check_memory((1 << 13) + 156 * bound, f"the lift plan of up to {bound} nodes")
+    if nodes is None:
+        nodes, omega = counted()
     spf = table.smallest_factor
-    support = np.array(f.support, dtype=np.int64)
-    nodes = np.union1d(support, [1])
-    while (grown := np.union1d(nodes, np.r_[spf[nodes], nodes // spf[nodes]])).size > nodes.size:
-        nodes = grown
-    omega = multiplicative(nodes, table, lambda e: e, np.add)
+    # the closure under n -> spf(n) and n -> n/spf(n), whose Omega are 1 and Omega(n) - 1; node 1,
+    # its own spf and cofactor, is the first entry of its value, so it keeps Omega 0
+    while (grown := merged(np.concatenate((nodes, spf[nodes], nodes // spf[nodes])),
+                           np.concatenate((omega, np.ones_like(omega), omega - 1))))[0].size > nodes.size:
+        nodes, omega = grown
     order = np.argsort(omega, kind="stable")
     slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
     left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
@@ -280,6 +336,68 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
     )
 
 
+class _Lifting(NamedTuple):
+    """`_lift`'s steps on one array of node rows: every view its run takes, built once."""
+
+    Z: np.ndarray
+    F: np.ndarray
+    # per Omega layer: spf then cofactor slots, their gather, its two halves and the layer's rows
+    layers: list
+    # per member: Re a_n, the float view of its rows, of its F row, its slots or None, their
+    # gather or None, and if complex (Im a_n, its sum's float view, then the real and imaginary
+    # parts of F and of that sum)
+    members: list
+
+
+def _lifting(
+    plan: _LiftPlan, Z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> _Lifting:
+    """The build step of `_lift` for the node rows Z, whose columns are points; it sets node 1's row.
+
+    F goes into `out` if given; `scratch`, a flat complex128 array of at least plan.scratch
+    entries per point, holds the gathers if given.
+    """
+    width = Z.shape[1]
+    F = np.empty((len(plan.members), width), dtype=np.complex128) if out is None else out
+    if scratch is None:
+        scratch = np.empty(plan.scratch * width, dtype=np.complex128)
+    Z[0] = 1
+    layers = []
+    for lo, hi, pairs in plan.layers:
+        factors = scratch[: pairs.size * width].reshape(-1, width)
+        layers.append((pairs, factors, factors[: hi - lo], factors[hi - lo :], Z[lo:hi]))
+    members = []
+    for row, (re, im, slots) in zip(F, plan.members):
+        m = 0 if slots is None else slots.size * width
+        gathered = None if slots is None else scratch[:m].reshape(-1, width)
+        v = row.view(np.float64)
+        imaginary = None
+        if im is not None:
+            b = scratch[m : m + width].view(np.float64)
+            imaginary = (im, b, v[0::2], v[1::2], b[0::2], b[1::2])
+        members.append((re, (Z if slots is None else gathered).view(np.float64), v, slots, gathered, imaginary))
+    return _Lifting(Z, F, layers, members)
+
+
+def _lift(lifting: _Lifting) -> np.ndarray:
+    """The run step of `_lift_values`: fills the node rows past the primes' and returns F."""
+    Z = lifting.Z
+    for pairs, factors, spf, cofactor, rows in lifting.layers:
+        Z.take(pairs, axis=0, out=factors, mode="clip")
+        # the product stays out of place: an in-place variant changed a last bit
+        np.multiply(spf, cofactor, out=rows)
+    for re, rows, v, slots, gathered, imaginary in lifting.members:
+        if slots is not None:
+            Z.take(slots, axis=0, out=gathered, mode="clip")
+        np.einsum("i,ij->j", re, rows, out=v)
+        if imaginary is not None:
+            im, b, v_re, v_im, b_re, b_im = imaginary
+            np.einsum("i,ij->j", im, rows, out=b)
+            v_re -= b_im
+            v_im += b_re
+    return lifting.F
+
+
 def _lift_values(
     plan: _LiftPlan, Z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
@@ -292,28 +410,10 @@ def _lift_values(
     same way and adds i times it. numpy's einsum on "i,ij->j" is that unfused loop in row
     order (the tests hold it to a Python loop bit for bit), and zero coefficients add
     nothing. No operation mixes columns, so a point's F does not depend on the points
-    evaluated with it. F goes into `out` if given; `scratch`, a flat complex128 array of at
-    least plan.scratch entries per point, holds the gathers if given.
+    evaluated with it. `out` and `scratch` are `_lifting`'s; this is its build then `_lift`'s
+    run, the two steps the Monte Carlo engine takes apart.
     """
-    width = Z.shape[1]
-    F = np.empty((len(plan.members), width), dtype=np.complex128) if out is None else out
-    if scratch is None:
-        scratch = np.empty(plan.scratch * width, dtype=np.complex128)
-    Z[0] = 1
-    for lo, hi, pairs in plan.layers:
-        factors = Z.take(pairs, axis=0, out=scratch[: pairs.size * width].reshape(-1, width), mode="clip")
-        # the product stays out of place: an in-place variant changed a last bit
-        np.multiply(factors[: hi - lo], factors[hi - lo :], out=Z[lo:hi])
-    for row, (re, im, slots) in zip(F, plan.members):
-        m = 0 if slots is None else slots.size * width
-        rows = Z if slots is None else Z.take(slots, axis=0, out=scratch[:m].reshape(-1, width), mode="clip")
-        rows = rows.view(np.float64)
-        v = np.einsum("i,ij->j", re, rows, out=row.view(np.float64))
-        if im is not None:
-            b = np.einsum("i,ij->j", im, rows, out=scratch[m : m + width].view(np.float64))
-            v[0::2] -= b[1::2]
-            v[1::2] += b[0::2]
-    return F
+    return _lift(_lifting(plan, Z, out, scratch))
 
 
 def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
@@ -350,12 +450,15 @@ def mc_norm_many(
             raise ValueError(f"p must be positive and finite, got {p}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
     plan = _lift_plan(f, table, *parts)
     rows, primes = len(plan.members), plan.columns.size
     # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
     # area the stages take in turn: the phases' angles, digit and factor (2 entries a prime,
     # which also hold the hash's angles and temporaries, or 1 entry with no prime) and the
-    # lift's gathers (plan.scratch)
+    # lift's gathers (plan.scratch); beside it, 8 bytes a point for the hash's steps and 8 a
+    # prime and point for its column keys
     per_point = plan.size + rows + max(2 * primes, 1, plan.scratch)
     block = min(max(1, _BLOCK_BYTES // (16 * plan.size)), samples)
 
@@ -366,9 +469,9 @@ def mc_norm_many(
         # the plan's arrays (at most 24 bytes a node for the slots and columns and 24 per member
         # for its coefficients and slots), 32 KB for the run's Python objects and numpy's call
         # temporaries, and |F| of every member over the run; beside them either the workspaces
-        # of the workers in flight or, once those are freed, one member's |F|^p and deviations
-        # with the copy the fold takes
-        workspaces = in_flight(block) * 16 * block * per_point
+        # and keys of the workers in flight or, once those are freed, one member's |F|^p and
+        # deviations with the copy the fold takes
+        workspaces = in_flight(block) * block * (16 * per_point + 8 * (primes + 1))
         return (24 + 24 * rows) * plan.size + (1 << 15) + 8 * rows * samples + max(workspaces, 24 * samples)
 
     cap = memory_cap_bytes()
@@ -380,25 +483,30 @@ def mc_norm_many(
 
     def fill(worker: int) -> None:
         workspace = np.empty(block * per_point, dtype=np.complex128)
+        keys = np.empty((primes + 1) * block, dtype=np.uint64)
         stage = workspace[(plan.size + rows) * block :]
 
-        def views(n: int) -> tuple:
-            # for a block of n points: the node rows, F, and in the stage area the angles, the
-            # hash's temporaries, the digit and the factor, each C-ordered
+        def schedule(n: int) -> tuple:
+            # every array the stages take for a block of n points, each C-ordered: the node rows,
+            # F, and in the stage area the angles, the hash's temporaries, the digit and the
+            # factor, then the lift's gathers
+            Z = workspace[: plan.size * n].reshape(plan.size, n)
+            F = workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n)
             ints = stage.view(np.int64)
-            return (workspace[: plan.size * n].reshape(plan.size, n),
-                    workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n),
-                    ints[: primes * n].reshape(primes, n), stage.view(np.uint64)[primes * n :],
-                    ints[primes * n : 2 * primes * n].reshape(primes, n),
-                    stage[primes * n : 2 * primes * n].reshape(primes, n))
+            angles = ints[: primes * n].reshape(primes, n)
+            phasing = (angles, Z[1 : 1 + primes], ints[primes * n : 2 * primes * n].reshape(primes, n),
+                       stage[primes * n : 2 * primes * n].reshape(primes, n))
+            hashing = _hashing(plan.columns, n, out=angles, scratch=stage.view(np.uint64)[primes * n :], keys=keys)
+            return n, hashing, phasing, _lifting(plan, Z, out=F, scratch=stage)
 
-        full = views(block)
+        full = schedule(block)
         for start in range(worker * block, samples, busy * block):
-            n = min(block, samples - start)
-            Z, F, angles, temporaries, digit, factor = full if n == block else views(n)
-            _uniforms(seed, start, n, plan.columns, out=angles, scratch=temporaries)
-            _phases(angles, out=Z[1 : 1 + primes], digit=digit, factor=factor)
-            np.abs(_lift_values(plan, Z, out=F, scratch=stage), out=absF[:, start : start + n])
+            # only the last block of the run can be short, and it is its worker's last: its
+            # schedule may overwrite the keys
+            n, hashing, phasing, lifting = full if start + block <= samples else schedule(samples - start)
+            _uniforms(seed, start, n, plan.columns, hashing=hashing)
+            _phases(*phasing)
+            np.abs(_lift(lifting), out=absF[:, start : start + n])
 
     if busy > 1:
         with ThreadPoolExecutor(max_workers=busy) as pool:

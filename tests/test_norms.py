@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -168,6 +169,12 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="positive and finite"):
                 mc_norm_many(f, [1.0, p], 100, 1, table_2k)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers, table_2k):
+        # checked before anything runs: with no worker no block would fill |F|
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            mc_norm_many(zeta_partial(10), [1.0], 100, 1, table_2k, workers)
+
     def test_std_error_centred(self, table_2k):
         # |F| = |1e8 + z|: |F|^p is nearly constant, so sumsq - n*mean^2 cancels to nothing
         samples = 20_000
@@ -228,6 +235,28 @@ class TestMonteCarlo:
             alone = [e for part in (h, *parts) for e in run(16384, g=part)[0]]
             for block_bytes, workers in ((1 << 20, 1), (1 << 20, 2), (1 << 16, 1), (1 << 16, 2)):
                 assert run(16384, block_bytes, workers, g=h, parts=parts)[0] == alone
+
+    @pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_arrays_are_built_once_per_worker(self, block_bytes, workers, table_2k, monkeypatch):
+        # each worker builds the hash's and the lift's arrays for a block once, and once more for
+        # a short last block; every block runs the hash. Z_350 takes blocks of 11 or 187 points
+        monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
+        block = block_bytes // (16 * 350)
+        built, hashed = [], []
+        hashing, lifting, draw = norms._hashing, norms._lifting, norms._uniforms
+        monkeypatch.setattr(norms, "_hashing",
+                            lambda *args, **kw: built.append(("hash", args[1])) or hashing(*args, **kw))
+        monkeypatch.setattr(norms, "_lifting",
+                            lambda *args, **kw: built.append(("lift", args[1].shape[1])) or lifting(*args, **kw))
+        monkeypatch.setattr(norms, "_uniforms", lambda *args, **kw: hashed.append(args[2]) or draw(*args, **kw))
+        for samples, short in ((20 * block, []), (20 * block + 3, [3])):
+            built.clear()
+            hashed.clear()
+            mc_norm_many(zeta_partial(350), [1.0], samples, 5, table_2k, workers)
+            sizes = [block] * workers + short
+            assert sorted(built) == sorted([("hash", n) for n in sizes] + [("lift", n) for n in sizes])
+            assert sorted(hashed) == sorted([block] * 20 + short)
 
     def test_contraction_is_a_sequential_slot_order_sum(self, table_2k):
         # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support in the
@@ -442,6 +471,31 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert refused < cap // 10, (refused, cap)
+
+    def test_sparse_lift_plan_is_charged_on_omega(self, table_1m, monkeypatch):
+        # 2000 random indices up to 2e5 close to about 5900 nodes. The bound 1 + sum (2 Omega(n) - 1)
+        # charges about 1.9 MB where the bit-length bound charged 9.4 MB; a cap between the two
+        # lets the plan be built, and the charge still covers the traced build, factoring included
+        rng = np.random.default_rng(1)
+        f = DirichletPolynomial({int(n): 1.0 for n in rng.choice(np.arange(1, 200_001), 2000, replace=False)})
+        charged = []
+        check = errors.check_memory
+        monkeypatch.setattr(errors, "check_memory",
+                            lambda need, what: charged.append((need, what)) or check(need, what))
+        norms._lift_plan(f, table_1m)
+        bit_length_charge = (1 << 13) + 130 * min(f.length, 1 + 2 * len(f) * f.length.bit_length())
+        assert 4 * charged[0][0] < bit_length_charge
+        monkeypatch.setenv(MEMORY_CAP_ENV, str((charged[0][0] + bit_length_charge) // 2))
+        charged.clear()
+        tracemalloc.start()
+        try:
+            plan = norms._lift_plan(f, table_1m)
+            _, built = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (need, what), = charged
+        assert plan.size <= int(re.search(r"up to (\d+) nodes", what).group(1))
+        assert built <= need, (need, built)
 
     def test_power_mean_past_the_float_range(self, table_2k):
         # |F| of Z_10 reaches about 4.4 in 100 samples: at p = 400 the standard error passes the
