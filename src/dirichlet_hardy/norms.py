@@ -6,23 +6,29 @@ Everything else is Monte Carlo over random completely multiplicative unit
 coefficients (Steinhaus variables) from a counter-based generator. The angle of
 prime p_j in sample i depends only on (seed, i, j), so the engine draws angles only
 for the primes that divide some index of the support, and `steinhaus_sample` gives
-the engine's bits for the primes p_1..p_J. An angle is the top half k of a splitmix64
-hash, so z(p_j) = exp(2 pi i k 2^-32) is uniform on the 2^32-th roots of unity; even-p
+the engine's bits for the primes p_1..p_J. An angle is a 32-bit half k of a splitmix64
+hash: the prime at 0-based position j takes half j & 1 of the hash of (seed, i, j >> 1),
+the top half for even j and the low half for odd j, so one hash serves both primes of a
+pair. z(p_j) = exp(2 pi i k 2^-32) is uniform on the 2^32-th roots of unity; even-p
 estimates stay unbiased, as each prime's exponents in |F|^2k lie far below 2^32. Three
-tables give the phase from k's digits. The lift F = sum a_n z(n) keeps
-one row per node n and one column per point: z(n) = z(spf n) z(n/spf n) fills the
-rows layer by layer, in slot order (Omega(n), n). F is then one sequential sum over
-the support in slot order, acc = acc + Re(a_n) z(n), with the imaginary parts of the
-coefficients summed the same way apart and combined at the end; the order depends only
-on the support. So |F| for sample i depends only on (seed, i), whatever the block of
-points evaluated together or the worker count. The block is the one unit of work: a block's
-angles are hashed, turned into phases and lifted in one flat workspace per worker, and the
-block halves until the run fits the memory cap. Each worker builds its blocks' schedule once
-per call: the hash's sample steps and column keys, and every view the stages take (one more
-for a short last block), so a block only runs the stages. Neither the angles nor the
-node values depend on the rest of the plan, so polynomials whose supports lie inside
-f's (its partial sums, its homogeneous parts) are evaluated on f's nodes in the same
-pass, each with the bits of its own run. Sample means are reduced by a halving fold.
+tables give the phase from k's digits, read straight from the hash. The lift F = sum
+a_n z(n) keeps one row per node n and one column per point: node 1, the primes in draw
+order (those at even positions, then at odd ones, so each half's phases fill contiguous
+rows from contiguous hash rows), then one slice per Omega layer in ascending n, which
+z(n) = z(spf n) z(n/spf n) fills layer by layer. F is then one sequential sum over the
+support by Omega(n), then n, but over the primes by position, even then odd: acc = acc +
+Re(a_n) z(n), with the imaginary parts of the coefficients summed the same way apart and
+combined at the end. The order depends only on the support, and a polynomial whose rows
+lie in another order gathers them first. So |F| for sample i depends only on (seed, i),
+whatever the block of points evaluated together or the worker count. The block is the one
+unit of work: a block's angles are hashed, turned into phases and lifted in one flat
+workspace per worker, and the block halves until the run fits the memory cap. Each worker
+builds its blocks' schedule once per call: the hash's sample steps and pair keys, and
+every view the stages take (one more for a short last block), so a block only runs the
+stages. Neither the angles nor the node values depend on the rest of the plan, so
+polynomials whose supports lie inside f's (its partial sums, its homogeneous parts) are
+evaluated on f's nodes in the same pass, each with the bits of its own run. Sample means
+are reduced by a halving fold.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -56,11 +62,12 @@ from .errors import SieveLimitError, check_memory, memory_cap_bytes
 # fuzz_sparse ops against 33K and ran about 20% slower. One workspace allocates nothing in the
 # loop instead, and needs no such threshold: over 96 in-process ops on a 2-vCPU host, mc_dense
 # took 405 minor faults against 24K-27K with the chunk and fuzz_sparse 2.2K against 32K, and the
-# benchmark's mc_dense peak RSS fell from 50 to 39 MB. With the per-worker schedule a block pays
-# about 24 us of numpy calls at Z_600 (37 us when each block rebuilt its keys and views), and
-# 1 MB is still the fastest size: six Z_N^1.5 runs (N = 100 to 600, 16384 samples) took 129, 104,
-# 102, 108 and 115 ms at 0.25, 0.5, 1, 1.5 and 2 MB, and six sparse 64-term runs (20000
-# samples) 42.4, 36.8, 36.3, 37.3 and 39.1 ms (medians of 7, on a 2-vCPU host)
+# benchmark's mc_dense peak RSS fell from 50 to 39 MB. With two angles per hash a block pays
+# about 26 us of numpy calls at Z_600 (24 us with one angle per hash, 37 us when each block
+# rebuilt its keys and views), and 1 MB is still the fastest size: six Z_N^1.5 runs (N = 100 to
+# 600, 16384 samples) took 99.4, 93.5 and 103.4 ms in all at 0.5, 1 and 2 MB, and six runs on
+# 64 random indices up to 1000 (20000 samples) 62.2, 58.7 and 62.5 ms (medians of 7, on a
+# 2-vCPU host)
 _BLOCK_BYTES = 1 << 20
 
 # splitmix64 increments (odd 64-bit constants)
@@ -81,8 +88,8 @@ def _turns(count: int, period: int) -> np.ndarray:
 _TURN_A, _TURN_B, _TURN_C = _turns(2048, 2**11), _turns(2048, 2**22), _turns(1024, 2**32)
 
 
-# splitmix64's finalizer shifts, and the shift that keeps a hash's top 32 bits
-_S30, _S27, _S31, _S32 = (np.uint64(shift) for shift in (30, 27, 31, 32))
+# splitmix64's finalizer shifts
+_S30, _S27, _S31 = (np.uint64(shift) for shift in (30, 27, 31))
 
 
 def _mix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -103,93 +110,155 @@ def _seed_key(seed: int) -> int:
     return int(_mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)))
 
 
+class _Draw(NamedTuple):
+    """Prime positions in draw order, with the hash rows that serve them."""
+
+    # the distinct positions, each group ascending: the even ones of full pairs, the even ones
+    # whose partner j + 1 is absent, the odd ones whose partner j - 1 is absent, and the odd
+    # ones of full pairs. Where every pair but the last is full, as on a dense support, that
+    # is every even position, then every odd one
+    columns: np.ndarray
+    # the hashed pairs j >> 1, one hash row each: the lone odd positions' pairs, then the even
+    # positions' pairs in their order, so the halves each group takes are contiguous rows
+    pairs: np.ndarray
+    top: int  # the number of even positions
+
+    def halves(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the hashes h whose top halves columns[:top] take, then those of the others' low halves."""
+        return h[self.pairs.size - self.top :], h[: self.columns.size - self.top]
+
+
+def _draw(columns: np.ndarray | Sequence[int]) -> _Draw:
+    """The draw order of 0-based prime positions: column j is half j & 1 of the hash of pair j >> 1."""
+    # in plain Python, as fast as numpy on a plan's few hundred positions: a vectorized order's
+    # first calls in a process mapped in about 0.7 MB more of numpy's code, which an mc norm
+    # command's peak RSS showed
+    used = set(np.asarray(columns, dtype=np.int64).tolist())
+    # by group: full pairs' even positions, lone even ones, lone odd ones, full pairs' odd ones
+    order = sorted(used, key=lambda j: (2 + (j ^ 1 in used) if j & 1 else j ^ 1 not in used, j))
+    c = np.array(order, dtype=np.int64)
+    top = sum(1 for j in used if not j & 1)
+    lone = sum(1 for j in used if j & 1 and j ^ 1 not in used)
+    return _Draw(c, np.concatenate((c[top : top + lone], c[:top])) >> 1, top)
+
+
 class _Hashing(NamedTuple):
     """`_uniforms`' arrays for blocks of one sample count: what no block's samples change, and views."""
 
     steps: np.ndarray  # (i + 1) gamma for the block's samples i, mod 2^64
-    keys: np.ndarray  # (columns[j] + 1) gamma' for each column j across the block, mod 2^64
-    angles: np.ndarray  # uint64 (columns, count): the hashes, then the angles
+    keys: np.ndarray  # (pairs[r] + 1) gamma' for each hash row r across the block, mod 2^64
+    hashes: np.ndarray  # uint64 (pairs, count)
     sample: np.ndarray  # the block's sample keys
     temporary: np.ndarray  # their shifted copy
-    scratch: np.ndarray  # (columns, count): the hashes' shifted copy
+    scratch: np.ndarray  # (pairs, count): the hashes' shifted copy
 
 
 def _hashing(
-    columns: np.ndarray,
+    pairs: np.ndarray,
     count: int,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
     keys: np.ndarray | None = None,
 ) -> _Hashing:
-    """The build step of `_uniforms` for blocks of `count` samples of the given columns.
+    """The build step of `_uniforms` for blocks of `count` samples of the given hashed pairs.
 
-    Each array is allocated if not given: `out` is the C-ordered int64 (len(columns), count)
-    array for the angles, `scratch` a flat uint64 array of at least max(len(columns), 2) * count
-    entries for the temporaries, and `keys` a flat uint64 array of at least (len(columns) + 1)
-    * count entries, which takes the steps and the column keys.
+    With H the number of pairs (`_draw(columns).pairs` for a set of columns), each array is
+    allocated if not given: `out` is the C-ordered uint64 (H, count) array for the hashes,
+    `scratch` a flat uint64 array of at least max(H, 2) * count entries for the temporaries, and
+    `keys` a flat uint64 array of at least (H + 1) * count entries, which takes the steps and
+    the pair keys.
     """
-    width = len(columns)
-    h = np.empty((width, count), dtype=np.uint64) if out is None else out.view(np.uint64)
+    width = pairs.size
+    h = np.empty((width, count), dtype=np.uint64) if out is None else out
     if scratch is None:
         scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
     if keys is None:
         keys = np.empty((width + 1) * count, dtype=np.uint64)
     steps = np.multiply(np.arange(1, count + 1, dtype=np.uint64), _GAMMA_SAMPLE, out=keys[:count])
-    # (j + 1) gamma for each column j, across the block: a block's hashes then take one plain add,
-    # as a broadcasting add takes numpy's iterator buffers (64 KB an operand)
-    column_keys = keys[count : (width + 1) * count].reshape(width, count)
-    np.copyto(column_keys, ((np.asarray(columns, dtype=np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
-    return _Hashing(steps, column_keys, h, scratch[:count], scratch[count : 2 * count],
+    # (pair + 1) gamma' for each hash row, across the block: a block's hashes then take one plain
+    # add, as a broadcasting add takes numpy's iterator buffers (64 KB an operand)
+    pair_keys = keys[count : (width + 1) * count].reshape(width, count)
+    np.copyto(pair_keys, ((pairs.astype(np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
+    return _Hashing(steps, pair_keys, h, scratch[:count], scratch[count : 2 * count],
                     scratch[: width * count].reshape(width, count))
 
 
 def _uniforms(
     seed: int, first_sample: int, count: int, columns: np.ndarray, hashing: _Hashing | None = None
 ) -> np.ndarray:
-    """32-bit angles k (the angle k 2^-32 turns) for samples [first_sample, first_sample+count).
+    """The splitmix64 hashes that hold the angles of samples [first_sample, first_sample+count).
 
-    `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Entry
-    (i, j) is the top 32 bits of a splitmix64 hash of (seed, first_sample + i,
-    columns[j]), so any partition of the sample range, or any choice of columns,
-    reproduces the same values. The result is the int64 transpose of a C-ordered
-    (columns, count) array: each prime's angles are contiguous. The run step: `hashing`
-    is `_hashing(columns, count, ...)`, built here if not given, and holds that array, the
-    temporaries and the keys, so a run allocates nothing of the count's size.
+    `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Column j's
+    32-bit angle k (the angle k 2^-32 turns) is half j & 1 of the hash of (seed, sample,
+    j >> 1): the top 32 bits for even j, the low 32 bits for odd j. So each pair of
+    positions is hashed once, and any partition of the sample range, or any choice of
+    columns, reproduces the same values. The result is the C-ordered uint64 (H, count)
+    array of the hashes of the H pairs, in `_draw(columns)` order: each pair's hashes are
+    contiguous. The run step: `hashing` is `_hashing(_draw(columns).pairs, count, ...)`,
+    built here if not given, and holds that array, the temporaries and the keys, so a run
+    allocates nothing of the count's size.
     """
     if hashing is None:
-        hashing = _hashing(columns, count)
+        hashing = _hashing(_draw(columns).pairs, count)
     steps, keys, h, sample, temporary, scratch = hashing
     # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64
     np.add(steps, np.uint64((_seed_key(seed) + first_sample * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF), out=sample)
     np.copyto(h, _mix64(sample, temporary))
     h += keys
-    _mix64(h, scratch)
-    h >>= _S32
-    return h.view(np.int64).T
+    return _mix64(h, scratch)
+
+
+# the shifts to an angle's digits in a hash's top half (a, b, c) and low half (a, b), and the
+# digits' masks
+_A_TOP, _B_TOP, _C_TOP, _A_LOW, _B_LOW = (np.uint64(shift) for shift in (53, 42, 32, 21, 10))
+_M11, _M10 = np.uint64(0x7FF), np.uint64(0x3FF)
+
+
+def _angles(seed: int, first_sample: int, count: int, columns: np.ndarray | Sequence[int]) -> np.ndarray:
+    """The 32-bit angles k of the given columns, a uint64 (count, len(columns)) array; see `_uniforms`."""
+    draw = _draw(columns)
+    h = _uniforms(seed, first_sample, count, draw.columns)
+    top, low = draw.halves(h)
+    k = np.concatenate((top >> _C_TOP, low & 0xFFFFFFFF))
+    order = np.argsort(draw.columns)
+    return k[order[np.searchsorted(draw.columns[order], columns)]].T
 
 
 def _phases(
-    k: np.ndarray,
+    top: np.ndarray,
+    low: np.ndarray,
     out: np.ndarray | None = None,
     digit: np.ndarray | None = None,
     factor: np.ndarray | None = None,
 ) -> np.ndarray:
-    """exp(2 pi i k 2^-32) for int64 angles 0 <= k < 2^32, elementwise, into `out` if given.
+    """exp(2 pi i k 2^-32) for the angles k in the top halves of `top`, then the low halves of `low`.
 
-    With a, b and c the top 11, the next 11 and the low 10 bits of k, the phase is the
-    product exp(2 pi i a 2^-11) exp(2 pi i b 2^-22) exp(2 pi i c 2^-32) of table factors;
-    the first goes straight into `out` (mode="raise" would buffer it). `digit` (int64) and
-    `factor` (complex128), shaped like k, hold the temporaries if given. Against mpmath the
+    `top` and `low` are uint64 hashes, shaped alike past their first axis, along which the
+    result stacks them; an angle k < 2^32 is its own low half. With a, b and c the top 11,
+    the next 11 and the low 10 bits of k, read straight from the hash, the phase is the
+    product exp(2 pi i a 2^-11) exp(2 pi i b 2^-22) exp(2 pi i c 2^-32) of table factors,
+    so the phase of a hash's half is the phase of its angle bit for bit. The first factor
+    goes straight into `out` (mode="raise" would buffer it); `digit` (uint64) and `factor`
+    (complex128), shaped like the result, hold the temporaries if given. Against mpmath the
     error stays below 7.4 2^-53 (libm's exp(2j*pi*k*2^-32) reaches about 6.4 2^-53), and
     the tests hold both to 16 2^-53.
     """
-    digit = np.right_shift(k, 21, out=digit)
-    z = _TURN_A.take(digit, out=out, mode="clip")
-    np.right_shift(k, 10, out=digit)
-    digit &= 0x7FF
-    z *= _TURN_B.take(digit, out=factor, mode="clip")
-    np.bitwise_and(k, 0x3FF, out=digit)
-    z *= _TURN_C.take(digit, out=factor, mode="clip")
+    if digit is None:
+        digit = np.empty((len(top) + len(low), *low.shape[1:]), dtype=np.uint64)
+    index, upper, lower = digit.view(np.int64), digit[: len(top)], digit[len(top) :]
+    # a top half's a needs no mask, and a low half's c no shift
+    np.right_shift(top, _A_TOP, out=upper)
+    np.right_shift(low, _A_LOW, out=lower)
+    lower &= _M11
+    z = _TURN_A.take(index, out=out, mode="clip")
+    np.right_shift(top, _B_TOP, out=upper)
+    np.right_shift(low, _B_LOW, out=lower)
+    digit &= _M11
+    z *= _TURN_B.take(index, out=factor, mode="clip")
+    np.right_shift(top, _C_TOP, out=upper)
+    upper &= _M10
+    np.bitwise_and(low, _M10, out=lower)
+    z *= _TURN_C.take(index, out=factor, mode="clip")
     return z
 
 
@@ -197,9 +266,13 @@ def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: in
     """Angles in [0,1), in turns, for samples [first_sample, first_sample+count) and primes 1..prime_count.
 
     The engine's stream: column j holds k 2^-32 for the 32-bit angle k the engine draws
-    for the prime p_{j+1}, so the angles are uniform on the 2^32-th roots of unity.
+    for the prime p_{j+1}, half j & 1 of the hash of pair j >> 1 (see `_uniforms`), so the
+    angles are uniform on the 2^32-th roots of unity.
     """
-    return _uniforms(seed, first_sample, count, np.arange(prime_count)) * 2.0**-32
+    for name, value in (("first_sample", first_sample), ("count", count), ("prime_count", prime_count)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    return _angles(seed, first_sample, count, np.arange(prime_count)) * 2.0**-32
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -261,18 +334,23 @@ def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
 
 
 class _LiftPlan(NamedTuple):
-    """Node slots ordered by (Omega(n), n): 1, the primes used, then a slice per Omega layer."""
+    """Node slots: 1, the primes used in draw order, then a slice per Omega layer, ascending in n."""
 
-    columns: np.ndarray  # 0-based table positions of the primes used, ascending
+    draw: _Draw  # the primes used, as 0-based table positions in slot order, with their hash rows
     size: int  # number of nodes
     layers: list  # (lo, hi, spf slots then cofactor slots) for Omega = 2, 3, ...
     # f, then each part: (Re a_n, Im a_n or None if every a_n is real, slots or None if the
-    # support is every node), each over the member's support in slot order
+    # sum runs over every node in slot order), each over the member's support in sum order
     members: list
     # complex entries per point that `_lift_values` needs beside the node rows and F: the
     # widest layer's two gathers, or the largest gathered member's rows with, when a member
     # is complex, its imaginary-part sum; the two are never alive together
     scratch: int
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The 0-based table positions of the primes used, in slot order: `_draw` order."""
+        return self.draw.columns
 
 
 def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolynomial) -> _LiftPlan:
@@ -313,22 +391,34 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
                            np.concatenate((omega, np.ones_like(omega), omega - 1))))[0].size > nodes.size:
         nodes, omega = grown
     order = np.argsort(omega, kind="stable")
+    # the primes, slots 1..P after node 1, go in draw order
+    positions = np.searchsorted(table.primes, nodes[order[1 : 1 + (omega == 1).sum()]])
+    draw = _draw(positions)
+    columns = draw.columns
+    order[1 : 1 + columns.size] = order[1 + np.searchsorted(positions, columns)]
     slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
     left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
+    # a member's sum runs over its support by Omega(n), then n, but the primes by position j, the
+    # even j then the odd, each ascending: an order of the support alone, as the draw order of
+    # f's primes is not. key[r] is slot r's place in that order
+    by_position = np.argsort(((columns & 1) << 32) + columns)
+    key = np.arange(nodes.size)
+    key[1 + by_position] = np.arange(1, 1 + columns.size)
+    in_order = np.array_equal(by_position, np.arange(columns.size))
     bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
     members = []
     for g in (f, *parts):
         slots = slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))]
         coeffs = np.array([g.coeff(m) for m in g.support], dtype=np.complex128)
-        by_slot = np.argsort(slots)
-        slots, coeffs = slots[by_slot], coeffs[by_slot]
+        by_key = np.argsort(key[slots])
+        slots, coeffs = slots[by_key], coeffs[by_key]
         members.append((coeffs.real.copy(), coeffs.imag.copy() if coeffs.imag.any() else None,
-                        None if slots.size == nodes.size else slots))
+                        None if slots.size == nodes.size and in_order else slots))
     layers = [(lo, hi, np.r_[left[lo:hi], right[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
     gathered = max((slots.size for _, _, slots in members if slots is not None), default=0)
     complex_sum = any(im is not None for _, im, _ in members)
     return _LiftPlan(
-        columns=np.searchsorted(table.primes, nodes[omega == 1]),
+        draw=draw,
         size=nodes.size,
         layers=layers,
         members=members,
@@ -454,12 +544,13 @@ def mc_norm_many(
         raise ValueError(f"need at least 1 worker, got {workers}")
     plan = _lift_plan(f, table, *parts)
     rows, primes = len(plan.members), plan.columns.size
+    pairs = plan.draw.pairs
     # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
-    # area the stages take in turn: the phases' angles, digit and factor (2 entries a prime,
-    # which also hold the hash's angles and temporaries, or 1 entry with no prime) and the
-    # lift's gathers (plan.scratch); beside it, 8 bytes a point for the hash's steps and 8 a
-    # prime and point for its column keys
-    per_point = plan.size + rows + max(2 * primes, 1, plan.scratch)
+    # area the stages take in turn: the phases' factor (1 entry a prime), the hashes (8 bytes a
+    # pair) and the digit (8 bytes a prime), with the hash's temporaries in the factor's room
+    # (which they need even with no prime: 1 entry), and the lift's gathers (plan.scratch);
+    # beside it, 8 bytes a point for the hash's steps and 8 a pair and point for its pair keys
+    per_point = plan.size + rows + max(-(-(3 * primes + pairs.size) // 2), 1, plan.scratch)
     block = min(max(1, _BLOCK_BYTES // (16 * plan.size)), samples)
 
     def in_flight(block: int) -> int:
@@ -471,7 +562,7 @@ def mc_norm_many(
         # temporaries, and |F| of every member over the run; beside them either the workspaces
         # and keys of the workers in flight or, once those are freed, one member's |F|^p and
         # deviations with the copy the fold takes
-        workspaces = in_flight(block) * block * (16 * per_point + 8 * (primes + 1))
+        workspaces = in_flight(block) * block * (16 * per_point + 8 * (pairs.size + 1))
         return (24 + 24 * rows) * plan.size + (1 << 15) + 8 * rows * samples + max(workspaces, 24 * samples)
 
     cap = memory_cap_bytes()
@@ -483,29 +574,31 @@ def mc_norm_many(
 
     def fill(worker: int) -> None:
         workspace = np.empty(block * per_point, dtype=np.complex128)
-        keys = np.empty((primes + 1) * block, dtype=np.uint64)
+        keys = np.empty((pairs.size + 1) * block, dtype=np.uint64)
         stage = workspace[(plan.size + rows) * block :]
 
         def schedule(n: int) -> tuple:
             # every array the stages take for a block of n points, each C-ordered: the node rows,
-            # F, and in the stage area the angles, the hash's temporaries, the digit and the
-            # factor, then the lift's gathers
+            # F, and in the stage area the factor (where the hash's temporaries go first), the
+            # hashes and the digit, then the lift's gathers. The primes' rows are in draw order,
+            # the top halves first
             Z = workspace[: plan.size * n].reshape(plan.size, n)
             F = workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n)
-            ints = stage.view(np.int64)
-            angles = ints[: primes * n].reshape(primes, n)
-            phasing = (angles, Z[1 : 1 + primes], ints[primes * n : 2 * primes * n].reshape(primes, n),
-                       stage[primes * n : 2 * primes * n].reshape(primes, n))
-            hashing = _hashing(plan.columns, n, out=angles, scratch=stage.view(np.uint64)[primes * n :], keys=keys)
+            units = stage.view(np.uint64)
+            h = units[2 * primes * n : (2 * primes + pairs.size) * n].reshape(pairs.size, n)
+            digit = units[(2 * primes + pairs.size) * n : (3 * primes + pairs.size) * n].reshape(primes, n)
+            phasing = plan.draw.halves(h), {
+                "out": Z[1 : 1 + primes], "digit": digit, "factor": stage[: primes * n].reshape(primes, n)}
+            hashing = _hashing(pairs, n, out=h, scratch=units, keys=keys)
             return n, hashing, phasing, _lifting(plan, Z, out=F, scratch=stage)
 
         full = schedule(block)
         for start in range(worker * block, samples, busy * block):
             # only the last block of the run can be short, and it is its worker's last: its
             # schedule may overwrite the keys
-            n, hashing, phasing, lifting = full if start + block <= samples else schedule(samples - start)
+            n, hashing, (halves, buffers), lifting = full if start + block <= samples else schedule(samples - start)
             _uniforms(seed, start, n, plan.columns, hashing=hashing)
-            _phases(*phasing)
+            _phases(*halves, **buffers)
             np.abs(_lift(lifting), out=absF[:, start : start + n])
 
     if busy > 1:
@@ -553,10 +646,12 @@ class SteinhausSample:
 
 
 def steinhaus_sample(seed: int, index: int, prime_count: int) -> SteinhausSample:
-    """The sample that `mc_norm` uses at position `index` for the given seed."""
-    if prime_count < 0:
-        raise ValueError("prime_count must be nonnegative")
-    return SteinhausSample(values=_phases(_uniforms(seed, index, 1, np.arange(prime_count))[0]))
+    """The sample that `mc_norm` uses at position `index` for the given seed, on the primes p_1..p_J."""
+    for name, value in (("index", index), ("prime_count", prime_count)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    k = _angles(seed, index, 1, np.arange(prime_count))[0]
+    return SteinhausSample(values=_phases(k[:0], k))
 
 
 def evaluate_at_sample(
@@ -565,8 +660,8 @@ def evaluate_at_sample(
     """sum a_n z(n) with z(n) the multiplicative extension of the sampled z(p_j)."""
     plan = _lift_plan(f, table)
     z = sample.values
-    if plan.columns.size and plan.columns[-1] >= z.size:
-        raise ValueError(f"sample covers {z.size} primes but the support needs {plan.columns[-1] + 1}")
+    if plan.columns.size and plan.columns.max() >= z.size:
+        raise ValueError(f"sample covers {z.size} primes but the support needs {plan.columns.max() + 1}")
     return _lift_at(plan, z[plan.columns])
 
 

@@ -370,15 +370,15 @@ class TestNormExtras:
 
     def test_witness_record_pinned(self):
         # the library sizes the primorial's sieve; the record keeps its bits (recorded on the
-        # stream of 32-bit angles, three-table phases, node rows and the halving fold)
+        # stream of two 32-bit angles per hash, three-table phases, node rows and the halving fold)
         doc, code = execute(parse(["partial-sum", "--p", "0.5", "--k", "3", "--samples", "20000",
                                    "--seed", "1"]))
         rec = doc.records[0]
         assert code == 0 and rec["params"]["N"] == 30
         assert (rec["value"].hex(), rec["std_error"].hex()) == (
-            "0x1.8cfba03fa2b36p+0", "0x1.d16c9e28d5c6cp-9")
+            "0x1.8cda706b8b81dp+0", "0x1.d1ed008efaf8bp-9")
         assert (rec["extra"]["se_at_M"], rec["extra"]["se_before_M"]) == (
-            0.003550905520039607, 0.0032382208379442222)
+            0.0035547316724570724, 0.003236222317813238)
 
     def test_probe_mode(self):
         doc, _ = execute(parse(["partial-sum", "--mode", "probe", "--p", "2",

@@ -80,21 +80,23 @@ class TestCounterRng:
         )
 
     def test_pinned_values(self):
-        # the stream is part of every Monte Carlo output; these bits must not drift. Each angle
-        # is the 53-bit angle k 2^-53 of the same hash (its top 53 bits) truncated to 32 bits
+        # the stream is part of every Monte Carlo output; these bits must not drift. The even
+        # columns take the top halves of pairs 0 and 1's hashes: each is the 53-bit angle k 2^-53
+        # of the same hash (its top 53 bits) truncated to 32 bits
         u = steinhaus_uniforms(2**61 + 5, 10**6, 1, 4)[0]
         assert [x.hex() for x in u] == [
-            "0x1.4d5309b400000p-1", "0x1.5f8fc6e000000p-2",
-            "0x1.4b4c1d5800000p-2", "0x1.8a63340e00000p-1",
+            "0x1.4d5309b400000p-1", "0x1.25ff1d5800000p-2",
+            "0x1.5f8fc6e000000p-2", "0x1.507313e800000p-1",
         ]
-        wide = ["0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2", "0x1.4b4c1d596592cp-2", "0x1.8a63340e1a1acp-1"]
-        assert u.tolist() == [math.floor(float.fromhex(x) * 2**32) * 2.0**-32 for x in wide]
+        wide = ["0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2"]
+        assert u[0::2].tolist() == [math.floor(float.fromhex(x) * 2**32) * 2.0**-32 for x in wide]
 
     @pytest.mark.parametrize("seed, i, j", [(0, 0, 0), (1, 5, 3), (-3, 7, 11), (2**61 + 5, 10**6, 302),
-                                            (2**64 - 1, 2**40, 0)])
+                                            (2**64 - 1, 2**40, 0), (2**64 - 1, 2**40, 1), (9, 0, 301)])
     def test_stream_matches_splitmix64_reference(self, seed, i, j):
-        # splitmix64 on Python ints: the angle of (seed, sample i, prime p_{j+1}) is the top
-        # 32 bits of mix(mix(mix(seed) + (i+1) gamma_sample) + (j+1) gamma_prime), mod 2^64
+        # splitmix64 on Python ints: the hash of (seed, sample i, pair q) is
+        # mix(mix(mix(seed) + (i+1) gamma_sample) + (q+1) gamma_prime), mod 2^64, and the angle of
+        # prime p_{j+1} is the top 32 bits of pair j // 2's hash for even j, the low 32 for odd j
         mask = 2**64 - 1
 
         def mix(x):
@@ -103,19 +105,70 @@ class TestCounterRng:
             return x ^ (x >> 31)
 
         per_sample = mix(mix(seed & mask) + (i + 1) * 0x9E3779B97F4A7C15 & mask)
-        h = mix((j + 1) * 0xD1B54A32D192ED03 + per_sample & mask)
-        k = norms._uniforms(seed, i, 1, np.array([j]))
-        assert k.dtype == np.int64 and k.shape == (1, 1) and int(k[0, 0]) == h >> 32
-        assert steinhaus_uniforms(seed, i, 1, j + 1)[0, j] == (h >> 32) * 2.0**-32
+        h = mix((j // 2 + 1) * 0xD1B54A32D192ED03 + per_sample & mask)
+        angle = h >> 32 if j % 2 == 0 else h & 0xFFFFFFFF
+        hashes = norms._uniforms(seed, i, 1, np.array([j]))
+        assert hashes.dtype == np.uint64 and hashes.shape == (1, 1) and int(hashes[0, 0]) == h
+        k = norms._angles(seed, i, 1, [j])
+        assert k.shape == (1, 1) and int(k[0, 0]) == angle
+        assert steinhaus_uniforms(seed, i, 1, j + 1)[0, j] == angle * 2.0**-32
+        # the pair's other prime takes the other half of the same hash
+        assert int(norms._angles(seed, i, 1, [j ^ 1])[0, 0]) == (h & 0xFFFFFFFF if j % 2 == 0 else h >> 32)
 
-    @pytest.mark.parametrize("columns", [[], [0], [302], [0, 5, 6, 301, 302], list(range(0, 303, 7))])
+    @pytest.mark.parametrize("columns", [[], [0], [302], [0, 5, 6, 301, 302], list(range(0, 303, 7)),
+                                         [1], [2, 5], [0, 1, 302]])
     def test_column_draw_is_the_full_streams_columns(self, columns):
-        # the engine draws only the columns it uses; they are the full stream's, bit for bit,
-        # and the published stream is the same integer angles in turns
+        # the engine draws only the columns it uses, one hash per pair they touch; its hashes and
+        # angles are the full stream's, bit for bit, and the published stream is the same
+        # integer angles in turns
         cols = np.array(columns, dtype=np.int64)
-        full = norms._uniforms(11, 40, 300, np.arange(303))
-        assert np.array_equal(norms._uniforms(11, 40, 300, cols), full[:, cols])
+        full = norms._angles(11, 40, 300, np.arange(303))
+        assert np.array_equal(norms._angles(11, 40, 300, cols), full[:, cols])
         assert np.array_equal(steinhaus_uniforms(11, 40, 300, 303), full * 2.0**-32)
+        row = {q: r for r, q in enumerate(norms._draw(np.arange(303)).pairs.tolist())}
+        pairs = norms._draw(cols).pairs.tolist()
+        assert sorted(pairs) == sorted({j // 2 for j in columns})
+        hashes = norms._uniforms(11, 40, 300, np.arange(303))
+        assert np.array_equal(norms._uniforms(11, 40, 300, cols), hashes[[row[q] for q in pairs]])
+
+    @pytest.mark.parametrize("columns, drawn, pairs, top", [
+        ([], [], [], 0),
+        ([1], [1], [0], 0),
+        ([2, 5], [2, 5], [2, 1], 1),
+        ([302, 1, 0], [0, 302, 1], [0, 151], 2),
+        ([7, 0, 3, 2, 4, 9, 6], [2, 6, 0, 4, 9, 3, 7], [4, 1, 3, 0, 2], 4),
+        (range(9), [0, 2, 4, 6, 8, 1, 3, 5, 7], [0, 1, 2, 3, 4], 5),
+    ])
+    def test_draw_order(self, columns, drawn, pairs, top):
+        # full pairs' even positions, lone even ones, lone odd ones, then full pairs' odd ones:
+        # the even positions take the top halves of the last `top` hash rows and the odd ones
+        # the low halves of the first rows. A dense set draws every even position, then every odd
+        draw = norms._draw(np.array(columns, dtype=np.int64))
+        assert (draw.columns.tolist(), draw.pairs.tolist(), draw.top) == (drawn, pairs, top)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: steinhaus_uniforms(1, -5, 2, 2), "first_sample"),
+        (lambda: steinhaus_uniforms(1, 0, -1, 2), "count"),
+        (lambda: steinhaus_uniforms(1, 0, 2, -1), "prime_count"),
+        (lambda: steinhaus_sample(1, -1, 3), "index"),
+        (lambda: steinhaus_sample(1, 0, -1), "prime_count"),
+    ])
+    def test_rejects_negative_positions(self, call, name):
+        # sample -1 would alias the sample key (i + 1) gamma = 0, which the engine never draws
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+            call()
+
+    def test_phases_read_either_half_of_the_hash(self):
+        # a phase read at bit offset 32 or 0 of a hash is the phase of that half's 32-bit angle,
+        # bit for bit, at every digit edge of either half too, alone or stacked with other halves
+        edges = np.array([j * 2**s + d for s in (21, 10) for j in range(2048) for d in (-1, 0, 1)
+                          if 0 <= j * 2**s + d < 2**32] + [0, 1, 2**32 - 1], dtype=np.uint64)
+        h = np.concatenate((norms._uniforms(4, 0, 1000, np.arange(6)).ravel(),
+                            (edges << np.uint64(32)) | edges[::-1]))
+        for top, low in ((h, h[:0]), (h[:0], h), (h, h), (h[:7], h), (h, h[5:9])):
+            angles = np.concatenate((top >> np.uint64(32), low & np.uint64(0xFFFFFFFF)))
+            alone = norms._phases(angles[:0], angles)
+            assert np.array_equal(norms._phases(top, low).view(np.uint64), alone.view(np.uint64))
 
     def test_pairwise_sum_matches_fsum(self):
         rng = np.random.default_rng(0)
@@ -129,8 +182,8 @@ class TestCounterRng:
         ulp = 2.0**-53
         edges = [j * 2**s + d for s in (21, 10) for j in range(2048) for d in (-1, 0, 1)]
         k = np.array([0, 1, 2**32 - 1] + [x for x in edges if 0 <= x < 2**32]
-                     + norms._uniforms(4, 0, 1000, np.arange(3)).ravel().tolist(), dtype=np.int64)
-        routes = (norms._phases(k), np.exp(2j * np.pi * (k * 2.0**-32)))
+                     + norms._angles(4, 0, 1000, np.arange(3)).ravel().tolist(), dtype=np.uint64)
+        routes = (norms._phases(k[:0], k), np.exp(2j * np.pi * (k * 2.0**-32)))
         with mpmath.workprec(120):
             for x, *zs in zip(k.tolist(), *(z.tolist() for z in routes)):
                 exact = mpmath.expjpi(mpmath.ldexp(x, -31))  # exp(pi i x 2^-31), exact argument
@@ -259,10 +312,16 @@ class TestMonteCarlo:
             assert sorted(hashed) == sorted([block] * 20 + short)
 
     def test_contraction_is_a_sequential_slot_order_sum(self, table_2k):
-        # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support in the
-        # order (Omega(n), n), on the float view of the node rows, with the imaginary parts
-        # summed apart and combined at the end: a kernel that fuses the multiply and add or
-        # reorders the sum gives other bits. Node rows sit in an unaligned buffer at a column offset
+        # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support, on the
+        # float view of the node rows, with the imaginary parts summed apart and
+        # combined at the end: a kernel that fuses the multiply and add or reorders the sum gives
+        # other bits. The sum runs by Omega(n), then n, but over the primes by 0-based position j,
+        # the even j then the odd, each ascending, whatever the other primes of the plan. The rows
+        # go the same way, but the primes' in draw order: the full pairs' even j, the even j whose
+        # partner j + 1 is absent, the odd j whose partner j - 1 is absent, then the full pairs'
+        # odd j, each ascending. The closed support's primes 2, 5 and 7 (j = 0, 2, 3) are drawn as
+        # 5, 2, 7, so it is gathered though it is every node. Node rows sit in an unaligned buffer
+        # at a column offset
         def rows_of(support):
             # the closure of the support and 1 under n -> p, n/p for the least prime p of n
             nodes, todo = {1}, list(support)
@@ -272,22 +331,36 @@ class TestMonteCarlo:
                     nodes.add(n)
                     q = factor(n)[0][0]
                     todo += [q, n // q]
-            return {n: r for r, n in enumerate(sorted(nodes, key=lambda n: (big_omega(n), n)))}
+            used = {prime_position(n) for n in nodes if big_omega(n) == 1}
+
+            def slot_key(n):
+                if big_omega(n) != 1:
+                    return big_omega(n), 0, n
+                j = prime_position(n)
+                return 1, (3 if j ^ 1 in used else 2) if j % 2 else (0 if j ^ 1 in used else 1), j
+
+            return {n: r for r, n in enumerate(sorted(nodes, key=slot_key))}
+
+        def sum_key(n):
+            return (1, prime_position(n) % 2, prime_position(n)) if big_omega(n) == 1 else (big_omega(n), 0, n)
 
         rng = np.random.default_rng(8)
         dense = zeta_partial(120)
         cplx = DirichletPolynomial({n: complex(*rng.standard_normal(2)) for n in range(1, 121)})
         sparse = random_dirichlet(rng, 64, 1000)
+        closed = DirichletPolynomial({n: complex(*rng.standard_normal(2)) for n in (1, 2, 5, 7, 10, 14, 35, 70)})
         cases = [
             (dense, [homogeneous_projection(dense, 2, table_2k), partial_sum(dense, 100),
                      DirichletPolynomial({n: 2j - n for n in range(2, 121, 3)})]),
             (cplx, [partial_sum(cplx, 90), DirichletPolynomial({n: 0.5 for n in range(1, 121, 5)})]),
             (sparse, [partial_sum(sparse, 500), DirichletPolynomial({n: 1.5 for n in sparse.support[::2]})]),
+            (closed, [partial_sum(closed, 14)]),
         ]
         for f, parts in cases:
             plan = norms._lift_plan(f, table_2k, *parts)
             rows = rows_of(f.support)
             assert plan.size == len(rows)
+            assert (plan.members[0][2] is None) == (f is not closed and len(f) == plan.size)
             for _ in range(4):
                 width, offset = int(rng.integers(1, 600)), int(rng.integers(0, 8))
                 cells = plan.size * (width + offset)
@@ -298,7 +371,7 @@ class TestMonteCarlo:
                 Zf = Z.view(np.float64)
                 for g, got in zip((f, *parts), F, strict=True):
                     re = im = np.zeros(2 * width)
-                    for n in sorted(g.support, key=rows.get):
+                    for n in sorted(g.support, key=sum_key):
                         re = re + g.coeff(n).real * Zf[rows[n]]
                         im = im + g.coeff(n).imag * Zf[rows[n]]
                     expected = np.empty(width, dtype=np.complex128)
@@ -316,13 +389,13 @@ class TestMonteCarlo:
         support = [n for n in range(1, limit + 1) if all(q in primes for q, _ in factor(n))]
         f = DirichletPolynomial({n: complex(*rng.standard_normal(2)) for n in support})
         plan = norms._lift_plan(f, table_2k)
-        assert plan.columns.tolist() == list(range(P))
+        assert sorted(plan.columns.tolist()) == list(range(P))
         circle = np.exp(2j * np.pi * np.arange(M) / M)
         rest = [axis.ravel() for axis in np.meshgrid(*[circle] * (P - 1), indexing="ij")]
         absF = []
-        for z2 in circle:  # one block of M^(P-1) points per value of z(2)
+        for z1 in circle:  # one block of M^(P-1) points per value of the first prime row's z
             Z = np.empty((plan.size, M ** (P - 1)), dtype=np.complex128)
-            Z[1] = z2
+            Z[1] = z1
             Z[2 : 1 + P] = rest
             absF.append(np.abs(norms._lift_values(plan, Z)[0]))
         absF = np.concatenate(absF)
@@ -365,7 +438,7 @@ class TestMonteCarlo:
 
     def test_memory_cap(self, table_2k, monkeypatch):
         # Z_350 is charged about 1.9 MB at the default block of 187 points with one worker and
-        # 3.6 MB with two; under a tighter cap the block halves until the run fits, with the same bits
+        # 3.7 MB with two; under a tighter cap the block halves until the run fits, with the same bits
         f = zeta_partial(350)
         uncapped = mc_norm(f, 1.0, 16384, 1, table_2k)
         block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
@@ -446,7 +519,7 @@ class TestMonteCarlo:
         assert peak <= charged[0] <= 1.25 * peak, (charged[0], peak)
 
     def test_lift_plan_is_charged_before_it_is_built(self, table_2k, monkeypatch):
-        # building the plan of Z_2000 traces about 260 KB, charged within 25%; under a cap below
+        # building the plan of Z_2000 traces about 312 KB, charged within 25%; under a cap below
         # the charge the run is refused before the closure allocates anything
         f = zeta_partial(2000)
         charged = []
@@ -498,7 +571,7 @@ class TestMonteCarlo:
         assert built <= need, (need, built)
 
     def test_power_mean_past_the_float_range(self, table_2k):
-        # |F| of Z_10 reaches about 4.4 in 100 samples: at p = 400 the standard error passes the
+        # |F| of Z_10 reaches about 4.3 in 100 samples: at p = 400 the standard error passes the
         # float range, at p = 800 the power mean too. Either is an OverflowError with no numpy
         # warning, and ordinary p keeps the bits it had before the check
         Z = zeta_power_partial(10, 1.0, table_2k)
@@ -509,9 +582,9 @@ class TestMonteCarlo:
                     mc_norm_many(Z, [2.0, p], 100, 1, table_2k)
             ests = mc_norm_many(Z, [2.0, 3.0, 100.0], 100, 1, table_2k)
         assert [(e.power_mean.hex(), e.std_error.hex()) for e in ests] == [
-            ("0x1.64dbe808aa58cp+1", "0x1.6755a919b3478p-2"),
-            ("0x1.bc1f7b15e1cb6p+2", "0x1.4c8dce1aa8712p+0"),
-            ("0x1.3bbfc09365f0dp+207", "0x1.3bbfc01d4f0bfp+207")]
+            ("0x1.409828e5e6fa1p+1", "0x1.52b6de41f6d72p-2"),
+            ("0x1.8443986f3c23ap+2", "0x1.3350aeb03fbd6p+0"),
+            ("0x1.ea75638c85c12p+202", "0x1.ea74f7ae8fc42p+202")]
 
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
         # 1999 is the 303rd prime, but a block's angles are one column wide
@@ -535,15 +608,15 @@ class TestMonteCarlo:
         assert widths and set(widths) == {len(primes)}
 
     def test_golden_stream(self, table_2k):
-        # float.hex of (value, std_error) on the stream of 32-bit angles, three-table phases,
-        # node rows, the sequential slot-order contraction and the halving fold for the means
+        # float.hex of (value, std_error) on the stream of two 32-bit angles per hash, three-table
+        # phases, node rows, the sequential contraction and the halving fold for the means
         golden = {
-            1: [("0x1.5e2b4f473b111p+2", "0x1.2dcffb44e0c5cp-8"),
-                ("0x1.7950a25e73e48p+2", "0x1.60c4b423d3f77p-6"),
-                ("0x1.d1a4dae97c584p+2", "0x1.0394509a63473p+2")],
-            2: [("0x1.fcc515b05e161p+2", "0x1.6b23c0923b292p-8"),
-                ("0x1.1208bf6ee05e3p+3", "0x1.005b1f8d599c1p-5"),
-                ("0x1.524f36680a129p+3", "0x1.8e2e2def56f35p+3")],
+            1: [("0x1.5f43b4742ef71p+2", "0x1.2b4d2dbcf282bp-8"),
+                ("0x1.79f5e135f828cp+2", "0x1.5d95e4cab2aabp-6"),
+                ("0x1.d09ae13e48d85p+2", "0x1.faab0a374b984p+1")],
+            2: [("0x1.fc52bab5726eep+2", "0x1.6aedb05eaec36p-8"),
+                ("0x1.11c9b89c5bda2p+3", "0x1.00113b022bce9p-5"),
+                ("0x1.520cdc6b0bc48p+3", "0x1.91c8622a86026p+3")],
         }
         for k, expected in golden.items():
             f = random_dirichlet(np.random.default_rng(k), 64, 1000)
@@ -631,8 +704,25 @@ class TestSteinhausSamples:
             direct.append(np.abs(evaluate_at_sample(f, s, table_2k)))
         assert pairwise_sum(np.array(direct)) / 16 == mean_abs
 
+    @pytest.mark.parametrize("block_points, workers", [(1, 1), (1, 2), (7, 1), (7, 2)])
+    def test_engine_reproduces_the_published_stream(self, block_points, workers, table_2k, monkeypatch):
+        # primes in every kind of pair: 5 and 1999 (positions 2 and 302) take top halves alone,
+        # 2 and 3 share pair 0, and 13 and 1997 (positions 5 and 301) take low halves alone. |F|
+        # at each sample is numpy's modulus of evaluate_at_sample at the published sample, bit
+        # for bit, at blocks of 1 and 7 points (40 samples leave 5 over) and at one and two workers
+        f = DirichletPolynomial({1: 1, 2: -0.5, 6: 2j, 9: 0.25, 5: 1.5, 45: -1j, 13: 0.75, 52: 1 - 1j,
+                                 65: 0.5, 1999: 0.5j, 1997: -2})
+        plan = norms._lift_plan(f, table_2k)
+        assert plan.columns.tolist() == [0, 2, 302, 5, 301, 1]
+        absF = []
+        monkeypatch.setattr(norms, "pairwise_sum", lambda values: absF.append(np.array(values)) or 0.0)
+        monkeypatch.setattr(norms, "_BLOCK_BYTES", 16 * plan.size * block_points)
+        mc_norm_many(f, [1.0], 40, 23, table_2k, workers)
+        direct = [np.abs(evaluate_at_sample(f, steinhaus_sample(23, i, 303), table_2k)) for i in range(40)]
+        assert absF[0].tolist() == direct
+
     def test_matches_mc_stream_at_high_columns(self, table_2k):
-        # 1993 and 1999 are the 302nd and 303rd primes; the engine draws 4 of those 303 columns
+        # 1993 and 1999 are the 301st and 303rd primes; the engine draws 4 of those 303 columns
         f = DirichletPolynomial({1: 1, 1999: 0.5j, 1993: -2, 1994: 1})
         ests = mc_norm_many(f, [1.0], 16, 77, table_2k)
         direct = [np.abs(evaluate_at_sample(f, steinhaus_sample(77, i, 303), table_2k))
