@@ -6,15 +6,17 @@ Everything else is Monte Carlo over random completely multiplicative unit
 coefficients (Steinhaus variables) from a counter-based generator. The angle of
 prime p_j in sample i depends only on (seed, i, j), so the engine draws angles only
 for the primes that divide some index of the support, and `steinhaus_sample` gives
-the engine's bits for the primes p_1..p_J. An angle is a 32-bit half k of a splitmix64
-hash: the prime at 0-based position j takes half j & 1 of the hash of (seed, i, j >> 1),
-the top half for even j and the low half for odd j, so one hash serves both primes of a
-pair. z(p_j) = exp(2 pi i k 2^-32) is uniform on the 2^32-th roots of unity; even-p
-estimates stay unbiased, as each prime's exponents in |F|^2k lie far below 2^32. Three
-tables give the phase from k's digits, read straight from the hash. The lift F = sum
-a_n z(n) keeps one row per node n and one column per point: node 1, the primes in draw
-order (those at even positions, then at odd ones, so each half's phases fill contiguous
-rows from contiguous hash rows), then one slice per Omega layer in ascending n, which
+the engine's bits for the primes p_1..p_J. An angle is the top 22 bits k of a 32-bit half
+of a splitmix64 hash: the prime at 0-based position j takes half j & 1 of the hash of
+(seed, i, j >> 1), the top half for even j and the low half for odd j, so one hash serves
+both primes of a pair. z(p_j) = exp(2 pi i k 2^-22) is uniform on the 2^22-th roots of
+unity. Even-p estimates stay unbiased while each prime's exponent in |F|^2k is below
+2^22, and at the fuzz grid's other p the grid moves E|1 + z|^p by at most 1.1e-10
+relative, far below any standard error. Two tables of 2048 entries (64 KB) give the
+phase from k's two 11-bit digits, read straight from the hash. The lift F = sum a_n z(n)
+keeps one row per node n and one column per point: node 1, the primes in draw order
+(those at even positions, then at odd ones, so each half's phases fill contiguous rows
+from contiguous hash rows), then one slice per Omega layer in ascending n, which
 z(n) = z(spf n) z(n/spf n) fills layer by layer. F is then one sequential sum over the
 support by Omega(n), then n, but over the primes by position, even then odd: acc = acc +
 Re(a_n) z(n), with the imaginary parts of the coefficients summed the same way apart and
@@ -84,8 +86,8 @@ def _turns(count: int, period: int) -> np.ndarray:
     return z
 
 
-# the factors of a 32-bit angle's three digits, 11, 11 and 10 bits from the top: 80 KB in all
-_TURN_A, _TURN_B, _TURN_C = _turns(2048, 2**11), _turns(2048, 2**22), _turns(1024, 2**32)
+# the factors of a 22-bit angle's two 11-bit digits, the top one first: 64 KB in all
+_TURN_A, _TURN_B = _turns(2048, 2**11), _turns(2048, 2**22)
 
 
 # splitmix64's finalizer shifts
@@ -189,14 +191,14 @@ def _uniforms(
     """The splitmix64 hashes that hold the angles of samples [first_sample, first_sample+count).
 
     `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Column j's
-    32-bit angle k (the angle k 2^-32 turns) is half j & 1 of the hash of (seed, sample,
-    j >> 1): the top 32 bits for even j, the low 32 bits for odd j. So each pair of
-    positions is hashed once, and any partition of the sample range, or any choice of
-    columns, reproduces the same values. The result is the C-ordered uint64 (H, count)
-    array of the hashes of the H pairs, in `_draw(columns)` order: each pair's hashes are
-    contiguous. The run step: `hashing` is `_hashing(_draw(columns).pairs, count, ...)`,
-    built here if not given, and holds that array, the temporaries and the keys, so a run
-    allocates nothing of the count's size.
+    22-bit angle k (the angle k 2^-22 turns) is the top 22 bits of half j & 1 of the hash
+    of (seed, sample, j >> 1): of the top 32 bits for even j, of the low 32 bits for odd
+    j. So each pair of positions is hashed once, and any partition of the sample range, or
+    any choice of columns, reproduces the same values. The result is the C-ordered uint64
+    (H, count) array of the hashes of the H pairs, in `_draw(columns)` order: each pair's
+    hashes are contiguous. The run step: `hashing` is `_hashing(_draw(columns).pairs,
+    count, ...)`, built here if not given, and holds that array, the temporaries and the
+    keys, so a run allocates nothing of the count's size.
     """
     if hashing is None:
         hashing = _hashing(_draw(columns).pairs, count)
@@ -208,18 +210,18 @@ def _uniforms(
     return _mix64(h, scratch)
 
 
-# the shifts to an angle's digits in a hash's top half (a, b, c) and low half (a, b), and the
-# digits' masks
-_A_TOP, _B_TOP, _C_TOP, _A_LOW, _B_LOW = (np.uint64(shift) for shift in (53, 42, 32, 21, 10))
-_M11, _M10 = np.uint64(0x7FF), np.uint64(0x3FF)
+# the shifts to an angle's two digits in a hash's top half and low half, and the digits' mask
+_A_TOP, _B_TOP, _A_LOW, _B_LOW = (np.uint64(shift) for shift in (53, 42, 21, 10))
+_M11 = np.uint64(0x7FF)
 
 
 def _angles(seed: int, first_sample: int, count: int, columns: np.ndarray | Sequence[int]) -> np.ndarray:
-    """The 32-bit angles k of the given columns, a uint64 (count, len(columns)) array; see `_uniforms`."""
+    """The 22-bit angles k of the given columns, a uint64 (count, len(columns)) array; see `_uniforms`."""
     draw = _draw(columns)
     h = _uniforms(seed, first_sample, count, draw.columns)
     top, low = draw.halves(h)
-    k = np.concatenate((top >> _C_TOP, low & 0xFFFFFFFF))
+    # an angle ends at its low digit b, so it starts at b's shift
+    k = np.concatenate((top >> _B_TOP, (low & 0xFFFFFFFF) >> _B_LOW))
     order = np.argsort(draw.columns)
     return k[order[np.searchsorted(draw.columns[order], columns)]].T
 
@@ -231,22 +233,22 @@ def _phases(
     digit: np.ndarray | None = None,
     factor: np.ndarray | None = None,
 ) -> np.ndarray:
-    """exp(2 pi i k 2^-32) for the angles k in the top halves of `top`, then the low halves of `low`.
+    """exp(2 pi i k 2^-22) for the angles k in the top halves of `top`, then the low halves of `low`.
 
     `top` and `low` are uint64 hashes, shaped alike past their first axis, along which the
-    result stacks them; an angle k < 2^32 is its own low half. With a, b and c the top 11,
-    the next 11 and the low 10 bits of k, read straight from the hash, the phase is the
-    product exp(2 pi i a 2^-11) exp(2 pi i b 2^-22) exp(2 pi i c 2^-32) of table factors,
-    so the phase of a hash's half is the phase of its angle bit for bit. The first factor
-    goes straight into `out` (mode="raise" would buffer it); `digit` (uint64) and `factor`
-    (complex128), shaped like the result, hold the temporaries if given. Against mpmath the
-    error stays below 7.4 2^-53 (libm's exp(2j*pi*k*2^-32) reaches about 6.4 2^-53), and
-    the tests hold both to 16 2^-53.
+    result stacks them; a half's angle k is its top 22 bits, so an angle k is the low half
+    k << 10. With a and b the top 11 and the next 11 bits of k, read straight from the
+    hash, the phase is the product exp(2 pi i a 2^-11) exp(2 pi i b 2^-22) of two table
+    factors, so the phase of a hash's half is the phase of its angle bit for bit. The first
+    factor goes straight into `out` (mode="raise" would buffer it); `digit` (uint64) and
+    `factor` (complex128), shaped like the result, hold the temporaries if given. Over all
+    2^22 angles the error stays below 7.6 2^-53 (libm's exp(2j*pi*k*2^-22) reaches about
+    6.7 2^-53), and the tests hold both to 16 2^-53 against mpmath.
     """
     if digit is None:
         digit = np.empty((len(top) + len(low), *low.shape[1:]), dtype=np.uint64)
     index, upper, lower = digit.view(np.int64), digit[: len(top)], digit[len(top) :]
-    # a top half's a needs no mask, and a low half's c no shift
+    # a top half's a needs no mask
     np.right_shift(top, _A_TOP, out=upper)
     np.right_shift(low, _A_LOW, out=lower)
     lower &= _M11
@@ -255,24 +257,20 @@ def _phases(
     np.right_shift(low, _B_LOW, out=lower)
     digit &= _M11
     z *= _TURN_B.take(index, out=factor, mode="clip")
-    np.right_shift(top, _C_TOP, out=upper)
-    upper &= _M10
-    np.bitwise_and(low, _M10, out=lower)
-    z *= _TURN_C.take(index, out=factor, mode="clip")
     return z
 
 
 def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: int) -> np.ndarray:
     """Angles in [0,1), in turns, for samples [first_sample, first_sample+count) and primes 1..prime_count.
 
-    The engine's stream: column j holds k 2^-32 for the 32-bit angle k the engine draws
-    for the prime p_{j+1}, half j & 1 of the hash of pair j >> 1 (see `_uniforms`), so the
-    angles are uniform on the 2^32-th roots of unity.
+    The engine's stream: column j holds k 2^-22 for the 22-bit angle k the engine draws
+    for the prime p_{j+1}, the top 22 bits of half j & 1 of the hash of pair j >> 1 (see
+    `_uniforms`), so the angles are uniform on the 2^22-th roots of unity.
     """
     for name, value in (("first_sample", first_sample), ("count", count), ("prime_count", prime_count)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    return _angles(seed, first_sample, count, np.arange(prime_count)) * 2.0**-32
+    return _angles(seed, first_sample, count, np.arange(prime_count)) * 2.0**-22
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -651,7 +649,7 @@ def steinhaus_sample(seed: int, index: int, prime_count: int) -> SteinhausSample
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     k = _angles(seed, index, 1, np.arange(prime_count))[0]
-    return SteinhausSample(values=_phases(k[:0], k))
+    return SteinhausSample(values=_phases(k[:0], k << _B_LOW))
 
 
 def evaluate_at_sample(

@@ -370,15 +370,15 @@ class TestNormExtras:
 
     def test_witness_record_pinned(self):
         # the library sizes the primorial's sieve; the record keeps its bits (recorded on the
-        # stream of two 32-bit angles per hash, three-table phases, node rows and the halving fold)
+        # stream of two 22-bit angles per hash, two-table phases, node rows and the halving fold)
         doc, code = execute(parse(["partial-sum", "--p", "0.5", "--k", "3", "--samples", "20000",
                                    "--seed", "1"]))
         rec = doc.records[0]
         assert code == 0 and rec["params"]["N"] == 30
         assert (rec["value"].hex(), rec["std_error"].hex()) == (
-            "0x1.8cda706b8b81dp+0", "0x1.d1ed008efaf8bp-9")
+            "0x1.8cda7054c8ba9p+0", "0x1.d1ed007547e93p-9")
         assert (rec["extra"]["se_at_M"], rec["extra"]["se_before_M"]) == (
-            0.0035547316724570724, 0.003236222317813238)
+            0.0035547316607703132, 0.003236222315171455)
 
     def test_probe_mode(self):
         doc, _ = execute(parse(["partial-sum", "--mode", "probe", "--p", "2",

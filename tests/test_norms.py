@@ -80,23 +80,26 @@ class TestCounterRng:
         )
 
     def test_pinned_values(self):
-        # the stream is part of every Monte Carlo output; these bits must not drift. The even
-        # columns take the top halves of pairs 0 and 1's hashes: each is the 53-bit angle k 2^-53
-        # of the same hash (its top 53 bits) truncated to 32 bits
+        # the stream is part of every Monte Carlo output; these bits must not drift. halves are
+        # the 32-bit halves of pairs 0 and 1's hashes, top then low, in turns; each column's angle
+        # is its half truncated to 22 bits. The even columns take the top halves: each is the
+        # 53-bit angle k 2^-53 of the same hash (its top 53 bits) truncated to 22 bits
         u = steinhaus_uniforms(2**61 + 5, 10**6, 1, 4)[0]
-        assert [x.hex() for x in u] == [
-            "0x1.4d5309b400000p-1", "0x1.25ff1d5800000p-2",
-            "0x1.5f8fc6e000000p-2", "0x1.507313e800000p-1",
-        ]
+        halves = ["0x1.4d5309b400000p-1", "0x1.25ff1d5800000p-2",
+                  "0x1.5f8fc6e000000p-2", "0x1.507313e800000p-1"]
+        h = norms._uniforms(2**61 + 5, 10**6, 1, np.arange(4))[:, 0].tolist()
+        assert [x * 2.0**-32 for q in h for x in (q >> 32, q & 0xFFFFFFFF)] == list(map(float.fromhex, halves))
         wide = ["0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2"]
-        assert u[0::2].tolist() == [math.floor(float.fromhex(x) * 2**32) * 2.0**-32 for x in wide]
+        for pinned, angles in ((halves, u), (wide, u[0::2])):
+            assert angles.tolist() == [math.floor(float.fromhex(x) * 2**22) * 2.0**-22 for x in pinned]
 
     @pytest.mark.parametrize("seed, i, j", [(0, 0, 0), (1, 5, 3), (-3, 7, 11), (2**61 + 5, 10**6, 302),
                                             (2**64 - 1, 2**40, 0), (2**64 - 1, 2**40, 1), (9, 0, 301)])
     def test_stream_matches_splitmix64_reference(self, seed, i, j):
         # splitmix64 on Python ints: the hash of (seed, sample i, pair q) is
         # mix(mix(mix(seed) + (i+1) gamma_sample) + (q+1) gamma_prime), mod 2^64, and the angle of
-        # prime p_{j+1} is the top 32 bits of pair j // 2's hash for even j, the low 32 for odd j
+        # prime p_{j+1} is the top 22 bits of a half of pair j // 2's hash: of the top 32 bits for
+        # even j, of the low 32 for odd j
         mask = 2**64 - 1
 
         def mix(x):
@@ -106,14 +109,15 @@ class TestCounterRng:
 
         per_sample = mix(mix(seed & mask) + (i + 1) * 0x9E3779B97F4A7C15 & mask)
         h = mix((j // 2 + 1) * 0xD1B54A32D192ED03 + per_sample & mask)
-        angle = h >> 32 if j % 2 == 0 else h & 0xFFFFFFFF
+        half, other = (h >> 32, h & 0xFFFFFFFF) if j % 2 == 0 else (h & 0xFFFFFFFF, h >> 32)
+        angle = half >> 10
         hashes = norms._uniforms(seed, i, 1, np.array([j]))
         assert hashes.dtype == np.uint64 and hashes.shape == (1, 1) and int(hashes[0, 0]) == h
         k = norms._angles(seed, i, 1, [j])
         assert k.shape == (1, 1) and int(k[0, 0]) == angle
-        assert steinhaus_uniforms(seed, i, 1, j + 1)[0, j] == angle * 2.0**-32
+        assert steinhaus_uniforms(seed, i, 1, j + 1)[0, j] == angle * 2.0**-22
         # the pair's other prime takes the other half of the same hash
-        assert int(norms._angles(seed, i, 1, [j ^ 1])[0, 0]) == (h & 0xFFFFFFFF if j % 2 == 0 else h >> 32)
+        assert int(norms._angles(seed, i, 1, [j ^ 1])[0, 0]) == other >> 10
 
     @pytest.mark.parametrize("columns", [[], [0], [302], [0, 5, 6, 301, 302], list(range(0, 303, 7)),
                                          [1], [2, 5], [0, 1, 302]])
@@ -124,7 +128,7 @@ class TestCounterRng:
         cols = np.array(columns, dtype=np.int64)
         full = norms._angles(11, 40, 300, np.arange(303))
         assert np.array_equal(norms._angles(11, 40, 300, cols), full[:, cols])
-        assert np.array_equal(steinhaus_uniforms(11, 40, 300, 303), full * 2.0**-32)
+        assert np.array_equal(steinhaus_uniforms(11, 40, 300, 303), full * 2.0**-22)
         row = {q: r for r, q in enumerate(norms._draw(np.arange(303)).pairs.tolist())}
         pairs = norms._draw(cols).pairs.tolist()
         assert sorted(pairs) == sorted({j // 2 for j in columns})
@@ -159,15 +163,17 @@ class TestCounterRng:
             call()
 
     def test_phases_read_either_half_of_the_hash(self):
-        # a phase read at bit offset 32 or 0 of a hash is the phase of that half's 32-bit angle,
-        # bit for bit, at every digit edge of either half too, alone or stacked with other halves
-        edges = np.array([j * 2**s + d for s in (21, 10) for j in range(2048) for d in (-1, 0, 1)
-                          if 0 <= j * 2**s + d < 2**32] + [0, 1, 2**32 - 1], dtype=np.uint64)
+        # a phase read at bit offset 42 or 10 of a hash is the phase of that half's 22-bit angle,
+        # bit for bit, at every digit edge of either half too, whatever the 10 bits below each
+        # angle, alone or stacked with other halves
+        edges = np.array([j * 2**11 + d for j in range(2048) for d in (-1, 0, 1)
+                          if 0 <= j * 2**11 + d < 2**22] + [0, 1, 2**22 - 1], dtype=np.uint64)
         h = np.concatenate((norms._uniforms(4, 0, 1000, np.arange(6)).ravel(),
-                            (edges << np.uint64(32)) | edges[::-1]))
+                            *((edges << np.uint64(42)) | (edges[::-1] << np.uint64(10)) | np.uint64(below)
+                              for below in (0, 0x3FF000003FF))))
         for top, low in ((h, h[:0]), (h[:0], h), (h, h), (h[:7], h), (h, h[5:9])):
-            angles = np.concatenate((top >> np.uint64(32), low & np.uint64(0xFFFFFFFF)))
-            alone = norms._phases(angles[:0], angles)
+            angles = np.concatenate((top >> np.uint64(42), (low & np.uint64(0xFFFFFFFF)) >> np.uint64(10)))
+            alone = norms._phases(angles[:0], angles << np.uint64(10))
             assert np.array_equal(norms._phases(top, low).view(np.uint64), alone.view(np.uint64))
 
     def test_pairwise_sum_matches_fsum(self):
@@ -177,20 +183,39 @@ class TestCounterRng:
         assert pairwise_sum(np.array([])) == 0.0
 
     def test_table_phases_match_mpmath(self):
-        # the table route is as accurate as libm's exp(2 pi i k 2^-32), at every digit edge too
+        # the table route is as accurate as libm's exp(2 pi i k 2^-22), at every digit edge too
         mpmath = pytest.importorskip("mpmath")
         ulp = 2.0**-53
-        edges = [j * 2**s + d for s in (21, 10) for j in range(2048) for d in (-1, 0, 1)]
-        k = np.array([0, 1, 2**32 - 1] + [x for x in edges if 0 <= x < 2**32]
+        edges = [j * 2**11 + d for j in range(2048) for d in (-1, 0, 1)]
+        k = np.array([0, 1, 2**22 - 1] + [x for x in edges if 0 <= x < 2**22]
                      + norms._angles(4, 0, 1000, np.arange(3)).ravel().tolist(), dtype=np.uint64)
-        routes = (norms._phases(k[:0], k), np.exp(2j * np.pi * (k * 2.0**-32)))
+        routes = (norms._phases(k[:0], k << np.uint64(10)), np.exp(2j * np.pi * (k * 2.0**-22)))
         with mpmath.workprec(120):
             for x, *zs in zip(k.tolist(), *(z.tolist() for z in routes)):
-                exact = mpmath.expjpi(mpmath.ldexp(x, -31))  # exp(pi i x 2^-31), exact argument
+                exact = mpmath.expjpi(mpmath.ldexp(x, -21))  # exp(pi i x 2^-21), exact argument
                 for zx in zs:
                     w = mpmath.mpc(zx.real, zx.imag)
                     assert abs(w - exact) <= 16 * ulp
                     assert abs(abs(w) - 1) <= 8 * ulp
+
+    def test_grid_bias_of_the_phases(self):
+        # E|1 + z|^p over the circle is Gamma(p+1) / Gamma(p/2+1)^2. Over all 2^22 table phases
+        # the mean is exact at even p, whose |1 + z|^p has no frequency as high as 2^22, and
+        # within 1e-9 elsewhere: the worst gap, about 1.1e-10, is at p = 0.5, where the
+        # integrand's kink (the zero of 1 + z) lies on the grid
+        ps = [0.5, 1.0, 4 / 3, 2.0, 3.0, 4.0, 5.0]
+        sums = {p: [] for p in ps}
+        for a in range(0, 2048, 128):
+            r = np.abs(1 + (norms._TURN_A[a : a + 128, None] * norms._TURN_B).ravel())
+            for p in ps:
+                sums[p].append(float(np.sum(r**p)))
+        for p in ps:
+            mean = math.fsum(sums[p]) / 2**22
+            circle = math.gamma(p + 1) / math.gamma(p / 2 + 1) ** 2
+            if p in (2.0, 4.0):
+                assert mean == circle
+            else:
+                assert mean == pytest.approx(circle, rel=1e-9, abs=0)
 
 
 class TestMonteCarlo:
@@ -582,9 +607,9 @@ class TestMonteCarlo:
                     mc_norm_many(Z, [2.0, p], 100, 1, table_2k)
             ests = mc_norm_many(Z, [2.0, 3.0, 100.0], 100, 1, table_2k)
         assert [(e.power_mean.hex(), e.std_error.hex()) for e in ests] == [
-            ("0x1.409828e5e6fa1p+1", "0x1.52b6de41f6d72p-2"),
-            ("0x1.8443986f3c23ap+2", "0x1.3350aeb03fbd6p+0"),
-            ("0x1.ea75638c85c12p+202", "0x1.ea74f7ae8fc42p+202")]
+            ("0x1.40982854228bdp+1", "0x1.52b6de4e7ba52p-2"),
+            ("0x1.844397881aa24p+2", "0x1.3350b0258d0f1p+0"),
+            ("0x1.ea76ce43086c3p+202", "0x1.ea766264b867dp+202")]
 
     def test_memory_cap_counts_only_the_primes_used(self, table_2k, monkeypatch):
         # 1999 is the 303rd prime, but a block's angles are one column wide
@@ -608,15 +633,15 @@ class TestMonteCarlo:
         assert widths and set(widths) == {len(primes)}
 
     def test_golden_stream(self, table_2k):
-        # float.hex of (value, std_error) on the stream of two 32-bit angles per hash, three-table
+        # float.hex of (value, std_error) on the stream of two 22-bit angles per hash, two-table
         # phases, node rows, the sequential contraction and the halving fold for the means
         golden = {
-            1: [("0x1.5f43b4742ef71p+2", "0x1.2b4d2dbcf282bp-8"),
-                ("0x1.79f5e135f828cp+2", "0x1.5d95e4cab2aabp-6"),
-                ("0x1.d09ae13e48d85p+2", "0x1.faab0a374b984p+1")],
-            2: [("0x1.fc52bab5726eep+2", "0x1.6aedb05eaec36p-8"),
-                ("0x1.11c9b89c5bda2p+3", "0x1.00113b022bce9p-5"),
-                ("0x1.520cdc6b0bc48p+3", "0x1.91c8622a86026p+3")],
+            1: [("0x1.5f43b48e0026ap+2", "0x1.2b4d2d6c360e2p-8"),
+                ("0x1.79f5e1416253cp+2", "0x1.5d95e4571dce8p-6"),
+                ("0x1.d09ae111b61ebp+2", "0x1.faab0903cc92cp+1")],
+            2: [("0x1.fc52b9b8873d4p+2", "0x1.6aedb1e5846ddp-8"),
+                ("0x1.11c9b8482ba17p+3", "0x1.00113b7807770p-5"),
+                ("0x1.520cdc52aae8cp+3", "0x1.91c863012099ap+3")],
         }
         for k, expected in golden.items():
             f = random_dirichlet(np.random.default_rng(k), 64, 1000)
