@@ -74,8 +74,13 @@ class DirichletPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "DirichletPolynomial":
-        data = json.loads(text)
-        return cls({int(n): complex(re, im) for n, re, im in data["coeffs"]})
+        """The polynomial of `to_json`'s text; json reads NaN and Infinity, which are refused."""
+        coefficients = {}
+        for n, re, im in json.loads(text)["coeffs"]:
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"the coefficient of index {n} is not finite: ({re}, {im})")
+            coefficients[int(n)] = complex(re, im)
+        return cls(coefficients)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,20 @@ support by Omega(n), then n, but over the primes by position, even then odd: acc
 Re(a_n) z(n), with the imaginary parts of the coefficients summed the same way apart and
 combined at the end. The order depends only on the support, and a polynomial whose rows
 lie in another order gathers them first. So |F| for sample i depends only on (seed, i),
-whatever the block of points evaluated together or the worker count. The block is the one
-unit of work: a block's angles are hashed, turned into phases and lifted in one flat
-workspace per worker, and the block halves until the run fits the memory cap. Each worker
-builds its blocks' schedule once per call: the hash's sample steps and pair keys, and
-every view the stages take (one more for a short last block), so a block only runs the
-stages. Neither the angles nor the node values depend on the rest of the plan, so
-polynomials whose supports lie inside f's (its partial sums, its homogeneous parts) are
-evaluated on f's nodes in the same pass, each with the bits of its own run. Sample means
-are reduced by a halving fold.
+whatever the block of points evaluated together or the worker count. Neither the angles
+nor the node values depend on the rest of the plan, so polynomials whose supports lie
+inside f's (its partial sums, its homogeneous parts) are evaluated on f's nodes in the
+same pass, each with the bits of its own run.
+
+`mc_norm_many` takes three steps. `_lift_plan` builds the nodes and the sum orders.
+`_abs_rows` returns |F| of every member at every sample, one row each: the block is the
+one unit of work, and each worker hashes, phases and lifts its blocks in one flat
+workspace, with the block halved until the run fits the memory cap. Two stage objects
+run a block, `_Hash` (the splitmix64 hashes) and `_Lift` (the node rows and F); each
+builds its keys and views once per worker and block size, and each call runs one block.
+`_power_means` reduces a row of |F| to its estimates by a halving fold: it is the one
+place Monte Carlo estimates are formed, so a change in how they are formed changes it
+alone.
 
 One-variable quasi-norms are computed by trapezoidal quadrature on equispaced
 circle nodes; this is exact up to rounding for even p and spectrally accurate
@@ -144,50 +149,46 @@ def _draw(columns: np.ndarray | Sequence[int]) -> _Draw:
     return _Draw(c, np.concatenate((c[top : top + lone], c[:top])) >> 1, top)
 
 
-class _Hashing(NamedTuple):
-    """`_uniforms`' arrays for blocks of one sample count: what no block's samples change, and views."""
+class _Hash:
+    """`_uniforms`' hashes of the given pairs for blocks of `count` samples, one block a call.
 
-    steps: np.ndarray  # (i + 1) gamma for the block's samples i, mod 2^64
-    keys: np.ndarray  # (pairs[r] + 1) gamma' for each hash row r across the block, mod 2^64
-    hashes: np.ndarray  # uint64 (pairs, count)
-    sample: np.ndarray  # the block's sample keys
-    temporary: np.ndarray  # their shifted copy
-    scratch: np.ndarray  # (pairs, count): the hashes' shifted copy
-
-
-def _hashing(
-    pairs: np.ndarray,
-    count: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-    keys: np.ndarray | None = None,
-) -> _Hashing:
-    """The build step of `_uniforms` for blocks of `count` samples of the given hashed pairs.
-
-    With H the number of pairs (`_draw(columns).pairs` for a set of columns), each array is
-    allocated if not given: `out` is the C-ordered uint64 (H, count) array for the hashes,
-    `scratch` a flat uint64 array of at least max(H, 2) * count entries for the temporaries, and
-    `keys` a flat uint64 array of at least (H + 1) * count entries, which takes the steps and
-    the pair keys.
+    Building it makes what no block's samples change and every view a call takes. With H the
+    number of pairs (`_draw(columns).pairs` for a set of columns), each array is allocated if
+    not given: `out` is the C-ordered uint64 (H, count) array for the hashes, `scratch` a flat
+    uint64 array of at least max(H, 2) * count entries for the temporaries, and `keys` a flat
+    uint64 array of at least (H + 1) * count entries, which takes the steps and the pair keys.
+    A call allocates nothing of the count's size.
     """
-    width = pairs.size
-    h = np.empty((width, count), dtype=np.uint64) if out is None else out
-    if scratch is None:
-        scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
-    if keys is None:
-        keys = np.empty((width + 1) * count, dtype=np.uint64)
-    steps = np.multiply(np.arange(1, count + 1, dtype=np.uint64), _GAMMA_SAMPLE, out=keys[:count])
-    # (pair + 1) gamma' for each hash row, across the block: a block's hashes then take one plain
-    # add, as a broadcasting add takes numpy's iterator buffers (64 KB an operand)
-    pair_keys = keys[count : (width + 1) * count].reshape(width, count)
-    np.copyto(pair_keys, ((pairs.astype(np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
-    return _Hashing(steps, pair_keys, h, scratch[:count], scratch[count : 2 * count],
-                    scratch[: width * count].reshape(width, count))
+
+    def __init__(self, pairs: np.ndarray, count: int, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None, keys: np.ndarray | None = None):
+        width = pairs.size
+        self.hashes = np.empty((width, count), dtype=np.uint64) if out is None else out
+        if scratch is None:
+            scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
+        if keys is None:
+            keys = np.empty((width + 1) * count, dtype=np.uint64)
+        # (i + 1) gamma for the block's samples i, mod 2^64
+        self.steps = np.multiply(np.arange(1, count + 1, dtype=np.uint64), _GAMMA_SAMPLE, out=keys[:count])
+        # (pair + 1) gamma' for each hash row, across the block: a block's hashes then take one plain
+        # add, as a broadcasting add takes numpy's iterator buffers (64 KB an operand)
+        self.keys = keys[count : (width + 1) * count].reshape(width, count)
+        np.copyto(self.keys, ((pairs.astype(np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
+        # the block's sample keys, their shifted copy, and the hashes' shifted copy
+        self.sample, self.temporary = scratch[:count], scratch[count : 2 * count]
+        self.scratch = scratch[: width * count].reshape(width, count)
+
+    def __call__(self, seed: int, first_sample: int) -> np.ndarray:
+        """The hashes of samples [first_sample, first_sample + count), in the `out` array."""
+        # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64
+        offset = (_seed_key(seed) + first_sample * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF
+        np.add(self.steps, np.uint64(offset), out=self.sample)
+        np.copyto(self.hashes, _mix64(self.sample, self.temporary))
+        self.hashes += self.keys
+        return _mix64(self.hashes, self.scratch)
 
 
-def _uniforms(
-    seed: int, first_sample: int, count: int, columns: np.ndarray, hashing: _Hashing | None = None
-) -> np.ndarray:
+def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> np.ndarray:
     """The splitmix64 hashes that hold the angles of samples [first_sample, first_sample+count).
 
     `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Column j's
@@ -196,18 +197,9 @@ def _uniforms(
     j. So each pair of positions is hashed once, and any partition of the sample range, or
     any choice of columns, reproduces the same values. The result is the C-ordered uint64
     (H, count) array of the hashes of the H pairs, in `_draw(columns)` order: each pair's
-    hashes are contiguous. The run step: `hashing` is `_hashing(_draw(columns).pairs,
-    count, ...)`, built here if not given, and holds that array, the temporaries and the
-    keys, so a run allocates nothing of the count's size.
+    hashes are contiguous. The Monte Carlo engine runs the same `_Hash` on its own arrays.
     """
-    if hashing is None:
-        hashing = _hashing(_draw(columns).pairs, count)
-    steps, keys, h, sample, temporary, scratch = hashing
-    # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64
-    np.add(steps, np.uint64((_seed_key(seed) + first_sample * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF), out=sample)
-    np.copyto(h, _mix64(sample, temporary))
-    h += keys
-    return _mix64(h, scratch)
+    return _Hash(_draw(columns).pairs, count)(seed, first_sample)
 
 
 # the shifts to an angle's two digits in a hash's top half and low half, and the digits' mask
@@ -226,13 +218,8 @@ def _angles(seed: int, first_sample: int, count: int, columns: np.ndarray | Sequ
     return k[order[np.searchsorted(draw.columns[order], columns)]].T
 
 
-def _phases(
-    top: np.ndarray,
-    low: np.ndarray,
-    out: np.ndarray | None = None,
-    digit: np.ndarray | None = None,
-    factor: np.ndarray | None = None,
-) -> np.ndarray:
+def _phases(top: np.ndarray, low: np.ndarray, out: np.ndarray | None = None,
+            digit: np.ndarray | None = None, factor: np.ndarray | None = None) -> np.ndarray:
     """exp(2 pi i k 2^-22) for the angles k in the top halves of `top`, then the low halves of `low`.
 
     `top` and `low` are uint64 hashes, shaped alike past their first axis, along which the
@@ -323,11 +310,16 @@ def l2_norm(f: DirichletPolynomial) -> NormEstimate:
 
 
 def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
-    """The exact 2k-quasi-norm via the l2 norm of the k-th convolution power."""
+    """The exact 2k-quasi-norm via the l2 norm of the k-th convolution power.
+
+    A power mean past the float range is an OverflowError.
+    """
     if k < 1 or int(k) != k:
         raise ValueError(f"k must be a positive integer, got {k}")
     k = int(k)
     total = math.fsum(abs(c) ** 2 for c in dirichlet_power(f, k).coefficients.values())
+    if not math.isfinite(total):
+        raise OverflowError(f"the p = {2 * k} power mean passes the float range")
     return NormEstimate(p=2.0 * k, value=total ** (1.0 / (2 * k)), power_mean=total, method="exact_even")
 
 
@@ -424,71 +416,61 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
     )
 
 
-class _Lifting(NamedTuple):
-    """`_lift`'s steps on one array of node rows: every view its run takes, built once."""
+class _Lift:
+    """`_lift_values` on one array of node rows Z, whose columns are points, one lift a call.
 
-    Z: np.ndarray
-    F: np.ndarray
-    # per Omega layer: spf then cofactor slots, their gather, its two halves and the layer's rows
-    layers: list
-    # per member: Re a_n, the float view of its rows, of its F row, its slots or None, their
-    # gather or None, and if complex (Im a_n, its sum's float view, then the real and imaginary
-    # parts of F and of that sum)
-    members: list
-
-
-def _lifting(
-    plan: _LiftPlan, Z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> _Lifting:
-    """The build step of `_lift` for the node rows Z, whose columns are points; it sets node 1's row.
-
-    F goes into `out` if given; `scratch`, a flat complex128 array of at least plan.scratch
-    entries per point, holds the gathers if given.
+    Building it makes every view a call takes and sets node 1's row; a call fills the node
+    rows past the primes' and returns F. F goes into `out` if given; `scratch`, a flat
+    complex128 array of at least plan.scratch entries per point, holds the gathers if given.
     """
-    width = Z.shape[1]
-    F = np.empty((len(plan.members), width), dtype=np.complex128) if out is None else out
-    if scratch is None:
-        scratch = np.empty(plan.scratch * width, dtype=np.complex128)
-    Z[0] = 1
-    layers = []
-    for lo, hi, pairs in plan.layers:
-        factors = scratch[: pairs.size * width].reshape(-1, width)
-        layers.append((pairs, factors, factors[: hi - lo], factors[hi - lo :], Z[lo:hi]))
-    members = []
-    for row, (re, im, slots) in zip(F, plan.members):
-        m = 0 if slots is None else slots.size * width
-        gathered = None if slots is None else scratch[:m].reshape(-1, width)
-        v = row.view(np.float64)
-        imaginary = None
-        if im is not None:
-            b = scratch[m : m + width].view(np.float64)
-            imaginary = (im, b, v[0::2], v[1::2], b[0::2], b[1::2])
-        members.append((re, (Z if slots is None else gathered).view(np.float64), v, slots, gathered, imaginary))
-    return _Lifting(Z, F, layers, members)
+
+    def __init__(self, plan: _LiftPlan, Z: np.ndarray, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None):
+        width = Z.shape[1]
+        self.Z = Z
+        self.F = np.empty((len(plan.members), width), dtype=np.complex128) if out is None else out
+        if scratch is None:
+            scratch = np.empty(plan.scratch * width, dtype=np.complex128)
+        Z[0] = 1
+        # per Omega layer: spf then cofactor slots, their gather, its two halves and the layer's rows
+        self.layers = []
+        for lo, hi, pairs in plan.layers:
+            factors = scratch[: pairs.size * width].reshape(-1, width)
+            self.layers.append((pairs, factors, factors[: hi - lo], factors[hi - lo :], Z[lo:hi]))
+        # per member: Re a_n, the float view of its rows, of its F row, its slots or None, their
+        # gather or None, and if complex (Im a_n, its sum's float view, then the real and imaginary
+        # parts of F and of that sum)
+        self.members = []
+        for row, (re, im, slots) in zip(self.F, plan.members):
+            m = 0 if slots is None else slots.size * width
+            gathered = None if slots is None else scratch[:m].reshape(-1, width)
+            v = row.view(np.float64)
+            imaginary = None
+            if im is not None:
+                b = scratch[m : m + width].view(np.float64)
+                imaginary = (im, b, v[0::2], v[1::2], b[0::2], b[1::2])
+            self.members.append((re, (Z if slots is None else gathered).view(np.float64), v, slots, gathered,
+                                 imaginary))
+
+    def __call__(self) -> np.ndarray:
+        Z = self.Z
+        for pairs, factors, spf, cofactor, rows in self.layers:
+            Z.take(pairs, axis=0, out=factors, mode="clip")
+            # the product stays out of place: an in-place variant changed a last bit
+            np.multiply(spf, cofactor, out=rows)
+        for re, rows, v, slots, gathered, imaginary in self.members:
+            if slots is not None:
+                Z.take(slots, axis=0, out=gathered, mode="clip")
+            np.einsum("i,ij->j", re, rows, out=v)
+            if imaginary is not None:
+                im, b, v_re, v_im, b_re, b_im = imaginary
+                np.einsum("i,ij->j", im, rows, out=b)
+                v_re -= b_im
+                v_im += b_re
+        return self.F
 
 
-def _lift(lifting: _Lifting) -> np.ndarray:
-    """The run step of `_lift_values`: fills the node rows past the primes' and returns F."""
-    Z = lifting.Z
-    for pairs, factors, spf, cofactor, rows in lifting.layers:
-        Z.take(pairs, axis=0, out=factors, mode="clip")
-        # the product stays out of place: an in-place variant changed a last bit
-        np.multiply(spf, cofactor, out=rows)
-    for re, rows, v, slots, gathered, imaginary in lifting.members:
-        if slots is not None:
-            Z.take(slots, axis=0, out=gathered, mode="clip")
-        np.einsum("i,ij->j", re, rows, out=v)
-        if imaginary is not None:
-            im, b, v_re, v_im, b_re, b_im = imaginary
-            np.einsum("i,ij->j", im, rows, out=b)
-            v_re -= b_im
-            v_im += b_re
-    return lifting.F
-
-
-def _lift_values(
-    plan: _LiftPlan, Z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
     """F = sum a_n z(n) of each member (row) at each point (column) of Z, whose rows are nodes.
 
     The caller writes z at the plan's primes into rows 1..P; z(n) = z(spf n) z(n/spf n)
@@ -498,10 +480,10 @@ def _lift_values(
     same way and adds i times it. numpy's einsum on "i,ij->j" is that unfused loop in row
     order (the tests hold it to a Python loop bit for bit), and zero coefficients add
     nothing. No operation mixes columns, so a point's F does not depend on the points
-    evaluated with it. `out` and `scratch` are `_lifting`'s; this is its build then `_lift`'s
-    run, the two steps the Monte Carlo engine takes apart.
+    evaluated with it. The Monte Carlo engine builds one `_Lift` per block size and calls it
+    per block.
     """
-    return _lift(_lifting(plan, Z, out, scratch))
+    return _Lift(plan, Z)()
 
 
 def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
@@ -511,36 +493,14 @@ def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
     return complex(_lift_values(plan, Z)[0, 0])
 
 
-def mc_norm_many(
-    f: DirichletPolynomial,
-    ps: Sequence[float],
-    samples: int,
-    seed: int,
-    table: PrimeTable,
-    workers: int = 1,
-    parts: Sequence[DirichletPolynomial] = (),
-) -> list[NormEstimate]:
-    """Monte Carlo estimates of several quasi-norms from one shared sample stream.
+def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndarray:
+    """|F| of each of the plan's members (row) at samples 0..samples-1 (column), a float64 array.
 
-    Draws `samples` independent Steinhaus samples (one angle per prime dividing
-    some index of the support), evaluates |F| once per sample, and forms each
-    p-th power mean from the same |F| values. Each of the `parts`, whose supports
-    must lie inside f's, is evaluated from the same samples and nodes with the bits
-    of its own run; the estimates are f's, then each part's, each in the order of
-    `ps`. Deterministic for fixed (seed, samples), whatever the block or the worker
-    count. The block of points evaluated together is halved until the run fits the
-    memory cap; a run that fits at no block size is a ResourceLimitError, and a power
-    mean or standard error past the float range an OverflowError.
+    The samples are cut into blocks, which the workers take in turn; each worker hashes,
+    phases and lifts its blocks in views of one flat workspace. The block is halved until
+    the run fits the memory cap, and a run that fits at no block size is a
+    ResourceLimitError. |F| of sample i depends only on (seed, i).
     """
-    ps = [float(p) for p in ps]
-    for p in ps:
-        if not 0 < p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {p}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if workers < 1:
-        raise ValueError(f"need at least 1 worker, got {workers}")
-    plan = _lift_plan(f, table, *parts)
     rows, primes = len(plan.members), plan.columns.size
     pairs = plan.draw.pairs
     # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
@@ -574,50 +534,90 @@ def mc_norm_many(
         workspace = np.empty(block * per_point, dtype=np.complex128)
         keys = np.empty((pairs.size + 1) * block, dtype=np.uint64)
         stage = workspace[(plan.size + rows) * block :]
-
-        def schedule(n: int) -> tuple:
-            # every array the stages take for a block of n points, each C-ordered: the node rows,
-            # F, and in the stage area the factor (where the hash's temporaries go first), the
-            # hashes and the digit, then the lift's gathers. The primes' rows are in draw order,
-            # the top halves first
-            Z = workspace[: plan.size * n].reshape(plan.size, n)
-            F = workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n)
-            units = stage.view(np.uint64)
-            h = units[2 * primes * n : (2 * primes + pairs.size) * n].reshape(pairs.size, n)
-            digit = units[(2 * primes + pairs.size) * n : (3 * primes + pairs.size) * n].reshape(primes, n)
-            phasing = plan.draw.halves(h), {
-                "out": Z[1 : 1 + primes], "digit": digit, "factor": stage[: primes * n].reshape(primes, n)}
-            hashing = _hashing(pairs, n, out=h, scratch=units, keys=keys)
-            return n, hashing, phasing, _lifting(plan, Z, out=F, scratch=stage)
-
-        full = schedule(block)
+        units = stage.view(np.uint64)
+        # the stages of each block size, built at the worker's first block of that size: the full
+        # block, and at most one short block, the run's last, which may overwrite the keys
+        stages = {}
         for start in range(worker * block, samples, busy * block):
-            # only the last block of the run can be short, and it is its worker's last: its
-            # schedule may overwrite the keys
-            n, hashing, (halves, buffers), lifting = full if start + block <= samples else schedule(samples - start)
-            _uniforms(seed, start, n, plan.columns, hashing=hashing)
-            _phases(*halves, **buffers)
-            np.abs(_lift(lifting), out=absF[:, start : start + n])
+            n = min(block, samples - start)
+            if n not in stages:
+                # every array the stages take for a block of n points, each C-ordered: the node rows,
+                # F, and in the stage area the factor (where the hash's temporaries go first), the
+                # hashes and the digit, then the lift's gathers. The primes' rows are in draw order,
+                # the top halves first
+                Z = workspace[: plan.size * n].reshape(plan.size, n)
+                F = workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n)
+                h = units[2 * primes * n : (2 * primes + pairs.size) * n].reshape(pairs.size, n)
+                digit = units[(2 * primes + pairs.size) * n : (3 * primes + pairs.size) * n].reshape(primes, n)
+                phasing = (*plan.draw.halves(h), Z[1 : 1 + primes], digit, stage[: primes * n].reshape(primes, n))
+                stages[n] = _Hash(pairs, n, h, units, keys), phasing, _Lift(plan, Z, F, stage)
+            hashing, phasing, lift = stages[n]
+            hashing(seed, start)
+            _phases(*phasing)
+            np.abs(lift(), out=absF[:, start : start + n])
 
     if busy > 1:
         with ThreadPoolExecutor(max_workers=busy) as pool:
             list(pool.map(fill, range(busy)))
     else:
         fill(0)
+    return absF
 
+
+def _power_means(row: np.ndarray, ps: Sequence[float], seed: int) -> list[NormEstimate]:
+    """The Monte Carlo estimate at each p of `ps` from the samples of |F| in `row`, drawn with `seed`.
+
+    The one place Monte Carlo estimates are formed: the p-th power mean of the row and its
+    standard error, both reduced by `pairwise_sum`'s halving fold, whose shape depends only
+    on the number of samples. A power mean or standard error past the float range is an
+    OverflowError.
+    """
+    samples = row.size
     out = []
-    for row in absF:
-        for p in ps:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
-                x = row**p
-                mean = pairwise_sum(x) / samples
-                var = pairwise_sum((x - mean) ** 2) / (samples - 1)
-            se = math.sqrt(var / samples)
-            if not (math.isfinite(mean) and math.isfinite(se)):
-                raise OverflowError(f"the p = {p} power mean of |F| or its error passes the float range")
-            out.append(NormEstimate(p=p, value=mean ** (1.0 / p), power_mean=mean, method="monte_carlo",
-                                    samples=samples, std_error=se, seed=seed))
+    for p in ps:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+            x = row**p
+            mean = pairwise_sum(x) / samples
+            var = pairwise_sum((x - mean) ** 2) / (samples - 1)
+        se = math.sqrt(var / samples)
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise OverflowError(f"the p = {p} power mean of |F| or its error passes the float range")
+        out.append(NormEstimate(p=p, value=mean ** (1.0 / p), power_mean=mean, method="monte_carlo",
+                                samples=samples, std_error=se, seed=seed))
     return out
+
+
+def mc_norm_many(
+    f: DirichletPolynomial,
+    ps: Sequence[float],
+    samples: int,
+    seed: int,
+    table: PrimeTable,
+    workers: int = 1,
+    parts: Sequence[DirichletPolynomial] = (),
+) -> list[NormEstimate]:
+    """Monte Carlo estimates of several quasi-norms from one shared sample stream.
+
+    Draws `samples` independent Steinhaus samples (one angle per prime dividing
+    some index of the support), evaluates |F| once per sample, and forms each
+    p-th power mean from the same |F| values. Each of the `parts`, whose supports
+    must lie inside f's, is evaluated from the same samples and nodes with the bits
+    of its own run; the estimates are f's, then each part's, each in the order of
+    `ps`. Deterministic for fixed (seed, samples), whatever the block or the worker
+    count. The block of points evaluated together is halved until the run fits the
+    memory cap; a run that fits at no block size is a ResourceLimitError, and a power
+    mean or standard error past the float range an OverflowError.
+    """
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
+    plan = _lift_plan(f, table, *parts)
+    return [est for row in _abs_rows(plan, samples, seed, workers) for est in _power_means(row, ps, seed)]
 
 
 def mc_norm(

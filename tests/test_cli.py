@@ -471,6 +471,30 @@ class TestErrorExits:
             assert rec["ratio"] == pytest.approx(math.exp(logs), rel=1e-12)
             assert math.log(rec["ratio"]) == pytest.approx(log_ratio, abs=0.05)
 
+    @pytest.mark.parametrize("re, im", [("NaN", "0.0"), ("0.5", "-Infinity")])
+    @pytest.mark.parametrize("method", ["l2 --p 2", "even --p 4", "mc --p 1"])
+    def test_non_finite_coefficient_exit_2(self, re, im, method, tmp_path, capsys):
+        # json reads NaN and Infinity: the input is refused, naming the index, before any route
+        # runs to a null value or a resource limit
+        path = tmp_path / "poly.json"
+        path.write_text(f'{{"coeffs": [[1, 1.0, 0.0], [6, {re}, {im}]]}}')
+        assert main(["norm", "--method", *method.split(), "--input", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "index 6 is not finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("method", ["l2 --p 2", "even --p 4"])
+    def test_exact_norm_past_the_float_range_exit_3(self, method, tmp_path, capsys):
+        # finite coefficients whose squares, or whose convolution's, pass the float range: exit 3
+        # on both exact routes, as on Monte Carlo, not a record whose value is null
+        path = tmp_path / "poly.json"
+        path.write_text('{"coeffs": [[1, 1e308, 0.0], [2, 1e308, 0.0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norm", "--method", *method.split(), "--input", str(path), "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "dhardy: resource limit: a value passed the float range\n"
+        assert captured.out == ""
+
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2
 

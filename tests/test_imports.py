@@ -116,6 +116,20 @@ def test_only_norms_builds_norm_estimates():
                 assert name != "NormEstimate", f"{path.name}:{node.lineno}"
 
 
+def test_one_monte_carlo_reducer():
+    # a row of |F| becomes Monte Carlo estimates in one place, `_power_means`: it alone folds
+    # sample means, and the engine that samples the rows forms no estimate itself
+    tree = ast.parse((PACKAGE / "norms.py").read_text(encoding="utf-8"))
+    calls = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            calls[top.name] = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                               for node in ast.walk(top) if isinstance(node, ast.Call)}
+    assert {"pairwise_sum", "NormEstimate"} <= calls["_power_means"]
+    assert {name for name, called in calls.items() if "pairwise_sum" in called} == {"_power_means"}
+    assert "_power_means" in calls["mc_norm_many"] and "NormEstimate" not in calls["mc_norm_many"]
+
+
 def test_only_report_turns_records_into_output_data():
     # a record becomes output data in one walk, in `report`: no module deep-copies it with
     # asdict or keeps a to_dict of its own, and only `report` reads dataclass fields generically

@@ -322,12 +322,13 @@ class TestMonteCarlo:
         monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
         block = block_bytes // (16 * 350)
         built, hashed = [], []
-        hashing, lifting, draw = norms._hashing, norms._lifting, norms._uniforms
-        monkeypatch.setattr(norms, "_hashing",
-                            lambda *args, **kw: built.append(("hash", args[1])) or hashing(*args, **kw))
-        monkeypatch.setattr(norms, "_lifting",
-                            lambda *args, **kw: built.append(("lift", args[1].shape[1])) or lifting(*args, **kw))
-        monkeypatch.setattr(norms, "_uniforms", lambda *args, **kw: hashed.append(args[2]) or draw(*args, **kw))
+        hashing, lifting, draw = norms._Hash.__init__, norms._Lift.__init__, norms._Hash.__call__
+        monkeypatch.setattr(norms._Hash, "__init__",
+                            lambda self, *args, **kw: built.append(("hash", args[1])) or hashing(self, *args, **kw))
+        monkeypatch.setattr(norms._Lift, "__init__", lambda self, *args, **kw:
+                            built.append(("lift", args[1].shape[1])) or lifting(self, *args, **kw))
+        monkeypatch.setattr(norms._Hash, "__call__",
+                            lambda self, *args: hashed.append(self.steps.size) or draw(self, *args))
         for samples, short in ((20 * block, []), (20 * block + 3, [3])):
             built.clear()
             hashed.clear()
@@ -457,6 +458,9 @@ class TestMonteCarlo:
                      for n in f.support]
             absF.append(abs(complex(math.fsum(t.real for t in terms),
                                     math.fsum(t.imag for t in terms))))
+        # per sample, so an error that cancels in the means shows too
+        rows = norms._abs_rows(norms._lift_plan(f, table_2k), 64, 17, 1)
+        assert rows[0].tolist() == pytest.approx(absF, rel=1e-12)
         for est in mc_norm_many(f, [1.0, 2.0], 64, 17, table_2k):
             reference = math.fsum(a**est.p for a in absF) / 64
             assert est.power_mean == pytest.approx(reference, rel=1e-12)
@@ -468,8 +472,9 @@ class TestMonteCarlo:
         uncapped = mc_norm(f, 1.0, 16384, 1, table_2k)
         block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
         counts = []
-        draw = norms._uniforms
-        monkeypatch.setattr(norms, "_uniforms", lambda *args, **buffers: counts.append(args[2]) or draw(*args, **buffers))
+        draw = norms._Hash.__call__
+        monkeypatch.setattr(norms._Hash, "__call__",
+                            lambda self, *args: counts.append(self.steps.size) or draw(self, *args))
         for cap, workers in ((1_500_000, 1), (3_000_000, 2)):
             monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
             counts.clear()
@@ -487,8 +492,9 @@ class TestMonteCarlo:
         # at the default block and at the block halved to fit a 1.5 MB cap
         charged, counts = [], []
         monkeypatch.setattr(norms, "check_memory", lambda need, what: charged.append(need))
-        draw = norms._uniforms
-        monkeypatch.setattr(norms, "_uniforms", lambda *args, **buffers: counts.append(args[2]) or draw(*args, **buffers))
+        draw = norms._Hash.__call__
+        monkeypatch.setattr(norms._Hash, "__call__",
+                            lambda self, *args: counts.append(self.steps.size) or draw(self, *args))
         f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table_2k)
         block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
         # a process's first np.unique imports numpy.ma, about 1 MB that is not the run's
@@ -619,13 +625,13 @@ class TestMonteCarlo:
 
     def test_draws_only_the_primes_the_support_uses(self, table_2k, monkeypatch):
         widths = []
-        draw = norms._uniforms
+        phases = norms._phases
 
-        def recording(seed, first_sample, count, columns, **buffers):
-            widths.append(len(columns))
-            return draw(seed, first_sample, count, columns, **buffers)
+        def recording(top, low, *buffers):
+            widths.append(len(top) + len(low))
+            return phases(top, low, *buffers)
 
-        monkeypatch.setattr(norms, "_uniforms", recording)
+        monkeypatch.setattr(norms, "_phases", recording)
         f = random_dirichlet(np.random.default_rng(5), 64, 1000)
         mc_norm_many(f, [1.0], 20_000, 3, table_2k)
         primes = {p for n in f.support for p, _ in factor(n)}
