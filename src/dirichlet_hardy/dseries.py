@@ -74,12 +74,24 @@ class DirichletPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "DirichletPolynomial":
-        """The polynomial of `to_json`'s text; json reads NaN and Infinity, which are refused."""
+        """The polynomial of `to_json`'s text: an object whose "coeffs" is a list of [index, re, im].
+
+        Any other shape is a ValueError naming the entry: an index must be an int (not a bool)
+        and each part a real number. json reads NaN and Infinity, which are refused too.
+        """
+        data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("coeffs"), list)):
+            raise ValueError('a polynomial is an object whose "coeffs" is a list of [index, re, im]')
         coefficients = {}
-        for n, re, im in json.loads(text)["coeffs"]:
+        for entry in data["coeffs"]:
+            numbers = isinstance(entry, list) and len(entry) == 3 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            if not (numbers and isinstance(entry[0], int)):
+                raise ValueError(f"coefficient entry {json.dumps(entry)} is not [integer index, re, im]")
+            n, re, im = entry
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"the coefficient of index {n} is not finite: ({re}, {im})")
-            coefficients[int(n)] = complex(re, im)
+            coefficients[n] = complex(re, im)
         return cls(coefficients)
 
 

@@ -28,11 +28,11 @@ inside f's (its partial sums, its homogeneous parts) are evaluated on f's nodes 
 same pass, each with the bits of its own run.
 
 `mc_norm_many` takes three steps. `_lift_plan` builds the nodes and the sum orders.
-`_abs_rows` returns |F| of every member at every sample, one row each: the block is the
-one unit of work, and each worker hashes, phases and lifts its blocks in one flat
-workspace, with the block halved until the run fits the memory cap. Two stage objects
-run a block, `_Hash` (the splitmix64 hashes) and `_Lift` (the node rows and F); each
-builds its keys and views once per worker and block size, and each call runs one block.
+`_abs_rows` returns |F| of every member at every sample, one row each: it mixes the run's
+sample keys once, and each worker hashes, phases and lifts its share of equal blocks, of one
+width halved until the run fits the memory cap and the last padded, in one flat workspace.
+Two stage objects run a block, `_Hash` (the splitmix64 hashes) and `_Lift` (the node rows
+and F); each worker builds each once, with its views, and each call runs one block.
 `_power_means` reduces a row of |F| to its estimates by a halving fold: it is the one
 place Monte Carlo estimates are formed, so a change in how they are formed changes it
 alone.
@@ -61,20 +61,20 @@ from .arith import PrimeTable, factorize, multiplicative
 from .dseries import DirichletPolynomial, dirichlet_power
 from .errors import SieveLimitError, check_memory, memory_cap_bytes
 
-# node values of the points evaluated together, sized to stay in cache. The block is the one unit
-# of work: each worker allocates one flat workspace per call and hashes, phases and lifts each
-# block of its share in views of it. Drawing an 8192-sample chunk of angles at once (7 MB at
+# node values of the points evaluated together, sized to stay in cache: the widest of a run's
+# equal blocks. Each worker allocates one flat workspace per call and hashes, phases and lifts
+# each block of its share in views of it. Drawing an 8192-sample chunk of angles at once (7 MB at
 # N = 600) raised glibc's dynamic mmap threshold, without which freed block arrays go back to the
 # OS: a variant that drew per block into fresh arrays took 370K-760K minor faults per 200
 # fuzz_sparse ops against 33K and ran about 20% slower. One workspace allocates nothing in the
 # loop instead, and needs no such threshold: over 96 in-process ops on a 2-vCPU host, mc_dense
 # took 405 minor faults against 24K-27K with the chunk and fuzz_sparse 2.2K against 32K, and the
-# benchmark's mc_dense peak RSS fell from 50 to 39 MB. With two angles per hash a block pays
-# about 26 us of numpy calls at Z_600 (24 us with one angle per hash, 37 us when each block
-# rebuilt its keys and views), and 1 MB is still the fastest size: six Z_N^1.5 runs (N = 100 to
-# 600, 16384 samples) took 99.4, 93.5 and 103.4 ms in all at 0.5, 1 and 2 MB, and six runs on
-# 64 random indices up to 1000 (20000 samples) 62.2, 58.7 and 62.5 ms (medians of 7, on a
-# 2-vCPU host)
+# benchmark's mc_dense peak RSS fell from 50 to 39 MB. With the sample keys mixed once per run, a
+# one-point block pays about 22 us of numpy calls at Z_100^1.5 and 28 us at Z_600^1.5 and on 64
+# random indices up to 1000 (32, 39 and 38 us when each block derived its keys from the seed).
+# 1 MB is still the fastest size: six Z_N^1.5 runs (N = 100 to 600, 16384 samples) took 144.8,
+# 138.8 and 156.8 ms at 0.5, 1 and 2 MB, and six on 64 random indices (20000 samples) 88.9, 86.9
+# and 92.3 ms (medians over 3 processes of the fastest of 15 interleaved rounds, 2-vCPU host)
 _BLOCK_BYTES = 1 << 20
 
 # splitmix64 increments (odd 64-bit constants)
@@ -111,10 +111,22 @@ def _mix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=1)
-def _seed_key(seed: int) -> int:
-    """The hashed seed, splitmix64's finalizer of seed mod 2^64; every block of a run reuses it."""
-    return int(_mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)))
+def _sample_keys(seed: int, first_sample: int, count: int) -> np.ndarray:
+    """The keys of samples [first_sample, first_sample + count), a uint64 array, mixed once.
+
+    Sample i's key is splitmix64's finalizer of the hashed seed (the finalizer of seed mod
+    2^64) plus (i + 1) gamma, mod 2^64, for any nonnegative first_sample. The finalizer runs
+    on 4096 keys at a time, so its shifted copies take 32 KB however many keys there are.
+    """
+    mask = 0xFFFFFFFFFFFFFFFF
+    hashed = int(_mix64(np.array(seed & mask, dtype=np.uint64)))
+    keys = np.arange(1, count + 1, dtype=np.uint64)
+    keys *= _GAMMA_SAMPLE
+    keys += np.uint64((hashed + first_sample * int(_GAMMA_SAMPLE)) & mask)
+    scratch = np.empty(min(count, 4096), dtype=np.uint64)
+    for lo in range(0, count, 4096):
+        _mix64(keys[lo : lo + 4096], scratch[: count - lo])
+    return keys
 
 
 class _Draw(NamedTuple):
@@ -152,38 +164,27 @@ def _draw(columns: np.ndarray | Sequence[int]) -> _Draw:
 class _Hash:
     """`_uniforms`' hashes of the given pairs for blocks of `count` samples, one block a call.
 
-    Building it makes what no block's samples change and every view a call takes. With H the
-    number of pairs (`_draw(columns).pairs` for a set of columns), each array is allocated if
-    not given: `out` is the C-ordered uint64 (H, count) array for the hashes, `scratch` a flat
-    uint64 array of at least max(H, 2) * count entries for the temporaries, and `keys` a flat
-    uint64 array of at least (H + 1) * count entries, which takes the steps and the pair keys.
-    A call allocates nothing of the count's size.
+    Building it makes the pair keys, which no block's samples change, and every view a call
+    takes. With H the number of pairs (`_draw(columns).pairs` for a set of columns), `out`
+    is the C-ordered uint64 (H, count) array for the hashes and `scratch` a flat uint64
+    array of at least H * count entries for their shifted copies, each allocated if not
+    given. A call allocates nothing.
     """
 
     def __init__(self, pairs: np.ndarray, count: int, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None, keys: np.ndarray | None = None):
+                 scratch: np.ndarray | None = None):
         width = pairs.size
         self.hashes = np.empty((width, count), dtype=np.uint64) if out is None else out
-        if scratch is None:
-            scratch = np.empty(max(width, 2) * count, dtype=np.uint64)
-        if keys is None:
-            keys = np.empty((width + 1) * count, dtype=np.uint64)
-        # (i + 1) gamma for the block's samples i, mod 2^64
-        self.steps = np.multiply(np.arange(1, count + 1, dtype=np.uint64), _GAMMA_SAMPLE, out=keys[:count])
+        self.scratch = (np.empty_like(self.hashes) if scratch is None
+                        else scratch[: width * count].reshape(width, count))
         # (pair + 1) gamma' for each hash row, across the block: a block's hashes then take one plain
         # add, as a broadcasting add takes numpy's iterator buffers (64 KB an operand)
-        self.keys = keys[count : (width + 1) * count].reshape(width, count)
+        self.keys = np.empty((width, count), dtype=np.uint64)
         np.copyto(self.keys, ((pairs.astype(np.uint64) + np.uint64(1)) * _GAMMA_PRIME)[:, None])
-        # the block's sample keys, their shifted copy, and the hashes' shifted copy
-        self.sample, self.temporary = scratch[:count], scratch[count : 2 * count]
-        self.scratch = scratch[: width * count].reshape(width, count)
 
-    def __call__(self, seed: int, first_sample: int) -> np.ndarray:
-        """The hashes of samples [first_sample, first_sample + count), in the `out` array."""
-        # the sample keys: the seed's key plus (first_sample + 1 + i) gamma, mod 2^64
-        offset = (_seed_key(seed) + first_sample * int(_GAMMA_SAMPLE)) & 0xFFFFFFFFFFFFFFFF
-        np.add(self.steps, np.uint64(offset), out=self.sample)
-        np.copyto(self.hashes, _mix64(self.sample, self.temporary))
+    def __call__(self, samples: np.ndarray) -> np.ndarray:
+        """The hashes of the block whose `_sample_keys` are `samples`, in the `out` array."""
+        np.copyto(self.hashes, samples)
         self.hashes += self.keys
         return _mix64(self.hashes, self.scratch)
 
@@ -197,9 +198,10 @@ def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> 
     j. So each pair of positions is hashed once, and any partition of the sample range, or
     any choice of columns, reproduces the same values. The result is the C-ordered uint64
     (H, count) array of the hashes of the H pairs, in `_draw(columns)` order: each pair's
-    hashes are contiguous. The Monte Carlo engine runs the same `_Hash` on its own arrays.
+    hashes are contiguous. The Monte Carlo engine runs the same `_Hash` on its own arrays,
+    each block on a slice of the run's `_sample_keys`.
     """
-    return _Hash(_draw(columns).pairs, count)(seed, first_sample)
+    return _Hash(_draw(columns).pairs, count)(_sample_keys(seed, first_sample, count))
 
 
 # the shifts to an angle's two digits in a hash's top half and low half, and the digits' mask
@@ -480,8 +482,8 @@ def _lift_values(plan: _LiftPlan, Z: np.ndarray) -> np.ndarray:
     same way and adds i times it. numpy's einsum on "i,ij->j" is that unfused loop in row
     order (the tests hold it to a Python loop bit for bit), and zero coefficients add
     nothing. No operation mixes columns, so a point's F does not depend on the points
-    evaluated with it. The Monte Carlo engine builds one `_Lift` per block size and calls it
-    per block.
+    evaluated with it. The Monte Carlo engine builds one `_Lift` per worker and calls it per
+    block.
     """
     return _Lift(plan, Z)()
 
@@ -496,71 +498,65 @@ def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
 def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndarray:
     """|F| of each of the plan's members (row) at samples 0..samples-1 (column), a float64 array.
 
-    The samples are cut into blocks, which the workers take in turn; each worker hashes,
-    phases and lifts its blocks in views of one flat workspace. The block is halved until
-    the run fits the memory cap, and a run that fits at no block size is a
-    ResourceLimitError. |F| of sample i depends only on (seed, i).
+    The run mixes its sample keys once and cuts the samples into equal blocks, which the
+    workers take in turn, each on one hash, phase views and lift built in one flat workspace.
+    The widest block is halved until the run fits the memory cap (a run that fits at no width
+    is a ResourceLimitError); the last runs past the samples by fewer points than there are
+    blocks, and only its first columns are kept. |F| of sample i depends only on (seed, i).
     """
     rows, primes = len(plan.members), plan.columns.size
     pairs = plan.draw.pairs
     # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
     # area the stages take in turn: the phases' factor (1 entry a prime), the hashes (8 bytes a
-    # pair) and the digit (8 bytes a prime), with the hash's temporaries in the factor's room
-    # (which they need even with no prime: 1 entry), and the lift's gathers (plan.scratch);
-    # beside it, 8 bytes a point for the hash's steps and 8 a pair and point for its pair keys
-    per_point = plan.size + rows + max(-(-(3 * primes + pairs.size) // 2), 1, plan.scratch)
-    block = min(max(1, _BLOCK_BYTES // (16 * plan.size)), samples)
-
-    def in_flight(block: int) -> int:
-        return min(workers, -(-samples // block))
+    # pair) and the digit (8 bytes a prime), with the hashes' shifted copies in the factor's room,
+    # and the lift's gathers (plan.scratch); beside it the hash's pair keys, 8 bytes a pair and point
+    per_point = plan.size + rows + max(-(-(3 * primes + pairs.size) // 2), plan.scratch)
 
     def need(block: int) -> int:
         # the plan's arrays (at most 24 bytes a node for the slots and columns and 24 per member
         # for its coefficients and slots), 32 KB for the run's Python objects and numpy's call
-        # temporaries, and |F| of every member over the run; beside them either the workspaces
-        # and keys of the workers in flight or, once those are freed, one member's |F|^p and
-        # deviations with the copy the fold takes
-        workspaces = in_flight(block) * block * (16 * per_point + 8 * (pairs.size + 1))
-        return (24 + 24 * rows) * plan.size + (1 << 15) + 8 * rows * samples + max(workspaces, 24 * samples)
+        # temporaries, and |F| of every member over the run; beside them either the sample keys
+        # and the workspaces of the workers in flight or, once those are freed, one member's |F|^p
+        # and deviations with the copy the fold takes
+        blocks = -(-samples // block)
+        sampling = 8 * blocks * block + min(workers, blocks) * block * (16 * per_point + 8 * pairs.size)
+        return (24 + 24 * rows) * plan.size + (1 << 15) + 8 * rows * samples + max(sampling, 24 * samples)
 
+    widest = min(max(1, _BLOCK_BYTES // (16 * plan.size)), samples)
     cap = memory_cap_bytes()
-    while block > 1 and need(block) > cap:
-        block //= 2
+    while widest > 1 and need(widest) > cap:
+        widest //= 2
+    # as few blocks as the widest allows, of one width
+    blocks = -(-samples // widest)
+    block = -(-samples // blocks)
     check_memory(need(block), "Monte Carlo sampling")
+    busy = min(workers, blocks)
     absF = np.empty((rows, samples), dtype=np.float64)
-    busy = in_flight(block)
+    # the workspaces before the keys: allocated after them, one at times grew the heap and peak RSS by 1.4 MB
+    workspaces = [np.empty(block * per_point, dtype=np.complex128) for _ in range(busy)]
+    keys = _sample_keys(seed, 0, blocks * block)
 
-    def fill(worker: int) -> None:
-        workspace = np.empty(block * per_point, dtype=np.complex128)
-        keys = np.empty((pairs.size + 1) * block, dtype=np.uint64)
+    def fill(worker: int, workspace: np.ndarray) -> None:
+        # every array the stages take, each C-ordered: the node rows (the primes' in draw order, the
+        # top halves first), F, and in the stage area the factor, the hashes and the digit
+        Z = workspace[: plan.size * block].reshape(plan.size, block)
+        F = workspace[plan.size * block : (plan.size + rows) * block].reshape(rows, block)
         stage = workspace[(plan.size + rows) * block :]
         units = stage.view(np.uint64)
-        # the stages of each block size, built at the worker's first block of that size: the full
-        # block, and at most one short block, the run's last, which may overwrite the keys
-        stages = {}
+        h = units[2 * primes * block : (2 * primes + pairs.size) * block].reshape(pairs.size, block)
+        digit = units[(2 * primes + pairs.size) * block : (3 * primes + pairs.size) * block].reshape(primes, block)
+        hashing, lift = _Hash(pairs, block, h, units), _Lift(plan, Z, F, stage)
+        phasing = (*plan.draw.halves(h), Z[1 : 1 + primes], digit, stage[: primes * block].reshape(primes, block))
         for start in range(worker * block, samples, busy * block):
-            n = min(block, samples - start)
-            if n not in stages:
-                # every array the stages take for a block of n points, each C-ordered: the node rows,
-                # F, and in the stage area the factor (where the hash's temporaries go first), the
-                # hashes and the digit, then the lift's gathers. The primes' rows are in draw order,
-                # the top halves first
-                Z = workspace[: plan.size * n].reshape(plan.size, n)
-                F = workspace[plan.size * block : plan.size * block + rows * n].reshape(rows, n)
-                h = units[2 * primes * n : (2 * primes + pairs.size) * n].reshape(pairs.size, n)
-                digit = units[(2 * primes + pairs.size) * n : (3 * primes + pairs.size) * n].reshape(primes, n)
-                phasing = (*plan.draw.halves(h), Z[1 : 1 + primes], digit, stage[: primes * n].reshape(primes, n))
-                stages[n] = _Hash(pairs, n, h, units, keys), phasing, _Lift(plan, Z, F, stage)
-            hashing, phasing, lift = stages[n]
-            hashing(seed, start)
+            hashing(keys[start : start + block])
             _phases(*phasing)
-            np.abs(lift(), out=absF[:, start : start + n])
+            np.abs(lift()[:, : samples - start], out=absF[:, start : start + block])
 
     if busy > 1:
         with ThreadPoolExecutor(max_workers=busy) as pool:
-            list(pool.map(fill, range(busy)))
+            list(pool.map(fill, range(busy), workspaces))
     else:
-        fill(0)
+        fill(0, *workspaces)
     return absF
 
 
@@ -587,6 +583,15 @@ def _power_means(row: np.ndarray, ps: Sequence[float], seed: int) -> list[NormEs
     return out
 
 
+def _exponents(ps: Sequence[float]) -> list[float]:
+    """The exponents as floats, each of which must be positive and finite (a ValueError if not)."""
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p}")
+    return ps
+
+
 def mc_norm_many(
     f: DirichletPolynomial,
     ps: Sequence[float],
@@ -604,14 +609,11 @@ def mc_norm_many(
     must lie inside f's, is evaluated from the same samples and nodes with the bits
     of its own run; the estimates are f's, then each part's, each in the order of
     `ps`. Deterministic for fixed (seed, samples), whatever the block or the worker
-    count. The block of points evaluated together is halved until the run fits the
-    memory cap; a run that fits at no block size is a ResourceLimitError, and a power
-    mean or standard error past the float range an OverflowError.
+    count. The run mixes its sample keys once and runs in equal blocks, the last padded,
+    of one width, halved until the run fits the memory cap; a run that fits at no width is
+    a ResourceLimitError, and a power mean or error past the float range an OverflowError.
     """
-    ps = [float(p) for p in ps]
-    for p in ps:
-        if not 0 < p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {p}")
+    ps = _exponents(ps)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if workers < 1:
@@ -700,10 +702,7 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     Every p and the node count are checked before f is evaluated; a power mean past the
     float range is an OverflowError.
     """
-    ps = [float(p) for p in ps]
-    for p in ps:
-        if not 0 < p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {p}")
+    ps = _exponents(ps)
     if nodes < 4 * (f.degree + 1):
         raise ValueError(f"need at least {4 * (f.degree + 1)} nodes for degree {f.degree}")
     # the nodes, Horner's temporaries in `polyval` and |f|: traced at 64 bytes per node for

@@ -482,6 +482,18 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert "index 6 is not finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("text", ['{"coeffs": [[1, "1", 0]]}', '{"c": []}', "[1, 2]",
+                                      '{"coeffs": [[1.5, 1, 0]]}', '{"coeffs": [[true, 1, 0]]}'])
+    def test_malformed_input_exit_2(self, text, tmp_path, capsys):
+        # valid json of another shape: a string part, no "coeffs", not an object, a fractional
+        # index and a bool index are refused with one line, not a traceback or a truncated index
+        path = tmp_path / "poly.json"
+        path.write_text(text)
+        assert main(["norm", "--p", "2", "--input", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dhardy: invalid arguments: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("method", ["l2 --p 2", "even --p 4"])
     def test_exact_norm_past_the_float_range_exit_3(self, method, tmp_path, capsys):
         # finite coefficients whose squares, or whose convolution's, pass the float range: exit 3

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,23 @@ class TestPolynomial:
         data = json.loads(f.to_json())
         assert [row[0] for row in data["coeffs"]] == [2, 5]
         assert DirichletPolynomial.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("text, entry", [
+        ('{"coeffs": [[1, "1", 0]]}', '[1, "1", 0]'),
+        ('{"coeffs": [[2, 1, 0], [1.5, 1, 0]]}', "[1.5, 1, 0]"),
+        ('{"coeffs": [[true, 1, 0]]}', "[true, 1, 0]"),
+        ('{"coeffs": [[1, 1]]}', "[1, 1]"),
+        ('{"coeffs": [3]}', "3"),
+        ('{"c": []}', None),
+        ("[1, 2]", None),
+        ('{"coeffs": {"1": [1, 0]}}', None),
+    ])
+    def test_json_of_another_shape_is_refused(self, text, entry):
+        # an entry is [index, re, im] with an int index that is no bool and real parts; the
+        # error names the entry, or the expected shape when there is no list of entries
+        message = f"coefficient entry {re.escape(entry)} " if entry else '"coeffs" is a list'
+        with pytest.raises(ValueError, match=message):
+            DirichletPolynomial.from_json(text)
 
 
 class TestGenerators:

@@ -69,6 +69,14 @@ class TestCounterRng:
         assert np.array_equal(whole[17:40], steinhaus_uniforms(11, 17, 23, 5))
         assert np.array_equal(whole[:, :3], steinhaus_uniforms(11, 0, 100, 3))
 
+    @pytest.mark.parametrize("first_sample", [0, 2**63, 2**70])
+    def test_stream_splits_at_any_sample(self, first_sample):
+        # a range's angles are its two halves' concatenated, past 2^64 samples too, where the
+        # sample keys wrap mod 2^64
+        whole = steinhaus_uniforms(3, first_sample, 200, 7)
+        assert np.array_equal(whole, np.concatenate((steinhaus_uniforms(3, first_sample, 77, 7),
+                                                     steinhaus_uniforms(3, first_sample + 77, 123, 7))))
+
     def test_range_and_spread(self):
         u = steinhaus_uniforms(0, 0, 4000, 8)
         assert (u >= 0).all() and (u < 1).all()
@@ -290,20 +298,27 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
         default, arrays = run(16384)
-        # blocks of 64 KB (11 points, the last holding 5) and the default (187, the last 115),
-        # with two workers taking every other block
+        # blocks of 64 KB (1490 of 11 points, the last padded by 6) and the default (88 of 187,
+        # the last padded by 72), with two workers taking every other block
         for block_bytes in (1 << 16, norms._BLOCK_BYTES):
             for workers in (1, 2):
                 ests, other = run(16384, block_bytes, workers)
                 assert ests == default
                 assert all(np.array_equal(a, b) for a, b in zip(arrays, other, strict=True))
-        # blocks of one point, and of 7 that leave 2 points over, on a 4097-sample prefix: |F| and
-        # |F|^3 (reduced first and third) are the default run's prefix
-        for block_bytes in (1, 7 * 16 * nodes):
-            for workers in (1, 2):
-                _, other = run(4097, block_bytes, workers)
-                assert np.array_equal(other[0], arrays[0][:4097])
-                assert np.array_equal(other[2], arrays[2][:4097])
+        # blocks of one point, and at widest blocks of 7 and 187 points prefixes that leave 1 point
+        # and all but one over a whole number of them, so the last block is padded, at one to three
+        # workers: |F| and |F|^3 (reduced first and third) are the default run's prefix, and the
+        # rows of |F| hold exactly the samples
+        plan = norms._lift_plan(f, table_2k)
+        for block_bytes in (1, 7 * 16 * nodes, norms._BLOCK_BYTES):
+            block = max(1, block_bytes // (16 * nodes))
+            for samples in sorted({4097, 4096 // block * block + 1, 4096 // block * block + block - 1}):
+                for workers in (1, 2, 3):
+                    _, other = run(samples, block_bytes, workers)
+                    assert np.array_equal(other[0], arrays[0][:samples])
+                    assert np.array_equal(other[2], arrays[2][:samples])
+                    rows = norms._abs_rows(plan, samples, 5, workers)
+                    assert rows.shape == (1, samples) and np.array_equal(rows[0], arrays[0][:samples])
         # parts evaluated on f's nodes give the bits of their own runs, f's estimates first;
         # the second f is complex, and its first part has real coefficients
         g = DirichletPolynomial({n: 1j if n % 7 == 0 else 1 for n in range(1, 351)})
@@ -317,10 +332,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_arrays_are_built_once_per_worker(self, block_bytes, workers, table_2k, monkeypatch):
-        # each worker builds the hash's and the lift's arrays for a block once, and once more for
-        # a short last block; every block runs the hash. Z_350 takes blocks of 11 or 187 points
+        # the samples run in as few blocks as the widest width allows, all of one balanced width:
+        # each worker builds the hash's and the lift's arrays once, at that width, and every block
+        # runs the hash. Z_350 allows 11 or 187 points; 20 such blocks and 3 points more take 21
+        # blocks of 11 or 179, the last padded
         monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
-        block = block_bytes // (16 * 350)
+        widest = block_bytes // (16 * 350)
         built, hashed = [], []
         hashing, lifting, draw = norms._Hash.__init__, norms._Lift.__init__, norms._Hash.__call__
         monkeypatch.setattr(norms._Hash, "__init__",
@@ -328,14 +345,14 @@ class TestMonteCarlo:
         monkeypatch.setattr(norms._Lift, "__init__", lambda self, *args, **kw:
                             built.append(("lift", args[1].shape[1])) or lifting(self, *args, **kw))
         monkeypatch.setattr(norms._Hash, "__call__",
-                            lambda self, *args: hashed.append(self.steps.size) or draw(self, *args))
-        for samples, short in ((20 * block, []), (20 * block + 3, [3])):
+                            lambda self, *args: hashed.append(self.hashes.shape[1]) or draw(self, *args))
+        for samples, blocks in ((20 * widest, 20), (20 * widest + 3, 21)):
+            block = -(-samples // blocks)
             built.clear()
             hashed.clear()
             mc_norm_many(zeta_partial(350), [1.0], samples, 5, table_2k, workers)
-            sizes = [block] * workers + short
-            assert sorted(built) == sorted([("hash", n) for n in sizes] + [("lift", n) for n in sizes])
-            assert sorted(hashed) == sorted([block] * 20 + short)
+            assert sorted(built) == sorted([("hash", block), ("lift", block)] * workers)
+            assert hashed == [block] * blocks
 
     def test_contraction_is_a_sequential_slot_order_sum(self, table_2k):
         # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support, on the
@@ -474,7 +491,7 @@ class TestMonteCarlo:
         counts = []
         draw = norms._Hash.__call__
         monkeypatch.setattr(norms._Hash, "__call__",
-                            lambda self, *args: counts.append(self.steps.size) or draw(self, *args))
+                            lambda self, *args: counts.append(self.hashes.shape[1]) or draw(self, *args))
         for cap, workers in ((1_500_000, 1), (3_000_000, 2)):
             monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
             counts.clear()
@@ -494,7 +511,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(norms, "check_memory", lambda need, what: charged.append(need))
         draw = norms._Hash.__call__
         monkeypatch.setattr(norms._Hash, "__call__",
-                            lambda self, *args: counts.append(self.steps.size) or draw(self, *args))
+                            lambda self, *args: counts.append(self.hashes.shape[1]) or draw(self, *args))
         f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table_2k)
         block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
         # a process's first np.unique imports numpy.ma, about 1 MB that is not the run's
