@@ -12,7 +12,9 @@ The fuzz suite checks the weighted inequalities of `bounds` on two kinds of
 random polynomial. A disc polynomial g(z) = sum g_j z^j is the Dirichlet
 polynomial sum g_j 2^(-js) on the one prime 2, whose H^p norm is g's disc
 norm, so its checks are the same Hardy-Littlewood checks, with the same slack,
-against a quadrature norm in place of a Monte Carlo one.
+against a quadrature norm in place of a Monte Carlo one. A case's polynomials
+come from the splitmix64 stream of (seed, case) (`_CaseDraws`, on the engine's
+`_sample_keys`), so they depend on nothing else, numpy's Generator included.
 
 Each entry is one `dhardy` subcommand's whole computation: it picks the route,
 sieves one prime table when given none (its largest limit, and at least 1000;
@@ -60,6 +62,8 @@ from .dseries import (
 from .errors import ResourceLimitError, SieveLimitError, memory_cap_bytes
 from .norms import (
     DiscPolynomial,
+    _mix64,
+    _sample_keys,
     disc_norm_many,
     even_norm_exact,
     l2_norm,
@@ -602,19 +606,75 @@ DIRICHLET_INEQUALITIES = {*HL_INEQUALITIES, "divisor-chain"}
 ALL_INEQUALITIES = set(DISC_INEQUALITIES) | DIRICHLET_INEQUALITIES
 
 
-def random_dirichlet(rng: np.random.Generator, max_support: int, max_index: int) -> DirichletPolynomial:
-    """Sparse polynomial with standard complex normal coefficients on random indices."""
-    size = int(rng.integers(1, max_support + 1))
-    size = min(size, max_index)
-    indices = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
-    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return DirichletPolynomial({int(n): complex(v) for n, v in zip(indices, values)})
+# the fuzz corpus's splitmix64 increment: odd, and apart from the Monte Carlo stream's two
+_GAMMA_CASE = 0xDB4F0B9175AE2165
 
 
-def random_disc(rng: np.random.Generator, max_degree: int) -> DiscPolynomial:
-    degree = int(rng.integers(0, max_degree + 1))
-    values = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    return DiscPolynomial(values)
+class _CaseDraws:
+    """The random draws of one fuzz case: splitmix64 hashes of (seed, case), taken in turn.
+
+    Hash t is `_sample_keys`' key of sample t under the case key, the finalizer of the seed
+    (mod 2^64) plus (case + 1) times the corpus's own increment, mod 2^64; so a case's draws
+    depend only on (seed, case), in a key domain apart from the Monte Carlo stream's. An
+    integer uniform on 0..m-1 is the multiply-shift (h m) >> 64 of one hash, and a standard
+    complex normal is Box-Muller on a pair of hashes with the scalar functions of `math`,
+    whose bits depend on the platform's libm alone, not on numpy's SIMD dispatch or its
+    Generator's stream.
+    """
+
+    def __init__(self, seed: int, case: int):
+        mask = (1 << 64) - 1
+        hashed = int(_mix64(np.array(seed & mask, dtype=np.uint64)))
+        self.key = (hashed + (case + 1) * _GAMMA_CASE) & mask
+        self.taken = 0
+
+    def hashes(self, count: int) -> list[int]:
+        """The next `count` hashes of the stream, as Python ints."""
+        h = _sample_keys(self.key, self.taken, count).tolist()
+        self.taken += count
+        return h
+
+    def below(self, m: int) -> int:
+        """An integer uniform on 0..m-1."""
+        return (self.hashes(1)[0] * m) >> 64
+
+    def normals(self, count: int) -> list[complex]:
+        """`count` standard complex normals: real and imaginary parts iid N(0, 1)."""
+        h = self.hashes(2 * count)
+        out = []
+        for u, v in zip(h[0::2], h[1::2]):
+            # a radius from u's top 53 bits plus one, a uniform on (0, 1], and an angle from v's
+            r = math.sqrt(-2.0 * math.log(((u >> 11) + 1) * 2.0**-53))
+            theta = math.tau * ((v >> 11) * 2.0**-53)
+            out.append(complex(r * math.cos(theta), r * math.sin(theta)))
+        return out
+
+
+def random_dirichlet(draws: _CaseDraws, max_support: int, max_index: int) -> DirichletPolynomial:
+    """Sparse polynomial with standard complex normal coefficients on random indices.
+
+    Every draw is the next of the case's splitmix64 stream `draws`, not numpy's Generator.
+    The support size is uniform on 1..min(max_support, max_index), and the indices are
+    distinct and uniform on 1..max_index, drawn by a partial Fisher-Yates shuffle of
+    1..max_index that keeps only the moved entries, in a dict.
+    """
+    size = min(1 + draws.below(max_support), max_index)
+    moved: dict[int, int] = {}
+    indices = []
+    for i, h in enumerate(draws.hashes(size)):
+        j = i + ((h * (max_index - i)) >> 64)
+        indices.append(moved.get(j, j + 1))
+        moved[j] = moved.get(i, i + 1)
+    return DirichletPolynomial(dict(zip(indices, draws.normals(size))))
+
+
+def random_disc(draws: _CaseDraws, max_degree: int) -> DiscPolynomial:
+    """Disc polynomial of degree uniform on 0..max_degree with standard complex normal coefficients.
+
+    Every draw is the next of the case's splitmix64 stream `draws`, not numpy's Generator.
+    """
+    degree = draws.below(max_degree + 1)
+    return DiscPolynomial(np.array(draws.normals(degree + 1)))
 
 
 def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[ExperimentRecord]:
@@ -642,6 +702,10 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[E
         raise ValueError(f"unknown inequalities: {sorted(unknown)}")
     if config.corpus < 0:
         raise ValueError(f"corpus must be nonnegative, got {config.corpus}")
+    # a draw uniform on 1..max_support or 0..max_degree needs a nonempty range
+    if config.max_support < 1 or config.max_degree < 0:
+        raise ValueError(f"need max_support >= 1 and max_degree >= 0, got {config.max_support} and "
+                         f"{config.max_degree}")
     if not all(0 < p < math.inf for p in config.p_values):
         raise ValueError(f"every p must be positive and finite, got {list(config.p_values)}")
     # the selected checks of each side, keyed by their name in `hl_comparisons`
@@ -687,15 +751,15 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[E
     dirich_ps = sorted(set(config.p_values) | ({1.0} if "divisor-chain" in dirich_checks else set()))
 
     for case in range(config.corpus):
-        rng = np.random.default_rng((config.seed, case))
+        draws = _CaseDraws(config.seed, case)
         sides = []
         if disc_checks:
-            g = random_disc(rng, config.max_degree)
+            g = random_disc(draws, config.max_degree)
             lift = DirichletPolynomial({2**j: c for j, c in enumerate(g.coefficients)})
             ests = disc_norm_many(g, disc_ps, config.nodes)
             sides.append((lift, ests, disc_checks, f"disc:{list(map(repr, g.coefficients.tolist()))}"))
         if dirich_checks:
-            f = random_dirichlet(rng, config.max_support, config.max_index)
+            f = random_dirichlet(draws, config.max_support, config.max_index)
             ests = mc_norm_many(f, dirich_ps, config.samples, config.seed + 7919 * case, table, config.workers)
             sides.append((f, ests, dirich_checks, f.to_json()))
 

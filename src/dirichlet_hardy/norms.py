@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -553,6 +552,9 @@ def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndar
             np.abs(lift()[:, : samples - start], out=absF[:, start : start + block])
 
     if busy > 1:
+        # imported here: a one-worker run never loads concurrent.futures (0.6 MB of RSS)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=busy) as pool:
             list(pool.map(fill, range(busy), workspaces))
     else:
@@ -683,7 +685,18 @@ class DiscPolynomial:
         return int(self.coefficients.size - 1)
 
     def __call__(self, z: np.ndarray | complex) -> np.ndarray | complex:
-        return np.polynomial.polynomial.polyval(z, self.coefficients)
+        """f(z) by Horner's rule: acc = a_d + 0 z, then acc = acc z + a_j for j = d-1, ..., 0.
+
+        The loop is numpy's `polyval`, with its bits, run in place: an array z takes one
+        accumulator and no temporaries, and a scalar z gives a numpy scalar.
+        """
+        a = self.coefficients
+        acc = np.multiply(z, 0, dtype=np.complex128)
+        acc += a[-1]
+        for c in a[-2::-1]:
+            acc *= z
+            acc += c
+        return acc
 
 
 @functools.lru_cache(maxsize=1)
@@ -705,8 +718,8 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     ps = _exponents(ps)
     if nodes < 4 * (f.degree + 1):
         raise ValueError(f"need at least {4 * (f.degree + 1)} nodes for degree {f.degree}")
-    # the nodes, Horner's temporaries in `polyval` and |f|: traced at 64 bytes per node for
-    # degree >= 1 and 90 for degree 0
+    # the nodes, the one accumulator of `DiscPolynomial`'s in-place Horner loop and |f|: traced
+    # at 40 bytes per node for degrees 0 to 8 when the nodes are built
     check_memory(96 * nodes, f"quadrature on {nodes} circle nodes")
     absf = np.abs(f(_circle(nodes)))
     out = []

@@ -5,13 +5,21 @@ check. The multiplicative functions fold in the library's order (ascending
 primes, products from 1.0, Phi_alpha from (alpha/m)^Omega) over the per-exponent
 values of `binomial_series_coefficient`, so they agree with the kernel bit for
 bit, not only to rounding.
+
+It also keeps the random polynomials the fuzz corpus drew from a numpy Generator
+before it took its draws from the engine's splitmix64 stream: tests that need
+fixed supports, and whose goldens were pinned on them, draw from these.
 """
 
 import math
 from bisect import bisect_left
 from functools import lru_cache
 
+import numpy as np
+
 from dirichlet_hardy.arith import binomial_series_coefficient
+from dirichlet_hardy.dseries import DirichletPolynomial
+from dirichlet_hardy.norms import DiscPolynomial
 
 
 def factor(n):
@@ -82,3 +90,17 @@ def phi_alpha(n, alpha):
 def bohr_lift(coefficients):
     """The Bohr lift of {n: a_n}: a dict from kappa(n) to a_n."""
     return {kappa(n): c for n, c in coefficients.items()}
+
+
+def random_dirichlet(rng, max_support, max_index):
+    """Standard complex normal coefficients on a random support, drawn from the Generator `rng`."""
+    size = min(int(rng.integers(1, max_support + 1)), max_index)
+    indices = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return DirichletPolynomial({int(n): complex(v) for n, v in zip(indices, values)})
+
+
+def random_disc(rng, max_degree):
+    """A disc polynomial of random degree with standard complex normal coefficients, drawn from `rng`."""
+    degree = int(rng.integers(0, max_degree + 1))
+    return DiscPolynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))

@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracle import random_dirichlet
 
 from dirichlet_hardy.arith import pseudomoment_ratio_bounds, average_order_constant, divisor_weight_sum
 from dirichlet_hardy.cli import main
@@ -21,7 +22,6 @@ from dirichlet_hardy.experiments import (
     partial_sum_witness,
     pseudomoment,
     pseudomoment_scan,
-    random_dirichlet,
 )
 from dirichlet_hardy.norms import (
     DiscPolynomial,

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -520,3 +522,38 @@ class TestErrorExits:
         assert main(["cnp-scan", "--p", "0.5", "--X", "100", "--seed", "1"]) == 4
         err = capsys.readouterr().err
         assert "internal error" in err and "primorial floor" in err
+
+
+# run in a fresh interpreter: one fuzz and one Monte Carlo norm command, then the modules they
+# loaded, then the norm's records at --threads 1 and 2
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from dirichlet_hardy import cli
+
+def records(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.dumps(json.loads(out.getvalue())["records"])
+
+norm = ["norm", "--method", "mc", "--generator", "zeta", "--N", "100", "--p", "1",
+        "--samples", "2000", "--seed", "5"]
+records(["fuzz", "--corpus", "2", "--seed", "1", "--threads", "1"])
+one = records(norm + ["--threads", "1"])
+watched = ("numpy.random", "numpy.polynomial", "concurrent.futures")
+loaded = [m for m in watched if m in sys.modules]
+two = records(norm + ["--threads", "2"])
+print(json.dumps({"loaded": loaded, "same": one == two, "pool": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_commands_leave_numpy_random_polynomial_and_futures_unloaded():
+    # the fuzz corpus draws from the engine's splitmix64 stream, disc polynomials evaluate by
+    # Horner's rule in plain numpy, and only a run with two busy workers imports a thread pool
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result == {"loaded": [], "same": True, "pool": True}

@@ -435,6 +435,12 @@ class TestFuzzSuite:
         with pytest.raises(ValueError):
             hl_fuzz_suite(FuzzConfig(corpus=-1), table_2k)
 
+    @pytest.mark.parametrize("field", [{"max_support": 0}, {"max_degree": -1}])
+    def test_empty_draw_ranges_refused(self, field, table_2k):
+        # a support size uniform on 1..max_support, or a degree on 0..max_degree, has no empty law
+        with pytest.raises(ValueError, match="max_support >= 1 and max_degree >= 0"):
+            hl_fuzz_suite(FuzzConfig(corpus=1, **field), table_2k)
+
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
     def test_p_must_be_positive_and_finite(self, p, table_2k):
         # refused before the first case, so an empty corpus is refused too
@@ -458,9 +464,9 @@ class TestFuzzSuite:
         flagged = {(r.params["case"], r.params["p"]) for r in cases
                    if r.extra["verdict"] == "violation" and r.experiment != "fuzz:divisor-chain"}
         for case in range(config.corpus):
-            # with no disc checks the case's generator draws f first; f = {1: c} uses no
-            # prime, so its estimate is the same for every seed
-            f = random_dirichlet(np.random.default_rng((config.seed, case)), 1, 1)
+            # with no disc checks the case's first draws are f's; f = {1: c} uses no prime, so
+            # its estimate is the same for every seed
+            f = random_dirichlet(experiments._CaseDraws(config.seed, case), 1, 1)
             for p in config.p_values:
                 est = mc_norm(f, p, config.samples, case, table_2k)
                 consistent = hl_report(f, p, est, table_2k).verdict == "consistent"
@@ -505,38 +511,39 @@ class TestFuzzSuite:
     def test_golden_records(self, table_2k):
         # float.hex of (value, normalizer) per record, from one evaluation of g per case and one
         # factoring per support; the same bits as a disc_norm per p and a factoring per weight.
-        # The power-mean sides are the engine's means, not value**p rounded again
+        # The power-mean sides are the engine's means, not value**p rounded again. Each case's
+        # polynomials come from the corpus's splitmix64 stream of (seed, case)
         records = hl_fuzz_suite(FuzzConfig(corpus=2, seed=3, samples=2000), table_2k)
         assert [(r.experiment.removeprefix("fuzz:"), r.params["case"], r.params["p"],
                  r.value.hex(), r.normalizer.hex()) for r in records[:-1]] == [
-            ("disc-lower", 0, 0.5, "0x1.06f058569ff9ap+1", "0x1.1085ac3d37c22p+1"),
-            ("disc-lower", 0, 1.0, "0x1.17231739b3553p+2", "0x1.2e2e9de66d014p+2"),
-            ("disc-lower", 0, 1.3333333333333333, "0x1.c585d7ade9a02p+2", "0x1.05adc3ae0f4bep+3"),
-            ("disc-upper", 0, 3.0, "0x1.29757da41b276p+7", "0x1.6bf8a04834944p+9"),
-            ("disc-upper", 0, 5.0, "0x1.749e52815b6d0p+12", "0x1.5d50a00f6b6d2p+18"),
-            ("hl-lower", 0, 0.5, "0x1.a114dbbb93458p-1", "0x1.8cb92063fdd50p+0"),
-            ("squarefree-lower", 0, 0.5, "0x1.a114dbbb93458p-1", "0x1.8cb92063fdd50p+0"),
-            ("hl-lower", 0, 1.0, "0x1.556de8c814107p+0", "0x1.43a94b152b552p+1"),
-            ("squarefree-lower", 0, 1.0, "0x1.556de8c814107p+0", "0x1.43a94b152b552p+1"),
-            ("divisor-chain", 0, 1.0, "0x1.ee51e4dc732d3p-1", "0x1.43a94b152b552p+1"),
-            ("hl-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.caf05043c2c00p+1"),
-            ("squarefree-lower", 0, 1.3333333333333333, "0x1.166a154273766p+1", "0x1.caf05043c2c00p+1"),
-            ("hl-upper", 0, 3.0, "0x1.903b1e664a9bcp+4", "0x1.289582209edffp+6"),
-            ("hl-upper", 0, 5.0, "0x1.554f392f0478ep+8", "0x1.4f539129c1b38p+14"),
-            ("disc-lower", 1, 0.5, "0x1.1e1ec25ba1972p+0", "0x1.bbfc61e81b51bp+0"),
-            ("disc-lower", 1, 1.0, "0x1.ea93167d2d6c2p+0", "0x1.9711799ddcebap+1"),
-            ("disc-lower", 1, 1.3333333333333333, "0x1.4825ea7825aa2p+1", "0x1.38645b5d50c60p+2"),
-            ("disc-upper", 1, 3.0, "0x1.929ad4c187a6cp+5", "0x1.a81b88ce38cbap+9"),
-            ("disc-upper", 1, 5.0, "0x1.06bc1daaf0825p+10", "0x1.19a11a811208fp+19"),
-            ("hl-lower", 1, 0.5, "0x1.15c50e5441881p+0", "0x1.17fdc2b18b2c9p+1"),
-            ("squarefree-lower", 1, 0.5, "0x1.03e56c5907057p+0", "0x1.17fdc2b18b2c9p+1"),
-            ("hl-lower", 1, 1.0, "0x1.2b098f26ab117p+1", "0x1.486c71b2a4614p+2"),
-            ("squarefree-lower", 1, 1.0, "0x1.ac5d8dfc86d3bp+0", "0x1.486c71b2a4614p+2"),
-            ("divisor-chain", 1, 1.0, "0x1.1189c4306b6e5p+0", "0x1.486c71b2a4614p+2"),
-            ("hl-lower", 1, 1.3333333333333333, "0x1.1f33b447fa11ep+2", "0x1.2b176387e5ce2p+3"),
-            ("squarefree-lower", 1, 1.3333333333333333, "0x1.5c6bbc6c51490p+1", "0x1.2b176387e5ce2p+3"),
-            ("hl-upper", 1, 3.0, "0x1.ead44d22d91a6p+7", "0x1.164191323a280p+11"),
-            ("hl-upper", 1, 5.0, "0x1.1fcc522a59460p+14", "0x1.4eb1df1996ed8p+24"),
+            ("disc-lower", 0, 0.5, "0x1.f920a38a55b65p-1", "0x1.4648fceac77e0p+0"),
+            ("disc-lower", 0, 1.0, "0x1.4288835fffdd2p+0", "0x1.a5fa8db0cd104p+0"),
+            ("disc-lower", 0, 1.3333333333333333, "0x1.9843f42fc49ccp+0", "0x1.f8b4dd60cc19ap+0"),
+            ("disc-upper", 0, 3.0, "0x1.4d7a91f7697a2p+2", "0x1.0e41c36122914p+3"),
+            ("disc-upper", 0, 5.0, "0x1.2e2f8145b454ap+4", "0x1.d1fe2e7c586e7p+6"),
+            ("hl-lower", 0, 0.5, "0x1.c85e78a44321ep-1", "0x1.c406ef677c444p+0"),
+            ("squarefree-lower", 0, 0.5, "0x1.b874aeb3b92d5p-1", "0x1.c406ef677c444p+0"),
+            ("hl-lower", 0, 1.0, "0x1.8e9901a932a22p+0", "0x1.a654c1967cd8bp+1"),
+            ("squarefree-lower", 0, 1.0, "0x1.391f911e5b324p+0", "0x1.a654c1967cd8bp+1"),
+            ("divisor-chain", 0, 1.0, "0x1.33126b3e55639p+0", "0x1.a654c1967cd8bp+1"),
+            ("hl-lower", 0, 1.3333333333333333, "0x1.429a1f95f7722p+1", "0x1.478682fbbf89ep+2"),
+            ("squarefree-lower", 0, 1.3333333333333333, "0x1.c49ea4641affap+0", "0x1.478682fbbf89ep+2"),
+            ("hl-upper", 0, 3.0, "0x1.b3b440b92220dp+5", "0x1.728d4ee8f8767p+8"),
+            ("hl-upper", 0, 5.0, "0x1.232a2537c261dp+10", "0x1.2d49dc87272adp+19"),
+            ("disc-lower", 1, 0.5, "0x1.8a3abc629787fp+0", "0x1.cf2f0338fb4eep+0"),
+            ("disc-lower", 1, 1.0, "0x1.5e0401887721fp+1", "0x1.a8cff1d0aba2ap+1"),
+            ("disc-lower", 1, 1.3333333333333333, "0x1.0d5324f5e7965p+2", "0x1.4067937c0d6d2p+2"),
+            ("disc-upper", 1, 3.0, "0x1.4c95e4f2228f5p+5", "0x1.1057c3f37f118p+6"),
+            ("disc-upper", 1, 5.0, "0x1.209466a50918ep+9", "0x1.d1657d40176bfp+11"),
+            ("hl-lower", 1, 0.5, "0x1.a0bd4dc45a389p+0", "0x1.73116cc7258a3p+1"),
+            ("squarefree-lower", 1, 0.5, "0x1.9648cf7ed74b3p+0", "0x1.73116cc7258a3p+1"),
+            ("hl-lower", 1, 1.0, "0x1.388aa5860161ep+2", "0x1.226f465497dd5p+3"),
+            ("squarefree-lower", 1, 1.0, "0x1.1352b3a407604p+2", "0x1.226f465497dd5p+3"),
+            ("divisor-chain", 1, 1.0, "0x1.1342e14f51f9bp+1", "0x1.226f465497dd5p+3"),
+            ("hl-lower", 1, 1.3333333333333333, "0x1.78c7405d26238p+3", "0x1.4115636b6faa9p+4"),
+            ("squarefree-lower", 1, 1.3333333333333333, "0x1.3caa4525a872bp+3", "0x1.4115636b6faa9p+4"),
+            ("hl-upper", 1, 3.0, "0x1.5e63cf4731f31p+10", "0x1.042a0c26ab78dp+13"),
+            ("hl-upper", 1, 5.0, "0x1.52e550ad75ddbp+18", "0x1.cb66c25ab930fp+26"),
         ]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -551,8 +558,9 @@ class TestFuzzSuite:
 
     def test_exact_p4_upper(self, table_2k):
         # even-exponent route: no statistical slack needed
+        from oracle import random_dirichlet
+
         from dirichlet_hardy.bounds import hl_upper_sum
-        from dirichlet_hardy.experiments import random_dirichlet
 
         rng = np.random.default_rng(123)
         for case in range(500):
@@ -562,8 +570,9 @@ class TestFuzzSuite:
             assert lhs <= rhs * (1 + 1e-10)
 
     def test_exact_p2_lower(self, table_2k):
+        from oracle import random_dirichlet
+
         from dirichlet_hardy.bounds import hl_lower_sum
-        from dirichlet_hardy.experiments import random_dirichlet
 
         rng = np.random.default_rng(321)
         for case in range(500):
@@ -571,6 +580,66 @@ class TestFuzzSuite:
             assert hl_lower_sum(f, 2.0, table_2k) == pytest.approx(
                 l2_norm(f).power_mean, rel=1e-12
             )
+
+
+class TestCorpusStream:
+    """The fuzz corpus's draws: the splitmix64 stream of (seed, case), with the corpus's law."""
+
+    def test_a_case_depends_only_on_seed_and_case(self, table_2k, monkeypatch):
+        drawn = []
+        for name in ("random_disc", "random_dirichlet"):
+            draw = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *args, draw=draw: drawn.append(draw(*args)) or drawn[-1])
+        hl_fuzz_suite(FuzzConfig(corpus=10, seed=5, samples=2000), table_2k)
+        assert len(drawn) == 20
+        draws = experiments._CaseDraws(5, 7)
+        g, f = random_disc(draws, 8), random_dirichlet(draws, 64, 1000)
+        assert g.coefficients.tobytes() == drawn[14].coefficients.tobytes()
+        assert f.to_json() == drawn[15].to_json()
+        # other cases and seeds draw other hashes
+        streams = [experiments._CaseDraws(seed, case).hashes(4) for seed, case in ((5, 7), (5, 8), (6, 7))]
+        assert len({tuple(h) for h in streams}) == 3
+
+    @pytest.mark.parametrize("max_support, max_index", [(64, 1000), (10, 3), (5, 5), (1, 1), (100, 40)])
+    def test_indices_are_distinct_and_in_range(self, max_support, max_index):
+        full = 0
+        for case in range(200):
+            # the support size is the case's first draw
+            size = min(1 + experiments._CaseDraws(9, case).below(max_support), max_index)
+            f = random_dirichlet(experiments._CaseDraws(9, case), max_support, max_index)
+            assert len(f) == size and 1 <= min(f.support) and max(f.support) <= max_index
+            full += size == max_index
+        if max_support >= max_index:
+            assert full > 0  # a whole shuffle of 1..max_index
+
+    def test_histograms_and_moments(self):
+        # chi-square statistics against the uniform laws, each bounded by the 1 - 1e-6 quantile of its
+        # degrees of freedom, and the coefficients' moments within 5 standard errors, at one seed
+        def chi_square(counts):
+            expected = sum(counts.values()) / len(counts)
+            return sum((c - expected) ** 2 / expected for c in counts.values())
+
+        cases = 3000
+        degrees, sizes, firsts, coeffs = Counter(), Counter(), Counter(), []
+        for case in range(cases):
+            draws = experiments._CaseDraws(11, case)
+            g = random_disc(draws, 8)
+            f = random_dirichlet(draws, 64, 1000)
+            degrees[g.degree] += 1
+            sizes[len(f)] += 1
+            coeffs.extend(f.coefficients.values())
+            first = next(iter(random_dirichlet(experiments._CaseDraws(12, case), 64, 20).coefficients))
+            firsts[first] += 1
+        assert set(degrees) == set(range(9)) and chi_square(degrees) < 42.70  # 8 degrees of freedom
+        assert set(sizes) == set(range(1, 65)) and chi_square(sizes) < 131.37  # 63
+        # the first index drawn is uniform on 1..max_index
+        assert set(firsts) == set(range(1, 21)) and chi_square(firsts) < 63.68  # 19
+        z = np.array(coeffs)
+        n = z.size
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) < 5 / math.sqrt(n)
+            assert abs(part.var(ddof=1) - 1) < 5 * math.sqrt(2 / (n - 1))
+        assert abs(np.mean(z.real * z.imag)) < 5 / math.sqrt(n)
 
 
 class TestWitnessBroadCoverage:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracle import big_omega, factor, prime_position
+from oracle import big_omega, factor, prime_position, random_dirichlet, random_disc
 
 from dirichlet_hardy import errors, norms
 from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power
@@ -20,7 +20,6 @@ from dirichlet_hardy.dseries import (
     zeta_power_partial,
 )
 from dirichlet_hardy.errors import MEMORY_CAP_ENV, ResourceLimitError
-from dirichlet_hardy.experiments import random_dirichlet, random_disc
 from dirichlet_hardy.norms import (
     DiscPolynomial,
     SteinhausSample,
@@ -816,6 +815,21 @@ class TestDiscNorm:
             many = disc_norm_many(g, ps, nodes)
             assert [e.p for e in many] == [float(p) for p in ps]
             assert [e.value.hex() for e in many] == [disc_norm(g, p, nodes).value.hex() for p in ps]
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_horner_has_the_bits_of_polyval(self, degree):
+        # the in-place Horner loop is numpy's polyval loop, on arrays and on scalars
+        from numpy.polynomial.polynomial import polyval
+
+        rng = np.random.default_rng(100 + degree)
+        for a in (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1),
+                  rng.standard_normal(degree + 1)):
+            g = DiscPolynomial(a)
+            nodes = norms._circle(16384)
+            assert g(nodes).tobytes() == polyval(nodes, g.coefficients).tobytes()
+            for z in (0.6 - 0.8j, np.complex128(-1), 2.0):
+                value, expected = g(z), polyval(z, g.coefficients)
+                assert type(value) is type(expected) and value.tobytes() == expected.tobytes()
 
     def test_power_mean_past_the_float_range(self):
         # |g| reaches 13 on the circle, and 13^400 passes the float range
