@@ -1,15 +1,16 @@
-"""Weighted coefficient inequalities and extremal coefficient functionals.
+"""Weighted coefficient inequalities, the one rule that judges them, and extremal coefficient functionals.
 
 Upper route (p >= 2): the quasi-norm is at most the square root of
 sum |a_n|^2 Phi_{p/2}(n). Lower route (p <= 2): the square root of
 sum |a_n|^2 / Phi_{2/p}(n) is at most the quasi-norm, with a square-free
-variant using |mu(n)| / d_{2/p}(n). `hl_comparisons` forms both sides as p-th
-power means; against a norm estimate they may miss by `_slack`, 3 standard
-errors of the power mean plus a 1e-10 relative rounding allowance, which is
-all a quadrature estimate (std_error 0) gets. On a polynomial in 2^(-s) alone
-they are the one-variable inequalities for disc polynomials, so the fuzz
-suite's disc checks run through `hl_comparisons` as well. It takes all of a
-polynomial's estimates at once and folds every weight of every p from one
+variant using |mu(n)| / d_{2/p}(n), and at p = 1 the divisor chain |f|_2 / sqrt(max d(n))
+from Helson's inequality. `hl_comparisons` forms both sides of each as p-th power means,
+and `judge` is the one verdict on them, for `hl_report`, the fuzz suite and the witness:
+against a norm estimate they may miss by `_slack`, 3 standard errors of the power mean
+plus a 1e-10 relative rounding allowance, which is all a quadrature estimate (std_error 0)
+gets. On a polynomial in 2^(-s) alone they are the one-variable inequalities for disc
+polynomials, so the fuzz suite's disc checks run through `hl_comparisons` as well. It
+takes all of a polynomial's estimates at once and folds every weight of every p from one
 factoring of the support (`arith.factoring`), which the sums also accept.
 
 The coefficient functional C(k, p) is the largest k-th Taylor coefficient over
@@ -26,12 +27,13 @@ from typing import Sequence
 from .arith import (
     PrimeTable,
     binomial_series_coefficient,
+    divisor_values,
     divisor_weight_values,
     factoring,
     multiplicative,
 )
 from .dseries import DirichletPolynomial
-from .norms import NormEstimate, _lift_at, _lift_plan
+from .norms import NormEstimate, _lift_at, _lift_plan, l2_norm
 
 
 def hl_upper_sum(f: DirichletPolynomial, p: float, table: PrimeTable, passes=None) -> float:
@@ -212,8 +214,10 @@ def primitive_pairing(f: DirichletPolynomial, beta: float) -> complex:
 # standard errors of the p-th power mean that a Monte Carlo comparison allows
 _SLACK_SIGMA = 3.0
 
-# the weighted inequalities, in the order `hl_comparisons` returns them
+# `hl_report`'s inequalities, then all of `hl_comparisons`', in the order it returns them
 HL_INEQUALITIES = ("hl-upper", "hl-lower", "squarefree-lower")
+INEQUALITIES = (*HL_INEQUALITIES, "divisor-chain")
+_CHAIN_P = 1.0  # the divisor chain's exponent, at which the power mean is the norm itself
 
 
 def _slack(norm: NormEstimate) -> float:
@@ -221,23 +225,37 @@ def _slack(norm: NormEstimate) -> float:
     return _SLACK_SIGMA * norm.std_error + 1e-10 * max(1.0, norm.power_mean)
 
 
+def judge(smaller: float, larger: float, norm: NormEstimate) -> tuple[str, float]:
+    """The verdict on smaller <= larger, p-th power means one of which `norm` estimates, and its
+    slack `_slack(norm)`: 'pass', 'pass-within-slack' if the slack closes the gap, or 'violation'."""
+    slack = _slack(norm)
+    if smaller <= larger:
+        return "pass", slack
+    return ("pass-within-slack" if smaller <= larger + slack else "violation"), slack
+
+
+def comparison_exponents(ps: Sequence[float], inequalities: Sequence[str]) -> list[float]:
+    """The exponents that `hl_comparisons` needs estimates at to check `inequalities` at each of
+    `ps`: `ps` ascending without repeats, with p = 1 added when the divisor chain is named."""
+    return sorted({*ps, _CHAIN_P} if "divisor-chain" in inequalities else set(ps))
+
+
 def hl_comparisons(
     f: DirichletPolynomial,
     norms: Sequence[NormEstimate],
     table: PrimeTable,
     inequalities: Sequence[str] = HL_INEQUALITIES,
-    passes=None,
 ) -> list[list[tuple[str, float, float, float]]]:
     """Per estimate of `norms`: (name, weighted sum, smaller side, larger side) for each of
     `inequalities` that applies at the estimate's p.
 
-    hl-upper applies for p >= 2, hl-lower and squarefree-lower for p <= 2;
-    other names are ignored. Both sides are p-th power means. Every weight of
-    every p is folded from one factoring of f's support: `passes` as in
-    `hl_upper_sum`, or else one made here.
+    hl-upper applies for p >= 2, hl-lower and squarefree-lower for p <= 2, and divisor-chain
+    at p = 1, after the lower sums, with sqrt(max d(n)) as its weighted sum; other names are
+    ignored. Both sides are p-th power means. Every weight of every p, d(n) included, is
+    folded from one factoring of f's support, made here.
     """
-    if passes is None:
-        passes = factoring(list(f.coefficients), table)
+    support = list(f.coefficients)
+    passes = factoring(support, table)
     lowers = (("hl-lower", hl_lower_sum), ("squarefree-lower", squarefree_lower_sum))
     out = []
     for norm in norms:
@@ -249,6 +267,9 @@ def hl_comparisons(
             if p <= 2 and name in inequalities:
                 lower = weighted_sum(f, p, table, passes)
                 found.append((name, lower, lower ** (p / 2), norm.power_mean))
+        if p == _CHAIN_P and "divisor-chain" in inequalities:
+            max_sqrt_d = math.sqrt(divisor_values(support, 2.0, table, passes).max(initial=1.0))
+            found.append(("divisor-chain", max_sqrt_d, l2_norm(f).value / max_sqrt_d, norm.power_mean))
         out.append(found)
     return out
 
@@ -257,8 +278,8 @@ def hl_comparisons(
 class HLReport:
     """Outcome of checking the weighted coefficient inequalities on one polynomial.
 
-    verdict is derived from the stored numbers only: 'consistent' unless an
-    inequality of `hl_comparisons` fails by more than `_slack` of the norm.
+    verdict is derived from the stored numbers only: 'consistent' unless `judge` finds
+    an inequality of `hl_comparisons` violated.
     """
 
     p: float
@@ -281,8 +302,7 @@ def hl_report(
         raise ValueError(f"the norm estimate is at p={norm.p}, not at p={p}")
     (comparisons,) = hl_comparisons(f, [norm], table)
     sums = {name: weighted_sum for name, weighted_sum, _, _ in comparisons}
-    slack = _slack(norm)
-    ok = all(smaller <= larger + slack for _, _, smaller, larger in comparisons)
+    ok = all(judge(smaller, larger, norm)[0] != "violation" for _, _, smaller, larger in comparisons)
     return HLReport(
         p=p,
         norm=norm,

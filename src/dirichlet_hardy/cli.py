@@ -20,13 +20,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .dseries import DirichletPolynomial, GeneratorSpec
 from .errors import ResourceLimitError
 from .experiments import (
-    HL_INEQUALITIES,
     FuzzConfig,
     hardy_norm,
     hl_fuzz_suite,
@@ -50,12 +48,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit directly
         raise UsageError(message)
-
-
-@dataclass
-class Command:
-    subcommand: str
-    args: argparse.Namespace
 
 
 def _positive_float(text: str) -> float:
@@ -181,8 +173,8 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def parse(argv: list[str]) -> Command:
-    """Parse argv; value ranges the library checks are left to it (exit 2 either way)."""
+def parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, `subcommand` included; value ranges the library checks are left to it (exit 2)."""
     args = _parser().parse_args(argv)
     if args.subcommand == "norm":
         if bool(args.input) == bool(args.generator):
@@ -199,17 +191,16 @@ def parse(argv: list[str]) -> Command:
             raise UsageError("witness mode requires --k")
         if args.mode == "probe" and not (args.probe_N and args.N):
             raise UsageError("probe mode requires --probe-N and --N")
-    return Command(subcommand=args.subcommand, args=args)
+    return args
 
 
-def execute(cmd: Command) -> tuple[ResultDocument, int]:
-    args = cmd.args
+def execute(args: argparse.Namespace) -> tuple[ResultDocument, int]:
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big") >> 1
     started = time.monotonic()
     warnings: list[str] = []
     exit_code = 0
 
-    if cmd.subcommand == "norm":
+    if args.subcommand == "norm":
         if args.input:
             with open(args.input, encoding="utf-8") as handle:
                 f = DirichletPolynomial.from_json(handle.read())
@@ -220,17 +211,17 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
             )
         records = [hardy_norm(f, args.p, args.method, args.samples, seed, workers=args.threads,
                               report=args.hl_report)]
-    elif cmd.subcommand == "pseudomoment":
+    elif args.subcommand == "pseudomoment":
         records = [pseudomoment(args.N, args.k, args.alpha, args.method, samples=args.samples,
                                 seed=seed, workers=args.threads)]
-    elif cmd.subcommand == "scan":
+    elif args.subcommand == "scan":
         records = pseudomoment_scan(args.k, args.alpha, args.grid, args.method,
                                     samples=args.samples, seed=seed, workers=args.threads)
-    elif cmd.subcommand in ("hl-check", "fuzz"):
+    elif args.subcommand in ("hl-check", "fuzz"):
         corpus = dict(corpus=args.corpus, max_support=args.support, max_index=args.max_index,
                       samples=args.samples, seed=seed, workers=args.threads)
-        if cmd.subcommand == "hl-check":
-            config = FuzzConfig(inequalities=HL_INEQUALITIES, p_values=(args.p,), **corpus)
+        if args.subcommand == "hl-check":
+            config = FuzzConfig.hl_check(args.p, **corpus)
         else:
             config = FuzzConfig(
                 inequalities=tuple(s for s in args.inequalities.split(",") if s),
@@ -242,7 +233,7 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
         if violations:
             exit_code = 1
             warnings.append(f"{violations} violation(s) beyond slack")
-    elif cmd.subcommand == "partial-sum":
+    elif args.subcommand == "partial-sum":
         if args.mode == "witness":
             records = [partial_sum_witness(args.p, args.k, args.samples, seed, workers=args.threads)]
         else:
@@ -250,11 +241,11 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
                                  prime_bound=args.prime_bound or args.N)
             records = [partial_sum_ratio_probe(spec, args.probe_N, args.p, args.samples, seed,
                                                workers=args.threads)]
-    elif cmd.subcommand == "cnp-scan":
+    elif args.subcommand == "cnp-scan":
         records = [maximal_order_scan(args.X, args.p)]
-    elif cmd.subcommand == "omega-hist":
+    elif args.subcommand == "omega-hist":
         records = [omega_concentration(args.x, args.C)]
-    elif cmd.subcommand == "euler-const":
+    elif args.subcommand == "euler-const":
         records = pseudomoment_constants(args.k, args.prime_limit, args.leading_factor, seed)
         tail = max(records[0].extra["tail_bound_upper"], records[0].extra["tail_bound_lower"])
         warnings.append(f"Euler tails bounded by {tail:.3e} in log scale")
@@ -262,7 +253,7 @@ def execute(cmd: Command) -> tuple[ResultDocument, int]:
     doc = ResultDocument(
         tool=TOOL,
         version=__version__,
-        command=[cmd.subcommand] + _echo_args(args),
+        command=[args.subcommand] + _echo_args(args),
         seed=seed,
         threads=args.threads,
         warnings=warnings,
@@ -290,8 +281,8 @@ def _echo_args(args: argparse.Namespace) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cmd = parse(argv)
-        doc, exit_code = execute(cmd)
+        args = parse(argv)
+        doc, exit_code = execute(args)
     except UsageError as exc:
         print(f"{TOOL}: usage error: {exc}", file=sys.stderr)
         return 2
@@ -310,9 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError:  # a power mean past the float range
         print(f"{TOOL}: resource limit: a value passed the float range", file=sys.stderr)
         return 3
-    text = render(doc, cmd.args.format)
-    if cmd.args.out:
-        write_atomic(cmd.args.out, text)
+    text = render(doc, args.format)
+    if args.out:
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return exit_code

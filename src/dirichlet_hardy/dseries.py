@@ -77,7 +77,8 @@ class DirichletPolynomial:
         """The polynomial of `to_json`'s text: an object whose "coeffs" is a list of [index, re, im].
 
         Any other shape is a ValueError naming the entry: an index must be an int (not a bool)
-        and each part a real number. json reads NaN and Infinity, which are refused too.
+        and each part a real number. json reads NaN and Infinity, which are refused too, as is
+        an index given twice.
         """
         data = json.loads(text)
         if not (isinstance(data, dict) and isinstance(data.get("coeffs"), list)):
@@ -91,6 +92,8 @@ class DirichletPolynomial:
             n, re, im = entry
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"the coefficient of index {n} is not finite: ({re}, {im})")
+            if n in coefficients:
+                raise ValueError(f"coefficient entry {json.dumps(entry)} repeats index {n}")
             coefficients[n] = complex(re, im)
         return cls(coefficients)
 

@@ -8,11 +8,11 @@ materializing the convolution square, and sparse convolution otherwise. Monte
 Carlo covers non-integer k; a scan lifts its largest Z_N once and evaluates the
 smaller ones, its partial sums, on those nodes in the same pass.
 
-The fuzz suite checks the weighted inequalities of `bounds` on two kinds of
-random polynomial. A disc polynomial g(z) = sum g_j z^j is the Dirichlet
-polynomial sum g_j 2^(-js) on the one prime 2, whose H^p norm is g's disc
-norm, so its checks are the same Hardy-Littlewood checks, with the same slack,
-against a quadrature norm in place of a Monte Carlo one. A case's polynomials
+The fuzz suite checks the inequalities of `bounds` (`hl_comparisons`, the divisor chain
+included) on two kinds of random polynomial, and `bounds.judge` gives every verdict. A
+disc polynomial g(z) = sum g_j z^j is the Dirichlet polynomial sum g_j 2^(-js) on the one
+prime 2, whose H^p norm is g's disc norm, so its checks are the same Hardy-Littlewood
+checks against a quadrature norm in place of a Monte Carlo one. A case's polynomials
 come from the splitmix64 stream of (seed, case) (`_CaseDraws`, on the engine's
 `_sample_keys`), so they depend on nothing else, numpy's Generator included.
 
@@ -35,7 +35,6 @@ import numpy as np
 from .arith import (
     PrimeTable,
     divisor_values,
-    factoring,
     multiplicative,
     omega_class_counts,
     pseudomoment_leading_factor,
@@ -44,11 +43,13 @@ from .arith import (
 )
 from .bounds import (
     HL_INEQUALITIES,
-    _slack,
+    INEQUALITIES,
     coeff_functional_exact,
     coeff_functional_prime_power,
+    comparison_exponents,
     hl_comparisons,
     hl_report,
+    judge,
 )
 from .dseries import (
     DirichletPolynomial,
@@ -408,7 +409,7 @@ def partial_sum_witness(
             "norm_pp_before_M": est_less.power_mean,
             "se_at_M": est_full.std_error,
             "se_before_M": est_less.std_error,
-            "bound_ok": lower_bound <= value + _slack(which),
+            "bound_ok": judge(lower_bound, value, which)[0] != "violation",
         },
     )
 
@@ -576,18 +577,15 @@ def homogeneous_energy(
 # fuzzing harness
 
 
+# each disc check is a Hardy-Littlewood check on the lift of g to the prime 2
+DISC_INEQUALITIES = {"disc-upper": "hl-upper", "disc-lower": "hl-lower"}
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     """Corpus and inequality selection for the fuzz suite."""
 
-    inequalities: tuple[str, ...] = (
-        "disc-upper",
-        "disc-lower",
-        "hl-upper",
-        "hl-lower",
-        "squarefree-lower",
-        "divisor-chain",
-    )
+    inequalities: tuple[str, ...] = (*DISC_INEQUALITIES, *INEQUALITIES)
     p_values: tuple[float, ...] = (0.5, 1.0, 4 / 3, 3.0, 5.0)
     corpus: int = 500
     max_support: int = 64
@@ -599,11 +597,10 @@ class FuzzConfig:
     invert: bool = False  # self-test mode: flip every comparison
     workers: int = 1
 
-
-# each disc check is a Hardy-Littlewood check on the lift of g to the prime 2
-DISC_INEQUALITIES = {"disc-upper": "hl-upper", "disc-lower": "hl-lower"}
-DIRICHLET_INEQUALITIES = {*HL_INEQUALITIES, "divisor-chain"}
-ALL_INEQUALITIES = set(DISC_INEQUALITIES) | DIRICHLET_INEQUALITIES
+    @classmethod
+    def hl_check(cls, p: float, **corpus) -> FuzzConfig:
+        """`hl-check`'s corpus: the weighted inequalities of `hl_report` at the one exponent p."""
+        return cls(inequalities=HL_INEQUALITIES, p_values=(p,), **corpus)
 
 
 # the fuzz corpus's splitmix64 increment: odd, and apart from the Monte Carlo stream's two
@@ -688,29 +685,29 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[E
     lift sum g_j 2^(-js) against g's quadrature norms, so the table (sieved when not given)
     must cover max_index and 2^max_degree, and `nodes` must be at least 4 (max_degree + 1),
     both checked before the first case; the Dirichlet checks run on f against its Monte Carlo
-    norms. Every comparison is judged with the slack of `hl_report`. A case's disc records come
-    first, then its Dirichlet records, each side in ascending p; 'fuzz-summary' closes the list,
-    with the verdict counts and every violation in its extra.
+    norms, at p = 1 too when the divisor chain is selected (`comparison_exponents`). `judge`,
+    as in `hl_report`, gives every verdict. A case's disc records come first, then its
+    Dirichlet records, each side in ascending p; 'fuzz-summary' closes the list, with the
+    verdict counts and every violation in its extra.
 
     What does not depend on p is done once per case: one evaluation of |g| on the
     circle nodes serves every p (`disc_norm_many`), one Monte Carlo pass serves
-    every p of f, and each side's support is factored once, for all its weights
-    (Phi_{p/2}, Phi_{2/p}, the square-free d_{2/p} and the divisor chain's d_2).
+    every p of f, and `hl_comparisons` factors each side's support once, for all its weights.
     """
-    unknown = set(config.inequalities) - ALL_INEQUALITIES
+    unknown = set(config.inequalities) - {*DISC_INEQUALITIES, *INEQUALITIES}
     if unknown:
         raise ValueError(f"unknown inequalities: {sorted(unknown)}")
     if config.corpus < 0:
         raise ValueError(f"corpus must be nonnegative, got {config.corpus}")
-    # a draw uniform on 1..max_support or 0..max_degree needs a nonempty range
-    if config.max_support < 1 or config.max_degree < 0:
-        raise ValueError(f"need max_support >= 1 and max_degree >= 0, got {config.max_support} and "
-                         f"{config.max_degree}")
+    # a draw uniform on 1..max_support, 1..max_index or 0..max_degree needs a nonempty range
+    if config.max_support < 1 or config.max_index < 1 or config.max_degree < 0:
+        raise ValueError(f"need max_support >= 1, max_index >= 1 and max_degree >= 0, got "
+                         f"{config.max_support}, {config.max_index} and {config.max_degree}")
     if not all(0 < p < math.inf for p in config.p_values):
         raise ValueError(f"every p must be positive and finite, got {list(config.p_values)}")
     # the selected checks of each side, keyed by their name in `hl_comparisons`
     disc_checks = {DISC_INEQUALITIES[iq]: iq for iq in config.inequalities if iq in DISC_INEQUALITIES}
-    dirich_checks = {iq: iq for iq in config.inequalities if iq in DIRICHLET_INEQUALITIES}
+    dirich_checks = {iq: iq for iq in config.inequalities if iq in INEQUALITIES}
     # past the cap's bit length every disc lift is beyond any sieve the cap allows
     lift = 2 ** min(config.max_degree, memory_cap_bytes().bit_length()) if disc_checks else 1
     what = f"max index {config.max_index}" + (f" or disc lift 2^{config.max_degree}" if disc_checks else "")
@@ -722,33 +719,8 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[E
     violations: list[dict] = []
     summary = {"pass": 0, "pass-within-slack": 0, "violation": 0}
 
-    def classify(lhs: float, rhs: float, slack: float, name: str, p: float, case: int, repro: str, se: float | None):
-        smaller, larger = (rhs, lhs) if config.invert else (lhs, rhs)
-        if smaller <= larger:
-            verdict = "pass"
-        elif smaller <= larger + slack:
-            verdict = "pass-within-slack"
-        else:
-            verdict = "violation"
-        summary[verdict] += 1
-        rec = ExperimentRecord(
-            experiment=f"fuzz:{name}",
-            params={"p": p, "case": case, "seed": config.seed, "samples": config.samples},
-            value=lhs,
-            normalizer=rhs,
-            ratio=_ratio(lhs, rhs),
-            std_error=se,
-            extra={"verdict": verdict, "slack": slack},
-        )
-        records.append(rec)
-        if verdict == "violation":
-            violations.append(
-                {"inequality": name, "p": p, "case": case, "lhs": lhs, "rhs": rhs,
-                 "slack": slack, "reproducer": repro}
-            )
-
-    disc_ps = sorted(set(config.p_values))
-    dirich_ps = sorted(set(config.p_values) | ({1.0} if "divisor-chain" in dirich_checks else set()))
+    disc_ps = comparison_exponents(config.p_values, disc_checks)
+    dirich_ps = comparison_exponents(config.p_values, dirich_checks)
 
     for case in range(config.corpus):
         draws = _CaseDraws(config.seed, case)
@@ -764,17 +736,19 @@ def hl_fuzz_suite(config: FuzzConfig, table: PrimeTable | None = None) -> list[E
             sides.append((f, ests, dirich_checks, f.to_json()))
 
         for poly, ests, checks, repro in sides:
-            support = list(poly.coefficients)
-            passes = factoring(support, table)
-            for est, comparisons in zip(ests, hl_comparisons(poly, ests, table, checks, passes)):
-                slack = _slack(est)
-                for name, _, smaller, larger in comparisons:
-                    classify(smaller, larger, slack, checks[name], est.p, case, repro, est.std_error)
-                if "divisor-chain" in checks and est.p == 1.0:
-                    # d_2(n) counts the divisors of n; at p = 1 the power mean is the norm
-                    max_sqrt_d = math.sqrt(divisor_values(support, 2.0, table, passes).max(initial=1.0))
-                    classify(l2_norm(poly).value / max_sqrt_d, est.power_mean, slack,
-                             "divisor-chain", 1.0, case, repro, est.std_error)
+            for est, comparisons in zip(ests, hl_comparisons(poly, ests, table, checks)):
+                for name, _, lhs, rhs in comparisons:
+                    verdict, slack = judge(*((rhs, lhs) if config.invert else (lhs, rhs)), est)
+                    summary[verdict] += 1
+                    records.append(ExperimentRecord(
+                        experiment=f"fuzz:{checks[name]}",
+                        params={"p": est.p, "case": case, "seed": config.seed, "samples": config.samples},
+                        value=lhs, normalizer=rhs, ratio=_ratio(lhs, rhs), std_error=est.std_error,
+                        extra={"verdict": verdict, "slack": slack},
+                    ))
+                    if verdict == "violation":
+                        violations.append({"inequality": checks[name], "p": est.p, "case": case, "lhs": lhs,
+                                           "rhs": rhs, "slack": slack, "reproducer": repro})
 
     count = summary["violation"]
     records.append(ExperimentRecord(

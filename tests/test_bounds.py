@@ -5,14 +5,18 @@ import pytest
 
 from dirichlet_hardy.arith import divisor_values, factoring
 from dirichlet_hardy.bounds import (
+    HL_INEQUALITIES,
+    INEQUALITIES,
     CoefficientBound,
     coeff_functional_bound,
     coeff_functional_exact,
     coeff_functional_multiplicative,
+    comparison_exponents,
     hl_comparisons,
     hl_lower_sum,
     hl_report,
     hl_upper_sum,
+    judge,
     point_evaluation_margin,
     primitive_pairing,
     squarefree_lower_sum,
@@ -235,6 +239,39 @@ class TestHLReport:
         norms = mc_norm_many(f, [3.0, 0.5, 2.0, 1.0], 4000, 1, table_2k)
         assert hl_comparisons(f, norms, table_2k) == [hl_comparisons(f, [n], table_2k)[0] for n in norms]
         assert hl_comparisons(f, [], table_2k) == []
+
+    def test_divisor_chain_at_p_one(self, table_2k):
+        # named, the chain follows the lower sums at p = 1 with sqrt(max d(n)) in the weighted
+        # sum's place, |f|_2 / sqrt(max d(n)) as the smaller side and the norm as the larger
+        f = DirichletPolynomial({1: 1, 2: 1j, 4: 0.5, 6: -2, 9: 0.25j})
+        norms = mc_norm_many(f, [0.5, 1.0, 3.0], 4000, 1, table_2k)
+        half, one, three = hl_comparisons(f, norms, table_2k, INEQUALITIES)
+        chain = ("divisor-chain", 2.0, l2_norm(f).value / 2.0, norms[1].power_mean)  # d(6) = 4
+        assert one == [*hl_comparisons(f, [norms[1]], table_2k)[0], chain]
+        assert [c[0] for c in half] == ["hl-lower", "squarefree-lower"] and [c[0] for c in three] == ["hl-upper"]
+        assert hl_comparisons(f, norms, table_2k, ["divisor-chain"]) == [[], [chain], []]
+        # hl_report's inequalities, the default, leave it out
+        assert "divisor-chain" not in HL_INEQUALITIES
+        assert all(c[0] != "divisor-chain" for cs in hl_comparisons(f, norms, table_2k) for c in cs)
+
+    def test_comparison_exponents(self):
+        # the divisor chain compares at p = 1, so naming it adds that exponent
+        assert comparison_exponents([3.0, 0.5, 3.0], HL_INEQUALITIES) == [0.5, 3.0]
+        assert comparison_exponents([3.0, 0.5], INEQUALITIES) == [0.5, 1.0, 3.0]
+        assert comparison_exponents([1.0, 2.0], ["divisor-chain"]) == [1.0, 2.0]
+        assert comparison_exponents([], []) == []
+
+    def test_judge(self):
+        mc = NormEstimate(p=1.0, value=2.0, power_mean=2.0, method="monte_carlo", samples=10,
+                          std_error=0.01)
+        slack = 3.0 * 0.01 + 1e-10 * 2.0
+        assert judge(1.0, 2.0, mc) == judge(2.0, 2.0, mc) == ("pass", slack)
+        assert judge(2.02, 2.0, mc) == ("pass-within-slack", slack)
+        assert judge(2.04, 2.0, mc) == judge(math.nan, 2.0, mc) == ("violation", slack)
+        # a quadrature estimate has no standard error: only the rounding allowance, at least 1e-10
+        quad = NormEstimate(p=3.0, value=0.5, power_mean=0.125, method="disc_quadrature")
+        assert judge(1.0 + 5e-11, 1.0, quad) == ("pass-within-slack", 1e-10)
+        assert judge(1.0 + 2e-10, 1.0, quad) == ("violation", 1e-10)
 
     def test_report_needs_the_estimates_p(self, table_2k):
         f = DirichletPolynomial({1: 1, 2: 1j})

@@ -21,7 +21,7 @@ class TestParse:
     def test_pseudomoment(self):
         cmd = parse(["pseudomoment", "--N", "1000", "--k", "2", "--method", "exact"])
         assert cmd.subcommand == "pseudomoment"
-        assert cmd.args.N == 1000 and cmd.args.k == 2.0
+        assert cmd.N == 1000 and cmd.k == 2.0
 
     def test_norm_rejects_nonpositive_p(self, capsys):
         assert main(["norm", "--p", "0", "--generator", "zeta", "--N", "5"]) == 2
@@ -29,7 +29,7 @@ class TestParse:
 
     def test_hl_check(self):
         cmd = parse(["hl-check", "--p", "1", "--corpus", "500", "--seed", "42"])
-        assert cmd.args.corpus == 500 and cmd.args.seed == 42
+        assert cmd.corpus == 500 and cmd.seed == 42
 
     @pytest.mark.parametrize("argv, expected", [
         ("fuzz --seed 1", FuzzConfig(seed=1)),
@@ -264,7 +264,7 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
         assert main(shlex.split(argv) + ["--out", str(out)]) == 0
         outputs.append(out.read_text())
         # a parser built afresh reads the same arguments
-        assert vars(parse(shlex.split(argv)).args) == vars(build_parser().parse_args(shlex.split(argv)))
+        assert vars(parse(shlex.split(argv))) == vars(build_parser().parse_args(shlex.split(argv)))
     assert len(builds) == 1
     assert outputs[0] == outputs[3]
 
@@ -485,10 +485,12 @@ class TestErrorExits:
         assert "index 6 is not finite" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("text", ['{"coeffs": [[1, "1", 0]]}', '{"c": []}', "[1, 2]",
-                                      '{"coeffs": [[1.5, 1, 0]]}', '{"coeffs": [[true, 1, 0]]}'])
+                                      '{"coeffs": [[1.5, 1, 0]]}', '{"coeffs": [[true, 1, 0]]}',
+                                      '{"coeffs": [[1, 1, 0], [1, 2, 0]]}'])
     def test_malformed_input_exit_2(self, text, tmp_path, capsys):
         # valid json of another shape: a string part, no "coeffs", not an object, a fractional
-        # index and a bool index are refused with one line, not a traceback or a truncated index
+        # index, a bool index and a repeated index are refused with one line, not a traceback,
+        # a truncated index or a silently dropped entry
         path = tmp_path / "poly.json"
         path.write_text(text)
         assert main(["norm", "--p", "2", "--input", str(path), "--seed", "1"]) == 2
@@ -508,6 +510,15 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.err == "dhardy: resource limit: a value passed the float range\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+    def test_invalid_memory_cap_exit_2(self, cap, capsys, monkeypatch):
+        # a memory cap that is no positive integer is refused with one line before any work
+        monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", cap)
+        assert main(["norm", "--p", "2", "--generator", "zeta", "--N", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dhardy: invalid arguments: DIRICHLET_HARDY_MEMORY_CAP must be ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["norm", "--p", "2", "--input", "/nonexistent/poly.json"]) == 2

@@ -81,10 +81,12 @@ class TestPolynomial:
         ('{"c": []}', None),
         ("[1, 2]", None),
         ('{"coeffs": {"1": [1, 0]}}', None),
+        ('{"coeffs": [[1, 1, 0], [1, 2, 0]]}', "[1, 2, 0]"),
     ])
     def test_json_of_another_shape_is_refused(self, text, entry):
-        # an entry is [index, re, im] with an int index that is no bool and real parts; the
-        # error names the entry, or the expected shape when there is no list of entries
+        # an entry is [index, re, im] with an int index that is no bool and real parts, and no
+        # index comes twice; the error names the entry, or the expected shape when there is
+        # no list of entries
         message = f"coefficient entry {re.escape(entry)} " if entry else '"coeffs" is a list'
         with pytest.raises(ValueError, match=message):
             DirichletPolynomial.from_json(text)
@@ -222,6 +224,24 @@ class TestGenerators:
             generate(GeneratorSpec(kind="zeta", N=5000), table_2k)
         with pytest.raises(ValueError):
             generate(GeneratorSpec(kind="zeta-power", N=5), table_2k)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 4 / 3, 3.0])
+    def test_generate_fractional_primitive_and_duality_witness(self, p, table_2k):
+        # each spec gives its builder's polynomial to the bit; the witness is the (2/p)-th power
+        # of the Euler product over the primes up to prime_bound
+        spec = GeneratorSpec(kind="fractional-primitive", N=300, beta=p)
+        assert generate(spec, table_2k) == fractional_primitive(p, 300)
+        spec = GeneratorSpec(kind="duality-witness", N=300, p=p, prime_bound=50)
+        assert generate(spec, table_2k) == euler_factor_power(50, 2 / p, 300, table_2k)
+
+    @pytest.mark.parametrize("kind, params, needs", [
+        ("fractional-primitive", {"p": 0.5, "alpha": 1.0}, "beta"),
+        ("duality-witness", {"prime_bound": 50}, "p and prime_bound"),
+        ("duality-witness", {"p": 0.5, "beta": 1.0}, "p and prime_bound"),
+    ])
+    def test_generate_refuses_a_missing_parameter(self, kind, params, needs, table_2k):
+        with pytest.raises(ValueError, match=f"^{kind} requires {needs}$"):
+            generate(GeneratorSpec(kind=kind, N=300, **params), table_2k)
 
 
 class TestConvolution:

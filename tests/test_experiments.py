@@ -435,11 +435,15 @@ class TestFuzzSuite:
         with pytest.raises(ValueError):
             hl_fuzz_suite(FuzzConfig(corpus=-1), table_2k)
 
-    @pytest.mark.parametrize("field", [{"max_support": 0}, {"max_degree": -1}])
-    def test_empty_draw_ranges_refused(self, field, table_2k):
-        # a support size uniform on 1..max_support, or a degree on 0..max_degree, has no empty law
-        with pytest.raises(ValueError, match="max_support >= 1 and max_degree >= 0"):
+    @pytest.mark.parametrize("field", [{"max_support": 0}, {"max_degree": -1}, {"max_index": 0}])
+    def test_empty_draw_ranges_refused(self, field, table_2k, monkeypatch):
+        # a support size uniform on 1..max_support, an index on 1..max_index, or a degree on
+        # 0..max_degree, has no empty law; refused before the first case draws
+        drawn = []
+        monkeypatch.setattr(experiments, "_CaseDraws", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="max_support >= 1, max_index >= 1 and max_degree >= 0"):
             hl_fuzz_suite(FuzzConfig(corpus=1, **field), table_2k)
+        assert not drawn
 
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
     def test_p_must_be_positive_and_finite(self, p, table_2k):

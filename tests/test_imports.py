@@ -130,6 +130,20 @@ def test_one_monte_carlo_reducer():
     assert "_power_means" in calls["mc_norm_many"] and "NormEstimate" not in calls["mc_norm_many"]
 
 
+def test_one_verdict_rule():
+    # a comparison's verdict is formed in one place, `bounds.judge`: no other function calls the
+    # slack rule `_slack`, and no module imports it
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "_slack" not in set(imported_names(tree)), path.name
+        for top in tree.body:
+            callers |= {(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_slack"}
+    assert callers == {("bounds", "judge")}, callers
+
+
 def test_only_report_turns_records_into_output_data():
     # a record becomes output data in one walk, in `report`: no module deep-copies it with
     # asdict or keeps a to_dict of its own, and only `report` reads dataclass fields generically

@@ -271,6 +271,25 @@ class TestMonteCarlo:
             reference = np.std(absF**p, ddof=1) / math.sqrt(samples)
             assert est.std_error == pytest.approx(reference, rel=1e-6)
 
+    @pytest.mark.parametrize("support", ["Z_100", "Z_300^1.5", "random-0", "random-1"])
+    def test_std_error_calibrated_at_p2(self, support, table_2k):
+        # z = (estimate - exact) / std_error over seeds 0-199 at 4096 samples, exact from l2_norm.
+        # A calibrated error puts the mean of z within 3.5/sqrt(200) of 0, its SD within
+        # 4/sqrt(2 * 199) of 1, and about 0.5 of 200 beyond 3. The engine reads means -0.14 to
+        # -0.00, SDs 0.97 to 1.07 and 0 to 2 beyond 3 on these four supports
+        f = {
+            "Z_100": lambda: zeta_partial(100),
+            "Z_300^1.5": lambda: zeta_power_partial(300, 1.5, table_2k),
+            "random-0": lambda: random_dirichlet(np.random.default_rng(0), 64, 1000),
+            "random-1": lambda: random_dirichlet(np.random.default_rng(1), 64, 1000),
+        }[support]()
+        exact = l2_norm(f).power_mean
+        z = np.array([(est.power_mean - exact) / est.std_error
+                      for est in (mc_norm(f, 2.0, 4096, seed, table_2k) for seed in range(200))])
+        assert abs(z.mean()) < 0.25
+        assert abs(z.std(ddof=1) - 1) < 0.2
+        assert np.count_nonzero(abs(z) > 3) <= 4
+
     def test_deterministic_across_workers(self, table_2k):
         f = random_sparse(np.random.default_rng(3))
         runs = [mc_norm(f, 1.5, 50_000, 99, table_2k, workers=w) for w in (1, 1, 8)]
