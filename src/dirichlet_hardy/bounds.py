@@ -204,11 +204,10 @@ def primitive_pairing(f: DirichletPolynomial, beta: float) -> complex:
     """a_1 + sum_{n>=2} a_n n^(-1/2) (log n)^(-beta): pairing against the fractional primitive."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    total = complex(f.coeff(1))
-    for n, c in f.coefficients.items():
-        if n >= 2:
-            total += c * n**-0.5 * math.log(n) ** -beta
-    return total
+    # correctly rounded parts, as in `dirichlet_multiply`: equal polynomials give equal bits
+    terms = [complex(f.coeff(1))]
+    terms += [c * n**-0.5 * math.log(n) ** -beta for n, c in f.coefficients.items() if n >= 2]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 # standard errors of the p-th power mean that a Monte Carlo comparison allows

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .dseries import DirichletPolynomial, GeneratorSpec
+from .dseries import GENERATORS, DirichletPolynomial, GeneratorSpec
 from .errors import ResourceLimitError
 from .experiments import (
     FuzzConfig,
@@ -90,9 +90,7 @@ def build_parser() -> _Parser:
     p_norm.add_argument("--method", choices=["auto", "l2", "even", "mc"], default="auto")
     p_norm.add_argument("--samples", type=_positive_int, default=20000)
     p_norm.add_argument("--input", help="JSON file with {\"coeffs\": [[n, re, im], ...]}")
-    p_norm.add_argument("--generator", choices=[
-        "zeta", "zeta-power", "euler-power", "extremal-product",
-        "fractional-primitive", "duality-witness"])
+    p_norm.add_argument("--generator", choices=list(GENERATORS))
     p_norm.add_argument("--N", type=_positive_int)
     p_norm.add_argument("--alpha", type=_positive_float)
     p_norm.add_argument("--beta", type=_positive_float)
@@ -237,8 +235,10 @@ def execute(args: argparse.Namespace) -> tuple[ResultDocument, int]:
         if args.mode == "witness":
             records = [partial_sum_witness(args.p, args.k, args.samples, seed, workers=args.threads)]
         else:
-            spec = GeneratorSpec(kind=args.generator, N=args.N, alpha=1.0,
-                                 prime_bound=args.prime_bound or args.N)
+            # a kind that reads alpha and prime_bound takes alpha = 1 and prime_bound = N by default
+            reads = GENERATORS[args.generator][0]
+            spec = GeneratorSpec(kind=args.generator, N=args.N, alpha=1.0 if "alpha" in reads else None,
+                                 prime_bound=args.prime_bound or (args.N if "prime_bound" in reads else None))
             records = [partial_sum_ratio_probe(spec, args.probe_N, args.p, args.samples, seed,
                                                workers=args.threads)]
     elif args.subcommand == "cnp-scan":

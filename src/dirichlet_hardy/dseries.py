@@ -102,13 +102,8 @@ class DirichletPolynomial:
 class GeneratorSpec:
     """Tagged description of a named generator, dispatched by `generate`.
 
-    kinds and their parameters:
-      zeta:                 N
-      zeta-power:           N, alpha
-      euler-power:          N, alpha, prime_bound
-      extremal-product:     N, p, prime_count
-      fractional-primitive: N, beta
-      duality-witness:      N, p, prime_bound
+    Every kind reads N; `GENERATORS` names the other fields each kind reads, which must
+    be set, and the rest must not be.
     """
 
     kind: str
@@ -247,34 +242,39 @@ def duality_witness(p: float, prime_bound: int, N: int, table: PrimeTable) -> Di
     return euler_factor_power(prime_bound, 2.0 / p, N, table)
 
 
+# kind -> (the fields of `GeneratorSpec` it reads beside N, its builder on the spec and a table)
+GENERATORS = {
+    "zeta": ((), lambda s, table: zeta_partial(s.N)),
+    "zeta-power": (("alpha",), lambda s, table: zeta_power_partial(s.N, s.alpha, table)),
+    "euler-power": (("alpha", "prime_bound"),
+                    lambda s, table: euler_factor_power(s.prime_bound, s.alpha, s.N, table)),
+    "extremal-product": (("p", "prime_count"),
+                         lambda s, table: extremal_product(s.p, s.prime_count, s.N, table)[0]),
+    "fractional-primitive": (("beta",), lambda s, table: fractional_primitive(s.beta, s.N)),
+    "duality-witness": (("p", "prime_bound"),
+                        lambda s, table: duality_witness(s.p, s.prime_bound, s.N, table)),
+}
+# the fields beside N that some kind reads: every other field of `GeneratorSpec`
+_OPTIONAL = tuple(dict.fromkeys(name for reads, _ in GENERATORS.values() for name in reads))
+
+
 def generate(spec: GeneratorSpec, table: PrimeTable) -> DirichletPolynomial:
-    """Build the polynomial described by `spec` (truncations must fit the table)."""
+    """Build the polynomial described by `spec` (truncations must fit the table).
+
+    An unknown kind, a field the kind reads left unset, or another field set, is a
+    ValueError, checked in that order.
+    """
+    if spec.kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
+    reads, build = GENERATORS[spec.kind]
+    if any(getattr(spec, name) is None for name in reads):
+        raise ValueError(f"{spec.kind} requires {' and '.join(reads)}")
+    unread = [name for name in _OPTIONAL if name not in reads and getattr(spec, name) is not None]
+    if unread:
+        raise ValueError(f"{spec.kind} does not read {', '.join(unread)}")
     if spec.N > table.limit:
         raise SieveLimitError(f"truncation {spec.N} exceeds sieve limit {table.limit}")
-    if spec.kind == "zeta":
-        return zeta_partial(spec.N)
-    if spec.kind == "zeta-power":
-        if spec.alpha is None:
-            raise ValueError("zeta-power requires alpha")
-        return zeta_power_partial(spec.N, spec.alpha, table)
-    if spec.kind == "euler-power":
-        if spec.alpha is None or spec.prime_bound is None:
-            raise ValueError("euler-power requires alpha and prime_bound")
-        return euler_factor_power(spec.prime_bound, spec.alpha, spec.N, table)
-    if spec.kind == "extremal-product":
-        if spec.p is None or spec.prime_count is None:
-            raise ValueError("extremal-product requires p and prime_count")
-        poly, _ = extremal_product(spec.p, spec.prime_count, spec.N, table)
-        return poly
-    if spec.kind == "fractional-primitive":
-        if spec.beta is None:
-            raise ValueError("fractional-primitive requires beta")
-        return fractional_primitive(spec.beta, spec.N)
-    if spec.kind == "duality-witness":
-        if spec.p is None or spec.prime_bound is None:
-            raise ValueError("duality-witness requires p and prime_bound")
-        return duality_witness(spec.p, spec.prime_bound, spec.N, table)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    return build(spec, table)
 
 
 def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:

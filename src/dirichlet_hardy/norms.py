@@ -14,18 +14,17 @@ unity. Even-p estimates stay unbiased while each prime's exponent in |F|^2k is b
 2^22, and at the fuzz grid's other p the grid moves E|1 + z|^p by at most 1.1e-10
 relative, far below any standard error. Two tables of 2048 entries (64 KB) give the
 phase from k's two 11-bit digits, read straight from the hash. The lift F = sum a_n z(n)
-keeps one row per node n and one column per point: node 1, the primes in draw order
-(those at even positions, then at odd ones, so each half's phases fill contiguous rows
-from contiguous hash rows), then one slice per Omega layer in ascending n, which
-z(n) = z(spf n) z(n/spf n) fills layer by layer. F is then one sequential sum over the
-support by Omega(n), then n, but over the primes by position, even then odd: acc = acc +
-Re(a_n) z(n), with the imaginary parts of the coefficients summed the same way apart and
-combined at the end. The order depends only on the support, and a polynomial whose rows
-lie in another order gathers them first. So |F| for sample i depends only on (seed, i),
-whatever the block of points evaluated together or the worker count. Neither the angles
-nor the node values depend on the rest of the plan, so polynomials whose supports lie
-inside f's (its partial sums, its homogeneous parts) are evaluated on f's nodes in the
-same pass, each with the bits of its own run.
+keeps one row per node n and one column per point, in one order: node 1, the primes by
+position (the even positions ascending, which take their hashes' top halves, then the odd
+ones ascending), then one slice per Omega layer in ascending n, which
+z(n) = z(spf n) z(n/spf n) fills layer by layer. F is one sequential sum over the support
+in that order: acc = acc + Re(a_n) z(n), with the imaginary parts of the coefficients
+summed the same way apart and combined at the end. The order of a support's terms depends
+only on the support, so |F| for sample i depends only on (seed, i), whatever the block of
+points evaluated together or the worker count. Neither the angles nor the node values
+depend on the rest of the plan, so polynomials whose supports lie inside f's (its partial
+sums, its homogeneous parts) are evaluated on f's nodes in the same pass, each with the
+bits of its own run.
 
 `mc_norm_many` takes three steps. `_lift_plan` builds the nodes and the sum orders.
 `_abs_rows` returns |F| of every member at every sample, one row each: it mixes the run's
@@ -129,35 +128,26 @@ def _sample_keys(seed: int, first_sample: int, count: int) -> np.ndarray:
 
 
 class _Draw(NamedTuple):
-    """Prime positions in draw order, with the hash rows that serve them."""
+    """Prime positions in order, with the hash rows that serve them."""
 
-    # the distinct positions, each group ascending: the even ones of full pairs, the even ones
-    # whose partner j + 1 is absent, the odd ones whose partner j - 1 is absent, and the odd
-    # ones of full pairs. Where every pair but the last is full, as on a dense support, that
-    # is every even position, then every odd one
-    columns: np.ndarray
-    # the hashed pairs j >> 1, one hash row each: the lone odd positions' pairs, then the even
-    # positions' pairs in their order, so the halves each group takes are contiguous rows
+    columns: np.ndarray  # the distinct positions: the even ones ascending, then the odd ones ascending
+    # the hashed pairs j >> 1, one hash row each: the even columns' pairs in their order, then
+    # those of the odd columns whose partner j - 1 is absent
     pairs: np.ndarray
-    top: int  # the number of even positions
-
-    def halves(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the hashes h whose top halves columns[:top] take, then those of the others' low halves."""
-        return h[self.pairs.size - self.top :], h[: self.columns.size - self.top]
+    rows: np.ndarray  # each column's hash row: pairs[rows] == columns >> 1
+    top: int  # the number of even columns, which take the top halves of rows 0 .. top - 1
 
 
 def _draw(columns: np.ndarray | Sequence[int]) -> _Draw:
-    """The draw order of 0-based prime positions: column j is half j & 1 of the hash of pair j >> 1."""
+    """The order of 0-based prime positions: column j is half j & 1 of the hash of pair j >> 1."""
     # in plain Python, as fast as numpy on a plan's few hundred positions: a vectorized order's
     # first calls in a process mapped in about 0.7 MB more of numpy's code, which an mc norm
     # command's peak RSS showed
-    used = set(np.asarray(columns, dtype=np.int64).tolist())
-    # by group: full pairs' even positions, lone even ones, lone odd ones, full pairs' odd ones
-    order = sorted(used, key=lambda j: (2 + (j ^ 1 in used) if j & 1 else j ^ 1 not in used, j))
-    c = np.array(order, dtype=np.int64)
-    top = sum(1 for j in used if not j & 1)
-    lone = sum(1 for j in used if j & 1 and j ^ 1 not in used)
-    return _Draw(c, np.concatenate((c[top : top + lone], c[:top])) >> 1, top)
+    used = sorted(set(np.asarray(columns, dtype=np.int64).tolist()), key=lambda j: (j & 1, j))
+    row: dict[int, int] = {}  # pair -> hash row, in row order
+    rows = [row.setdefault(j >> 1, len(row)) for j in used]
+    return _Draw(*(np.array(x, dtype=np.int64) for x in (used, list(row), rows)),
+                 sum(1 for j in used if not j & 1))
 
 
 class _Hash:
@@ -196,9 +186,9 @@ def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> 
     of (seed, sample, j >> 1): of the top 32 bits for even j, of the low 32 bits for odd
     j. So each pair of positions is hashed once, and any partition of the sample range, or
     any choice of columns, reproduces the same values. The result is the C-ordered uint64
-    (H, count) array of the hashes of the H pairs, in `_draw(columns)` order: each pair's
-    hashes are contiguous. The Monte Carlo engine runs the same `_Hash` on its own arrays,
-    each block on a slice of the run's `_sample_keys`.
+    (H, count) array of the hashes of the H pairs, in `_draw(columns).pairs` order: each
+    pair's hashes are contiguous. The Monte Carlo engine runs the same `_Hash` on its own
+    arrays, each block on a slice of the run's `_sample_keys`.
     """
     return _Hash(_draw(columns).pairs, count)(_sample_keys(seed, first_sample, count))
 
@@ -212,9 +202,8 @@ def _angles(seed: int, first_sample: int, count: int, columns: np.ndarray | Sequ
     """The 22-bit angles k of the given columns, a uint64 (count, len(columns)) array; see `_uniforms`."""
     draw = _draw(columns)
     h = _uniforms(seed, first_sample, count, draw.columns)
-    top, low = draw.halves(h)
     # an angle ends at its low digit b, so it starts at b's shift
-    k = np.concatenate((top >> _B_TOP, (low & 0xFFFFFFFF) >> _B_LOW))
+    k = np.concatenate((h[: draw.top] >> _B_TOP, (h[draw.rows[draw.top :]] & 0xFFFFFFFF) >> _B_LOW))
     order = np.argsort(draw.columns)
     return k[order[np.searchsorted(draw.columns[order], columns)]].T
 
@@ -325,13 +314,13 @@ def even_norm_exact(f: DirichletPolynomial, k: int) -> NormEstimate:
 
 
 class _LiftPlan(NamedTuple):
-    """Node slots: 1, the primes used in draw order, then a slice per Omega layer, ascending in n."""
+    """Node slots in sum order: 1, the primes used in `_draw` order, then a slice per Omega layer, ascending in n."""
 
     draw: _Draw  # the primes used, as 0-based table positions in slot order, with their hash rows
     size: int  # number of nodes
     layers: list  # (lo, hi, spf slots then cofactor slots) for Omega = 2, 3, ...
     # f, then each part: (Re a_n, Im a_n or None if every a_n is real, slots or None if the
-    # sum runs over every node in slot order), each over the member's support in sum order
+    # support is every node), each over the member's support in slot order
     members: list
     # complex entries per point that `_lift_values` needs beside the node rows and F: the
     # widest layer's two gathers, or the largest gathered member's rows with, when a member
@@ -382,29 +371,23 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
                            np.concatenate((omega, np.ones_like(omega), omega - 1))))[0].size > nodes.size:
         nodes, omega = grown
     order = np.argsort(omega, kind="stable")
-    # the primes, slots 1..P after node 1, go in draw order
+    # the primes, slots 1..P after node 1, go in `_draw` order: by position j, the even j then the
+    # odd, each ascending. That is an order of the support alone, so a member's sum runs over its
+    # support in slot order
     positions = np.searchsorted(table.primes, nodes[order[1 : 1 + (omega == 1).sum()]])
     draw = _draw(positions)
-    columns = draw.columns
-    order[1 : 1 + columns.size] = order[1 + np.searchsorted(positions, columns)]
+    order[1 : 1 + positions.size] = order[1 + np.searchsorted(positions, draw.columns)]
     slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
     left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
-    # a member's sum runs over its support by Omega(n), then n, but the primes by position j, the
-    # even j then the odd, each ascending: an order of the support alone, as the draw order of
-    # f's primes is not. key[r] is slot r's place in that order
-    by_position = np.argsort(((columns & 1) << 32) + columns)
-    key = np.arange(nodes.size)
-    key[1 + by_position] = np.arange(1, 1 + columns.size)
-    in_order = np.array_equal(by_position, np.arange(columns.size))
     bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
     members = []
     for g in (f, *parts):
         slots = slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))]
         coeffs = np.array([g.coeff(m) for m in g.support], dtype=np.complex128)
-        by_key = np.argsort(key[slots])
-        slots, coeffs = slots[by_key], coeffs[by_key]
+        by_slot = np.argsort(slots)
+        slots, coeffs = slots[by_slot], coeffs[by_slot]
         members.append((coeffs.real.copy(), coeffs.imag.copy() if coeffs.imag.any() else None,
-                        None if slots.size == nodes.size and in_order else slots))
+                        None if slots.size == nodes.size else slots))
     layers = [(lo, hi, np.r_[left[lo:hi], right[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
     gathered = max((slots.size for _, _, slots in members if slots is not None), default=0)
     complex_sum = any(im is not None for _, im, _ in members)
@@ -504,11 +487,13 @@ def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndar
     blocks, and only its first columns are kept. |F| of sample i depends only on (seed, i).
     """
     rows, primes = len(plan.members), plan.columns.size
-    pairs = plan.draw.pairs
+    pairs, top = plan.draw.pairs, plan.draw.top
+    odd = plan.draw.rows[top:]  # the odd columns' hash rows
     # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
     # area the stages take in turn: the phases' factor (1 entry a prime), the hashes (8 bytes a
-    # pair) and the digit (8 bytes a prime), with the hashes' shifted copies in the factor's room,
-    # and the lift's gathers (plan.scratch); beside it the hash's pair keys, 8 bytes a pair and point
+    # pair) and the digit (8 bytes a prime), with the hashes' shifted copies and then the odd
+    # columns' hash rows in the factor's room, and the lift's gathers (plan.scratch); beside it
+    # the hash's pair keys, 8 bytes a pair and point
     per_point = plan.size + rows + max(-(-(3 * primes + pairs.size) // 2), plan.scratch)
 
     def need(block: int) -> int:
@@ -536,18 +521,22 @@ def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndar
     keys = _sample_keys(seed, 0, blocks * block)
 
     def fill(worker: int, workspace: np.ndarray) -> None:
-        # every array the stages take, each C-ordered: the node rows (the primes' in draw order, the
-        # top halves first), F, and in the stage area the factor, the hashes and the digit
+        # every array the stages take, each C-ordered: the node rows, F, and in the stage area the
+        # factor, the hashes and the digit. The even columns read their rows' top halves in place;
+        # the odd columns' rows are gathered into the factor's room, free from the end of the hash
+        # to the phases' second digit take
         Z = workspace[: plan.size * block].reshape(plan.size, block)
         F = workspace[plan.size * block : (plan.size + rows) * block].reshape(rows, block)
         stage = workspace[(plan.size + rows) * block :]
         units = stage.view(np.uint64)
         h = units[2 * primes * block : (2 * primes + pairs.size) * block].reshape(pairs.size, block)
         digit = units[(2 * primes + pairs.size) * block : (3 * primes + pairs.size) * block].reshape(primes, block)
+        low = units[: (primes - top) * block].reshape(primes - top, block)
         hashing, lift = _Hash(pairs, block, h, units), _Lift(plan, Z, F, stage)
-        phasing = (*plan.draw.halves(h), Z[1 : 1 + primes], digit, stage[: primes * block].reshape(primes, block))
+        phasing = (h[:top], low, Z[1 : 1 + primes], digit, stage[: primes * block].reshape(primes, block))
         for start in range(worker * block, samples, busy * block):
             hashing(keys[start : start + block])
+            h.take(odd, axis=0, out=low, mode="clip")
             _phases(*phasing)
             np.abs(lift()[:, : samples - start], out=absF[:, start : start + block])
 
@@ -614,12 +603,15 @@ def mc_norm_many(
     count. The run mixes its sample keys once and runs in equal blocks, the last padded,
     of one width, halved until the run fits the memory cap; a run that fits at no width is
     a ResourceLimitError, and a power mean or error past the float range an OverflowError.
+    With no p, the arguments are checked and nothing is planned or sampled.
     """
     ps = _exponents(ps)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
+    if not ps:
+        return []
     plan = _lift_plan(f, table, *parts)
     return [est for row in _abs_rows(plan, samples, seed, workers) for est in _power_means(row, ps, seed)]
 
@@ -712,12 +704,14 @@ def disc_norm_many(f: DiscPolynomial, ps: Sequence[float], nodes: int = 4096) ->
     the equispaced nodes, with the bits of `disc_norm` at that p. For periodic
     integrands the trapezoidal rule is the plain node mean. With nodes > 2*degree
     the p=2 case is aliasing-free and matches the coefficient l2 norm to rounding.
-    Every p and the node count are checked before f is evaluated; a power mean past the
-    float range is an OverflowError.
+    Every p and the node count are checked before f is evaluated, and with no p it is not
+    evaluated; a power mean past the float range is an OverflowError.
     """
     ps = _exponents(ps)
     if nodes < 4 * (f.degree + 1):
         raise ValueError(f"need at least {4 * (f.degree + 1)} nodes for degree {f.degree}")
+    if not ps:
+        return []
     # the nodes, the one accumulator of `DiscPolynomial`'s in-place Horner loop and |f|: traced
     # at 40 bytes per node for degrees 0 to 8 when the nodes are built
     check_memory(96 * nodes, f"quadrature on {nodes} circle nodes")

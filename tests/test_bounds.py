@@ -22,7 +22,15 @@ from dirichlet_hardy.bounds import (
     squarefree_lower_sum,
 )
 from dirichlet_hardy.dseries import DirichletPolynomial, duality_witness, zeta_partial
-from dirichlet_hardy.norms import NormEstimate, even_norm_exact, l2_norm, mc_norm, mc_norm_many
+from dirichlet_hardy.norms import (
+    NormEstimate,
+    evaluate_at_sample,
+    even_norm_exact,
+    l2_norm,
+    mc_norm,
+    mc_norm_many,
+    steinhaus_sample,
+)
 
 
 class TestWeightedSums:
@@ -323,3 +331,28 @@ class TestPointEvaluationWithMC:
             margin = point_evaluation_margin(f, z, p, est, table_2k)
             growth = float(np.prod([(1 - abs(w) ** 2) ** (-1 / p) for w in z]))
             assert margin >= -3 * growth * est.value_std_error
+
+
+def test_exact_routes_ignore_insertion_order(table_2k):
+    # the same 64 complex terms and two parts, inserted ascending and shuffled: every route that
+    # reads the coefficients gives the same bits, exact norms, weighted sums, comparisons (the
+    # divisor chain too), the pairing, point evaluations, Monte Carlo with parts and the JSON text
+    rng = np.random.default_rng(64)
+    indices = sorted(rng.choice(np.arange(1, 1001), 64, replace=False).tolist())
+    values = dict(zip(indices, (rng.standard_normal(64) + 1j * rng.standard_normal(64)).tolist()))
+    sample = steinhaus_sample(5, 3, int(np.searchsorted(table_2k.primes, 1000, side="right")))
+
+    def bits(order):
+        f = DirichletPolynomial({n: values[n] for n in order})
+        parts = [DirichletPolynomial({n: values[n] for n in order if n <= 500}),
+                 DirichletPolynomial({n: values[n] for n in order if n % 2})]
+        ests = mc_norm_many(f, [1.0, 2.0, 3.0], 2000, 5, table_2k, parts=parts)
+        return [repr(x) for x in (
+            l2_norm(f), even_norm_exact(f, 2), hl_upper_sum(f, 3.0, table_2k), hl_lower_sum(f, 1.0, table_2k),
+            squarefree_lower_sum(f, 1.0, table_2k), hl_comparisons(f, ests[:3], table_2k, INEQUALITIES),
+            primitive_pairing(f, 1.0), point_evaluation_margin(f, [0.5, 0.3j], 2.0, l2_norm(f), table_2k),
+            evaluate_at_sample(f, sample, table_2k), ests, f.to_json())]
+
+    shuffled = [indices[i] for i in rng.permutation(64)]
+    assert shuffled != indices
+    assert bits(indices) == bits(shuffled)

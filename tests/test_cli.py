@@ -73,6 +73,20 @@ class TestParse:
         err = capsys.readouterr().err
         assert "usage error" in err and all(flag in err for flag in flags.split()[::2])
 
+    @pytest.mark.parametrize("argv, refusal", [
+        ("norm --p 2 --generator zeta --N 10 --alpha 2", "zeta does not read alpha"),
+        ("norm --p 2 --generator zeta --N 10 --alpha 2 --prime-count 3", "zeta does not read alpha, prime_count"),
+        ("norm --p 2 --generator zeta-power --N 10 --alpha 2 --beta 1", "zeta-power does not read beta"),
+        ("norm --p 2 --generator fractional-primitive --N 10 --beta 1 --gen-p 0.5",
+         "fractional-primitive does not read p"),
+        ("partial-sum --mode probe --p 1 --probe-N 10 --N 30 --prime-bound 7", "zeta does not read prime_bound"),
+    ])
+    def test_generator_takes_only_its_flags(self, argv, refusal, capsys):
+        # a flag the generator does not read is refused, not echoed beside a run that ignored it
+        assert main(argv.split() + ["--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == [f"dhardy: invalid arguments: {refusal}"]
+
     def test_witness_validations(self, capsys):
         assert main(["partial-sum", "--p", "1.5", "--k", "2"]) == 2
         assert main(["partial-sum", "--p", "0.5"]) == 2

@@ -243,6 +243,16 @@ class TestGenerators:
         with pytest.raises(ValueError, match=f"^{kind} requires {needs}$"):
             generate(GeneratorSpec(kind=kind, N=300, **params), table_2k)
 
+    @pytest.mark.parametrize("kind, params, unread", [
+        ("zeta", {"alpha": 1.0}, "alpha"),
+        ("zeta-power", {"alpha": 1.0, "p": 0.5, "beta": 1.0}, "p, beta"),
+        ("euler-power", {"alpha": 1.0, "prime_bound": 7, "prime_count": 2}, "prime_count"),
+        ("duality-witness", {"p": 0.5, "prime_bound": 50, "alpha": 1.0}, "alpha"),
+    ])
+    def test_generate_refuses_a_field_its_kind_does_not_read(self, kind, params, unread, table_2k):
+        with pytest.raises(ValueError, match=f"^{kind} does not read {unread}$"):
+            generate(GeneratorSpec(kind=kind, N=300, **params), table_2k)
+
 
 class TestConvolution:
     def test_square(self):

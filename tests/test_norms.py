@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import big_omega, factor, prime_position, random_dirichlet, random_disc
 
 from dirichlet_hardy import errors, norms
-from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power
+from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power, sieve_primes
 from dirichlet_hardy.bounds import _slack, hl_lower_sum, hl_upper_sum
 from dirichlet_hardy.dseries import (
     DirichletPolynomial,
@@ -35,6 +37,9 @@ from dirichlet_hardy.norms import (
     steinhaus_sample,
     steinhaus_uniforms,
 )
+
+
+_HYP_TABLE = sieve_primes(2000)  # shared by hypothesis cases; fixtures do not mix with @given
 
 
 def random_sparse(rng, max_support=50, max_index=1000):
@@ -145,17 +150,53 @@ class TestCounterRng:
     @pytest.mark.parametrize("columns, drawn, pairs, top", [
         ([], [], [], 0),
         ([1], [1], [0], 0),
-        ([2, 5], [2, 5], [2, 1], 1),
+        ([2, 5], [2, 5], [1, 2], 1),
         ([302, 1, 0], [0, 302, 1], [0, 151], 2),
-        ([7, 0, 3, 2, 4, 9, 6], [2, 6, 0, 4, 9, 3, 7], [4, 1, 3, 0, 2], 4),
+        ([7, 0, 3, 2, 4, 9, 6], [0, 2, 4, 6, 3, 7, 9], [0, 1, 2, 3, 4], 4),
         (range(9), [0, 2, 4, 6, 8, 1, 3, 5, 7], [0, 1, 2, 3, 4], 5),
     ])
     def test_draw_order(self, columns, drawn, pairs, top):
-        # full pairs' even positions, lone even ones, lone odd ones, then full pairs' odd ones:
-        # the even positions take the top halves of the last `top` hash rows and the odd ones
-        # the low halves of the first rows. A dense set draws every even position, then every odd
+        # the even positions ascending, then the odd ones: the even positions take the top halves
+        # of the first `top` hash rows, and the odd ones the low halves of their pairs' rows, which
+        # follow, for a pair with no even partner, in the odd positions' order
         draw = norms._draw(np.array(columns, dtype=np.int64))
         assert (draw.columns.tolist(), draw.pairs.tolist(), draw.top) == (drawn, pairs, top)
+
+    @given(st.lists(st.integers(min_value=0, max_value=399), max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_draw_is_one_order(self, positions):
+        # the distinct even positions ascending, then the odd ones; each column reads its pair's
+        # row, the even columns rows 0 .. top - 1, and each pair is hashed once
+        draw = norms._draw(positions)
+        even = sorted({j for j in positions if j % 2 == 0})
+        assert draw.columns.tolist() == even + sorted({j for j in positions if j % 2})
+        assert draw.top == len(even)
+        assert np.array_equal(draw.pairs[draw.rows], draw.columns >> 1)
+        assert draw.rows[: draw.top].tolist() == list(range(draw.top))
+        assert len(set(draw.pairs.tolist())) == draw.pairs.size
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=120))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_plan_slots_are_the_draw_order(self, seed, dense):
+        # on a sparse support, or on Z_N, which is every node, with two parts: the prime slots
+        # follow the plan's columns, each member's slots ascend, and they are None exactly when
+        # it covers every node. Each coefficient is its index, so a member's terms name its slots
+        rng = np.random.default_rng(seed)
+        support = range(1, dense + 1) if dense else random_dirichlet(rng, 64, 1000).support
+        f = DirichletPolynomial({n: float(n) for n in support})
+        members = (f, partial_sum(f, int(rng.integers(1, f.length + 1))),
+                   DirichletPolynomial({n: float(n) for n in f.support[::2]}))
+        plan = norms._lift_plan(f, _HYP_TABLE, *members[1:])
+        primes = plan.columns.size
+        for g, (re, _, slots) in zip(members, plan.members, strict=True):
+            assert (slots is None) == (len(g) == plan.size)
+            if slots is None:
+                slots = np.arange(plan.size)
+            assert np.all(np.diff(slots) > 0)
+            for r, n in zip(slots.tolist(), map(int, re.tolist())):
+                assert (1 <= r <= primes) == (big_omega(n) == 1)
+                if big_omega(n) == 1:
+                    assert prime_position(n) == plan.columns[r - 1]
 
     @pytest.mark.parametrize("call, name", [
         (lambda: steinhaus_uniforms(1, -5, 2, 2), "first_sample"),
@@ -377,12 +418,12 @@ class TestMonteCarlo:
         # float view of the node rows, with the imaginary parts summed apart and
         # combined at the end: a kernel that fuses the multiply and add or reorders the sum gives
         # other bits. The sum runs by Omega(n), then n, but over the primes by 0-based position j,
-        # the even j then the odd, each ascending, whatever the other primes of the plan. The rows
-        # go the same way, but the primes' in draw order: the full pairs' even j, the even j whose
-        # partner j + 1 is absent, the odd j whose partner j - 1 is absent, then the full pairs'
-        # odd j, each ascending. The closed support's primes 2, 5 and 7 (j = 0, 2, 3) are drawn as
-        # 5, 2, 7, so it is gathered though it is every node. Node rows sit in an unaligned buffer
-        # at a column offset
+        # the even j then the odd, each ascending, whatever the other primes of the plan, and the
+        # rows go the same way. The closed support is every node, so it is not gathered. Node rows
+        # sit in an unaligned buffer at a column offset
+        def sum_key(n):
+            return (1, prime_position(n) % 2, prime_position(n)) if big_omega(n) == 1 else (big_omega(n), 0, n)
+
         def rows_of(support):
             # the closure of the support and 1 under n -> p, n/p for the least prime p of n
             nodes, todo = {1}, list(support)
@@ -392,18 +433,7 @@ class TestMonteCarlo:
                     nodes.add(n)
                     q = factor(n)[0][0]
                     todo += [q, n // q]
-            used = {prime_position(n) for n in nodes if big_omega(n) == 1}
-
-            def slot_key(n):
-                if big_omega(n) != 1:
-                    return big_omega(n), 0, n
-                j = prime_position(n)
-                return 1, (3 if j ^ 1 in used else 2) if j % 2 else (0 if j ^ 1 in used else 1), j
-
-            return {n: r for r, n in enumerate(sorted(nodes, key=slot_key))}
-
-        def sum_key(n):
-            return (1, prime_position(n) % 2, prime_position(n)) if big_omega(n) == 1 else (big_omega(n), 0, n)
+            return {n: r for r, n in enumerate(sorted(nodes, key=sum_key))}
 
         rng = np.random.default_rng(8)
         dense = zeta_partial(120)
@@ -421,7 +451,7 @@ class TestMonteCarlo:
             plan = norms._lift_plan(f, table_2k, *parts)
             rows = rows_of(f.support)
             assert plan.size == len(rows)
-            assert (plan.members[0][2] is None) == (f is not closed and len(f) == plan.size)
+            assert (plan.members[0][2] is None) == (len(f) == plan.size)
             for _ in range(4):
                 width, offset = int(rng.integers(1, 600)), int(rng.integers(0, 8))
                 cells = plan.size * (width + offset)
@@ -779,7 +809,7 @@ class TestSteinhausSamples:
         f = DirichletPolynomial({1: 1, 2: -0.5, 6: 2j, 9: 0.25, 5: 1.5, 45: -1j, 13: 0.75, 52: 1 - 1j,
                                  65: 0.5, 1999: 0.5j, 1997: -2})
         plan = norms._lift_plan(f, table_2k)
-        assert plan.columns.tolist() == [0, 2, 302, 5, 301, 1]
+        assert plan.columns.tolist() == [0, 2, 302, 1, 5, 301]
         absF = []
         monkeypatch.setattr(norms, "pairwise_sum", lambda values: absF.append(np.array(values)) or 0.0)
         monkeypatch.setattr(norms, "_BLOCK_BYTES", 16 * plan.size * block_points)
@@ -860,6 +890,21 @@ class TestDiscNorm:
 
     def test_many_of_no_p(self):
         assert disc_norm_many(DiscPolynomial(np.array([1.0, 2.0])), []) == []
+
+    def test_no_p_plans_samples_and_evaluates_nothing(self, table_2k, monkeypatch):
+        # with no exponent there is nothing to estimate, but the other arguments are still checked
+        def refuse(*args):
+            raise AssertionError("planned, sampled or evaluated with no p")
+
+        for name in ("_lift_plan", "_abs_rows"):
+            monkeypatch.setattr(norms, name, refuse)
+        monkeypatch.setattr(DiscPolynomial, "__call__", refuse)
+        assert mc_norm_many(zeta_partial(100), [], 1000, 5, table_2k, parts=[zeta_partial(50)]) == []
+        assert disc_norm_many(DiscPolynomial(np.array([1.0, 2.0])), [], 64) == []
+        with pytest.raises(ValueError, match="2 samples"):
+            mc_norm_many(zeta_partial(100), [], 1, 5, table_2k)
+        with pytest.raises(ValueError, match="8 nodes"):
+            disc_norm_many(DiscPolynomial(np.array([1.0, 2.0])), [], 7)
 
     @pytest.mark.parametrize("ps, nodes", [([1.0, 0.0], 4096), ([2.0, 3.0, -1.0], 4096), ([1.0], 35),
                                            ([math.nan], 4096), ([1.0, math.inf], 4096)])
