@@ -103,7 +103,9 @@ class GeneratorSpec:
     """Tagged description of a named generator, dispatched by `generate`.
 
     Every kind reads N; `GENERATORS` names the other fields each kind reads, which must
-    be set, and the rest must not be.
+    be set, and the rest must not be. A spec is checked when it is made, so a refused one
+    costs no sieve: an unknown kind, a field the kind reads left unset, or another field
+    set, is a ValueError, checked in that order.
     """
 
     kind: str
@@ -113,6 +115,16 @@ class GeneratorSpec:
     prime_bound: int | None = None
     prime_count: int | None = None
     beta: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in GENERATORS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        reads = GENERATORS[self.kind][0]
+        if any(getattr(self, name) is None for name in reads):
+            raise ValueError(f"{self.kind} requires {' and '.join(reads)}")
+        unread = [name for name in _OPTIONAL if name not in reads and getattr(self, name) is not None]
+        if unread:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
 
 
 def zeta_partial(N: int) -> DirichletPolynomial:
@@ -259,22 +271,10 @@ _OPTIONAL = tuple(dict.fromkeys(name for reads, _ in GENERATORS.values() for nam
 
 
 def generate(spec: GeneratorSpec, table: PrimeTable) -> DirichletPolynomial:
-    """Build the polynomial described by `spec` (truncations must fit the table).
-
-    An unknown kind, a field the kind reads left unset, or another field set, is a
-    ValueError, checked in that order.
-    """
-    if spec.kind not in GENERATORS:
-        raise ValueError(f"unknown generator kind {spec.kind!r}")
-    reads, build = GENERATORS[spec.kind]
-    if any(getattr(spec, name) is None for name in reads):
-        raise ValueError(f"{spec.kind} requires {' and '.join(reads)}")
-    unread = [name for name in _OPTIONAL if name not in reads and getattr(spec, name) is not None]
-    if unread:
-        raise ValueError(f"{spec.kind} does not read {', '.join(unread)}")
+    """Build the polynomial described by `spec`, checked when it was made; N must fit the table."""
     if spec.N > table.limit:
         raise SieveLimitError(f"truncation {spec.N} exceeds sieve limit {table.limit}")
-    return build(spec, table)
+    return GENERATORS[spec.kind][1](spec, table)
 
 
 def dirichlet_multiply(f: DirichletPolynomial, g: DirichletPolynomial) -> DirichletPolynomial:

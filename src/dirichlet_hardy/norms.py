@@ -26,10 +26,13 @@ depend on the rest of the plan, so polynomials whose supports lie inside f's (it
 sums, its homogeneous parts) are evaluated on f's nodes in the same pass, each with the
 bits of its own run.
 
-`mc_norm_many` takes three steps. `_lift_plan` builds the nodes and the sum orders.
+`mc_norm_many` takes three steps. `_lift_plan` builds the nodes and the sum orders without
+numpy's sort or unique kernels: the closure grows in a set, `sorted` orders it, each node's
+Omega follows from its cofactor's, and the slots fill from one bucket per Omega.
 `_abs_rows` returns |F| of every member at every sample, one row each: it mixes the run's
 sample keys once, and each worker hashes, phases and lifts its share of equal blocks, of one
 width halved until the run fits the memory cap and the last padded, in one flat workspace.
+The widest block is the most points whose workspace and pair keys fit `_BLOCK_BYTES`.
 Two stage objects run a block, `_Hash` (the splitmix64 hashes) and `_Lift` (the node rows
 and F); each worker builds each once, with its views, and each call runs one block.
 `_power_means` reduces a row of |F| to its estimates by a halving fold: it is the one
@@ -48,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,25 +59,25 @@ import numpy as np
 from . import errors
 
 # factorize is unused here; perfbench's tracer tests rebind and restore it in this module
-from .arith import PrimeTable, factorize, multiplicative
+from .arith import PrimeTable, factorize
 from .dseries import DirichletPolynomial, dirichlet_power
 from .errors import SieveLimitError, check_memory, memory_cap_bytes
 
-# node values of the points evaluated together, sized to stay in cache: the widest of a run's
-# equal blocks. Each worker allocates one flat workspace per call and hashes, phases and lifts
-# each block of its share in views of it. Drawing an 8192-sample chunk of angles at once (7 MB at
-# N = 600) raised glibc's dynamic mmap threshold, without which freed block arrays go back to the
-# OS: a variant that drew per block into fresh arrays took 370K-760K minor faults per 200
-# fuzz_sparse ops against 33K and ran about 20% slower. One workspace allocates nothing in the
-# loop instead, and needs no such threshold: over 96 in-process ops on a 2-vCPU host, mc_dense
-# took 405 minor faults against 24K-27K with the chunk and fuzz_sparse 2.2K against 32K, and the
-# benchmark's mc_dense peak RSS fell from 50 to 39 MB. With the sample keys mixed once per run, a
-# one-point block pays about 22 us of numpy calls at Z_100^1.5 and 28 us at Z_600^1.5 and on 64
-# random indices up to 1000 (32, 39 and 38 us when each block derived its keys from the seed).
-# 1 MB is still the fastest size: six Z_N^1.5 runs (N = 100 to 600, 16384 samples) took 144.8,
-# 138.8 and 156.8 ms at 0.5, 1 and 2 MB, and six on 64 random indices (20000 samples) 88.9, 86.9
-# and 92.3 ms (medians over 3 processes of the fastest of 15 interleaved rounds, 2-vCPU host)
-_BLOCK_BYTES = 1 << 20
+# the bytes (1.625 MiB) that the widest of a run's equal blocks may take in a worker's workspace
+# and its hash's pair keys (`_point_size` bytes a point). Each worker allocates one flat
+# workspace per call and hashes, phases and lifts each block of its share in views of it, so the
+# loop allocates nothing: a variant that drew per block into fresh arrays took 370K-760K minor
+# faults per 200 fuzz_sparse ops against 33K and ran about 20% slower. The workspace comes from
+# glibc's heap, so one larger than the free holes earlier ops left grows the heap and peak RSS.
+# Sized by 1 MB of node rows alone, the workspaces of the first 3000 fuzz_sparse plans (seed 1)
+# took 1.30-2.78 MiB, median 1.72, and a one-term support ran its 20000 samples as one block;
+# under this budget they take 0.84-1.62 MiB, median 1.60, and only a plan whose one point passes
+# the budget (past about 100K nodes) runs a larger, one-point block. The widest blocks are 606,
+# 180 and 106 points on Z_100, Z_350 and Z_600^1.5 (655, 187 and 109 by node rows) and
+# 378-10000, median 715, on the fuzz plans (393-20000, median 770); `_abs_rows` took 0.97, 1.00
+# and 0.96 times the node-row width's time on those Z_N^1.5 and 1.00 on six 64-term random
+# supports (medians of 40 in-process alternations, 2-vCPU host)
+_BLOCK_BYTES = 13 << 17
 
 # splitmix64 increments (odd 64-bit constants)
 _GAMMA_SAMPLE = np.uint64(0x9E3779B97F4A7C15)
@@ -340,55 +344,74 @@ def _lift_plan(f: DirichletPolynomial, table: PrimeTable, *parts: DirichletPolyn
     if f.length > table.limit:
         raise SieveLimitError(f"support reaches {f.length}, beyond sieve limit {table.limit}")
 
-    def merged(n: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the distinct n, ascending, each with the Omega of its first entry
-        n, first = np.unique(n, return_index=True)
-        return n, omega[first]
+    coefficients = f.coefficients
+    spf = table.smallest_factor
 
-    def counted() -> tuple[np.ndarray, np.ndarray]:
-        # the support and 1, with Omega: the plan's one factoring
-        support = np.array(f.support, dtype=np.int64)
-        return merged(np.append(1, support), np.append(0, multiplicative(support, table, lambda e: e, np.add)))
+    def closure() -> np.ndarray:
+        # the support closed under n -> spf(n) and n -> n/spf(n), ascending: the nodes outside the
+        # support (node 1, its own spf and cofactor, among them unless it is in the support) grow
+        # in a set, a frontier at a time, so the support takes no second copy
+        helpers = set() if 1 in coefficients else {1}
+        frontier = np.fromiter(coefficients, dtype=np.int64, count=len(coefficients))
+        while frontier.size:
+            least, fresh = spf[frontier], set()
+            for values in (least, frontier // least):
+                fresh.update(n for n in values.tolist() if n not in coefficients and n not in helpers)
+            helpers |= fresh
+            frontier = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
+        return np.array(sorted(chain(coefficients, helpers)), dtype=np.int64)
+
+    def sum_order(nodes: np.ndarray) -> tuple[_Draw, np.ndarray, list]:
+        # the draw, the slot order (slot r holds nodes[order[r]]) and where each layer from Omega 2
+        # on starts: node 1, the primes, then a bucket per Omega layer, each ascending in n. The
+        # primes go in `_draw` order: by position j, the even j then the odd, each ascending. That
+        # is an order of the support alone, so a member's sum runs over its support in slot order
+        down = np.searchsorted(nodes, nodes // spf[nodes])  # each node's cofactor, a smaller node but for 1
+        # Omega(n) = Omega(n/spf n) + 1: after k passes every node of Omega up to k holds its own
+        omega = np.zeros(nodes.size, dtype=np.int64)
+        while not np.array_equal(grown := omega[down] + (nodes > 1), omega):
+            omega = grown
+        buckets = [np.flatnonzero(omega == k) for k in range(max(int(omega.max()), 1) + 1)]
+        positions = np.searchsorted(table.primes, nodes[buckets[1]])
+        draw = _draw(positions)
+        buckets[1] = buckets[1][np.searchsorted(positions, draw.columns)]
+        return draw, np.concatenate(buckets), np.cumsum([bucket.size for bucket in buckets]).tolist()[1:]
 
     # charged before the closure is built, on a bound of it: at most f.length nodes, and an index
     # n > 1 brings at most 2 Omega(n) - 1 nodes beside node 1 (n, then each cofactor n/spf(n), ...
-    # down to a prime, and the least prime of each). Building the plan traces at most 155 bytes a
+    # down to a prime, and the least prime of each). Building the plan traces at most 106 bytes a
     # node plus 8 KB on Z_N (N = 1 to 500000), where the bound is the node count; on random
-    # sparse supports the bound overstates the nodes about 2 times. A sparse support is factored
-    # first, under the factoring kernel's own charge; the run that samples on the plan charges
-    # its retained arrays with its own working set
-    bound, nodes = f.length, None
+    # sparse supports the bound overstates the nodes about 2 times. On a sparse support the sum
+    # counts Omega first, dividing out least primes in arrays of at most 17 bytes a term, less
+    # than the polynomial's own; the run that samples on the plan charges its retained arrays
+    # with its own working set
+    bound = f.length
     if len(f) < f.length:
-        nodes, omega = counted()
-        bound = min(bound, 1 + int(np.maximum(2 * omega - 1, 0).sum()))
-    errors.check_memory((1 << 13) + 156 * bound, f"the lift plan of up to {bound} nodes")
-    if nodes is None:
-        nodes, omega = counted()
-    spf = table.smallest_factor
-    # the closure under n -> spf(n) and n -> n/spf(n), whose Omega are 1 and Omega(n) - 1; node 1,
-    # its own spf and cofactor, is the first entry of its value, so it keeps Omega 0
-    while (grown := merged(np.concatenate((nodes, spf[nodes], nodes // spf[nodes])),
-                           np.concatenate((omega, np.ones_like(omega), omega - 1))))[0].size > nodes.size:
-        nodes, omega = grown
-    order = np.argsort(omega, kind="stable")
-    # the primes, slots 1..P after node 1, go in `_draw` order: by position j, the even j then the
-    # odd, each ascending. That is an order of the support alone, so a member's sum runs over its
-    # support in slot order
-    positions = np.searchsorted(table.primes, nodes[order[1 : 1 + (omega == 1).sum()]])
-    draw = _draw(positions)
-    order[1 : 1 + positions.size] = order[1 + np.searchsorted(positions, draw.columns)]
-    slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
-    left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
-    bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
+        rest = np.fromiter(coefficients, dtype=np.int64, count=len(coefficients))
+        count = 1 - int(np.count_nonzero(rest > 1))
+        while (rest := rest[rest > 1]).size:
+            count += 2 * rest.size
+            rest //= spf[rest]
+        bound = min(bound, count)
+    errors.check_memory((1 << 13) + 106 * bound, f"the lift plan of up to {bound} nodes")
+    nodes = closure()
+    draw, order, bounds = sum_order(nodes)
+    slot = np.empty(nodes.size, dtype=np.int64)  # nodes[i] sits in slot[i]
+    slot[order] = np.arange(nodes.size)
     members = []
+    term = np.empty(nodes.size, dtype=np.int64)  # the member's term at each slot, or -1
     for g in (f, *parts):
-        slots = slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))]
-        coeffs = np.array([g.coeff(m) for m in g.support], dtype=np.complex128)
-        by_slot = np.argsort(slots)
-        slots, coeffs = slots[by_slot], coeffs[by_slot]
+        # the terms in the member's own order, then in slot order through the inverse map
+        terms = g.coefficients
+        term.fill(-1)
+        term[slot[np.searchsorted(nodes, np.fromiter(terms, np.int64, len(terms)))]] = np.arange(len(terms))
+        slots = np.flatnonzero(term >= 0)
+        coeffs = np.fromiter(terms.values(), np.complex128, len(terms))[term[slots]]
         members.append((coeffs.real.copy(), coeffs.imag.copy() if coeffs.imag.any() else None,
                         None if slots.size == nodes.size else slots))
-    layers = [(lo, hi, np.r_[left[lo:hi], right[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+    n = nodes[order]
+    left, right = slot[np.searchsorted(nodes, spf[n])], slot[np.searchsorted(nodes, n // spf[n])]
+    layers = [(lo, hi, np.concatenate((left[lo:hi], right[lo:hi]))) for lo, hi in zip(bounds, bounds[1:])]
     gathered = max((slots.size for _, _, slots in members if slots is not None), default=0)
     complex_sum = any(im is not None for _, im, _ in members)
     return _LiftPlan(
@@ -477,6 +500,20 @@ def _lift_at(plan: _LiftPlan, z: np.ndarray | Sequence[complex]) -> complex:
     return complex(_lift_values(plan, Z)[0, 0])
 
 
+def _point_size(plan: _LiftPlan) -> tuple[int, int]:
+    """A block point's entries in a worker's workspace, and its bytes with the hash's pair keys.
+
+    The workspace holds, in 16-byte entries per point of a block: the node rows, F, and one
+    area the stages take in turn: the phases' factor (1 entry a prime), the hashes (8 bytes a
+    pair) and the digit (8 bytes a prime), with the hashes' shifted copies and then the odd
+    columns' hash rows in the factor's room, and the lift's gathers (plan.scratch). Beside it
+    `_Hash` keeps the pair keys, 8 bytes a pair and point.
+    """
+    primes, pairs = plan.columns.size, plan.draw.pairs.size
+    per_point = plan.size + len(plan.members) + max(-(-(3 * primes + pairs) // 2), plan.scratch)
+    return per_point, 16 * per_point + 8 * pairs
+
+
 def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndarray:
     """|F| of each of the plan's members (row) at samples 0..samples-1 (column), a float64 array.
 
@@ -489,12 +526,7 @@ def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndar
     rows, primes = len(plan.members), plan.columns.size
     pairs, top = plan.draw.pairs, plan.draw.top
     odd = plan.draw.rows[top:]  # the odd columns' hash rows
-    # a worker's workspace, in 16-byte entries per point of a block: the node rows, F, and one
-    # area the stages take in turn: the phases' factor (1 entry a prime), the hashes (8 bytes a
-    # pair) and the digit (8 bytes a prime), with the hashes' shifted copies and then the odd
-    # columns' hash rows in the factor's room, and the lift's gathers (plan.scratch); beside it
-    # the hash's pair keys, 8 bytes a pair and point
-    per_point = plan.size + rows + max(-(-(3 * primes + pairs.size) // 2), plan.scratch)
+    per_point, point_bytes = _point_size(plan)
 
     def need(block: int) -> int:
         # the plan's arrays (at most 24 bytes a node for the slots and columns and 24 per member
@@ -503,10 +535,10 @@ def _abs_rows(plan: _LiftPlan, samples: int, seed: int, workers: int) -> np.ndar
         # and the workspaces of the workers in flight or, once those are freed, one member's |F|^p
         # and deviations with the copy the fold takes
         blocks = -(-samples // block)
-        sampling = 8 * blocks * block + min(workers, blocks) * block * (16 * per_point + 8 * pairs.size)
+        sampling = 8 * blocks * block + min(workers, blocks) * block * point_bytes
         return (24 + 24 * rows) * plan.size + (1 << 15) + 8 * rows * samples + max(sampling, 24 * samples)
 
-    widest = min(max(1, _BLOCK_BYTES // (16 * plan.size)), samples)
+    widest = min(max(1, _BLOCK_BYTES // point_bytes), samples)
     cap = memory_cap_bytes()
     while widest > 1 and need(widest) > cap:
         widest //= 2

@@ -8,7 +8,9 @@ bit, not only to rounding.
 
 It also keeps the random polynomials the fuzz corpus drew from a numpy Generator
 before it took its draws from the engine's splitmix64 stream: tests that need
-fixed supports, and whose goldens were pinned on them, draw from these.
+fixed supports, and whose goldens were pinned on them, draw from these. And it
+keeps the Bohr-lift plan as the engine built it with numpy's sort and unique
+kernels, on trial division, as the reference for the plan it builds without them.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from dirichlet_hardy.arith import binomial_series_coefficient
 from dirichlet_hardy.dseries import DirichletPolynomial
-from dirichlet_hardy.norms import DiscPolynomial
+from dirichlet_hardy.norms import DiscPolynomial, _draw, _LiftPlan
 
 
 def factor(n):
@@ -104,3 +106,60 @@ def random_disc(rng, max_degree):
     """A disc polynomial of random degree with standard complex normal coefficients, drawn from `rng`."""
     degree = int(rng.integers(0, max_degree + 1))
     return DiscPolynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+
+
+@lru_cache(maxsize=None)
+def least_prime(n):
+    """The least prime factor of n by trial division, and 1 for n = 1."""
+    return factor(n)[0][0] if n > 1 else 1
+
+
+def lift_plan(f, *parts):
+    """`norms._lift_plan(f, table, *parts)` built by sorting, on trial division.
+
+    The support and 1, each with its Omega, are closed under n -> spf(n) and n -> n/spf(n)
+    by rounds of np.unique that keep the Omega of each node's first entry; a stable argsort
+    of Omega orders the slots, with the primes in `_draw` order, another argsort inverts
+    it, and each member's terms are sorted by slot.
+    """
+
+    def merged(n, omega):
+        # the distinct n, ascending, each with the Omega of its first entry
+        n, first = np.unique(n, return_index=True)
+        return n, omega[first]
+
+    def spf(n):
+        return np.array([least_prime(int(m)) for m in n], dtype=np.int64)
+
+    nodes, omega = merged(np.array([1, *f.support], dtype=np.int64),
+                          np.array([0, *map(big_omega, f.support)], dtype=np.int64))
+    # node 1, its own spf and cofactor, is the first entry of its value, so it keeps Omega 0
+    while (grown := merged(np.concatenate((nodes, spf(nodes), nodes // spf(nodes))),
+                           np.concatenate((omega, np.ones_like(omega), omega - 1))))[0].size > nodes.size:
+        nodes, omega = grown
+    order = np.argsort(omega, kind="stable")
+    primes = nodes[order[1 : 1 + (omega == 1).sum()]]
+    positions = np.array([prime_position(int(p)) for p in primes], dtype=np.int64)
+    draw = _draw(positions)
+    order[1 : 1 + positions.size] = order[1 + np.searchsorted(positions, draw.columns)]
+    slot, n = np.argsort(order), nodes[order]  # nodes[i] sits in slot[i]; slot r holds n[r]
+    left, right = slot[np.searchsorted(nodes, spf(n))], slot[np.searchsorted(nodes, n // spf(n))]
+    bounds = np.searchsorted(omega[order], np.arange(2, omega.max() + 2)).tolist()
+    members = []
+    for g in (f, *parts):
+        slots = slot[np.searchsorted(nodes, np.array(g.support, dtype=np.int64))]
+        coeffs = np.array([g.coeff(m) for m in g.support], dtype=np.complex128)
+        by_slot = np.argsort(slots)
+        slots, coeffs = slots[by_slot], coeffs[by_slot]
+        members.append((coeffs.real.copy(), coeffs.imag.copy() if coeffs.imag.any() else None,
+                        None if slots.size == nodes.size else slots))
+    layers = [(lo, hi, np.r_[left[lo:hi], right[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+    gathered = max((slots.size for _, _, slots in members if slots is not None), default=0)
+    complex_sum = any(im is not None for _, im, _ in members)
+    return _LiftPlan(
+        draw=draw,
+        size=nodes.size,
+        layers=layers,
+        members=members,
+        scratch=max(max((pairs.size for _, _, pairs in layers), default=0), gathered + complex_sum),
+    )

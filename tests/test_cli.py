@@ -80,9 +80,16 @@ class TestParse:
         ("norm --p 2 --generator fractional-primitive --N 10 --beta 1 --gen-p 0.5",
          "fractional-primitive does not read p"),
         ("partial-sum --mode probe --p 1 --probe-N 10 --N 30 --prime-bound 7", "zeta does not read prime_bound"),
+        ("norm --p 2 --generator zeta --N 3000000 --alpha 2", "zeta does not read alpha"),
     ])
-    def test_generator_takes_only_its_flags(self, argv, refusal, capsys):
-        # a flag the generator does not read is refused, not echoed beside a run that ignored it
+    def test_generator_takes_only_its_flags(self, argv, refusal, monkeypatch, capsys):
+        # a flag the generator does not read is refused, not echoed beside a run that ignored it,
+        # and before any table is sieved for its N
+        def no_sieve(limit):
+            raise AssertionError(f"sieved {limit}")
+
+        for module in (arith, experiments):
+            monkeypatch.setattr(module, "sieve_primes", no_sieve)
         assert main(argv.split() + ["--seed", "1"]) == 2
         out, err = capsys.readouterr()
         assert not out and err.splitlines() == [f"dhardy: invalid arguments: {refusal}"]

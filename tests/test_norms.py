@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import big_omega, factor, prime_position, random_dirichlet, random_disc
+from oracle import big_omega, factor, lift_plan, prime_position, primes_upto, random_dirichlet, random_disc
 
 from dirichlet_hardy import errors, norms
 from dirichlet_hardy.arith import binomial_series_coefficient, divisor_weight_prime_power, sieve_primes
@@ -198,6 +198,42 @@ class TestCounterRng:
                 if big_omega(n) == 1:
                     assert prime_position(n) == plan.columns[r - 1]
 
+    @given(st.sampled_from(["sparse", "dense", "prime-power"]), st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=700), st.sampled_from(primes_upto(2000)),
+           st.integers(min_value=0, max_value=10))
+    @settings(max_examples=80, deadline=None)
+    def test_lift_plan_matches_the_sorting_reference(self, kind, seed, N, p, k):
+        # the plan built without sorting holds the arrays of the sort-based build, bit for bit and
+        # dtype for dtype, on sparse supports, on Z_N and on {p^k} (k = 0 is {1}), each with a
+        # partial sum and a complex part
+        rng = np.random.default_rng(seed)
+        if kind == "sparse":
+            f = random_dirichlet(rng, 64, 1000)
+        elif kind == "dense":
+            f = zeta_partial(N)
+        else:
+            while p**k > 2000:
+                k -= 1
+            f = DirichletPolynomial({p**k: 1.0})
+        parts = (partial_sum(f, int(rng.integers(1, f.length + 1))),
+                 DirichletPolynomial({n: 2j - n for n in f.support[::2]}))
+
+        def same(a, b):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+        got, want = norms._lift_plan(f, _HYP_TABLE, *parts), lift_plan(f, *parts)
+        assert (got.size, got.scratch, got.draw.top) == (want.size, want.scratch, want.draw.top)
+        for a, b in zip(got.draw[:3], want.draw[:3], strict=True):
+            same(a, b)
+        assert [(lo, hi) for lo, hi, _ in got.layers] == [(lo, hi) for lo, hi, _ in want.layers]
+        for (_, _, a), (_, _, b) in zip(got.layers, want.layers, strict=True):
+            same(a, b)
+        for ours, theirs in zip(got.members, want.members, strict=True):
+            for a, b in zip(ours, theirs, strict=True):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    same(a, b)
+
     @pytest.mark.parametrize("call, name", [
         (lambda: steinhaus_uniforms(1, -5, 2, 2), "first_sample"),
         (lambda: steinhaus_uniforms(1, 0, -1, 2), "count"),
@@ -342,38 +378,40 @@ class TestMonteCarlo:
         # worker count. A last-bit change in a few samples can vanish from the means, so the arrays
         # handed to the reduction (|F|^p and the squared deviations) are compared too.
         f = zeta_partial(350)
-        nodes = norms._lift_plan(f, table_2k).size
+        plan = norms._lift_plan(f, table_2k)
+        budget = norms._BLOCK_BYTES
+        default_width = budget // norms._point_size(plan)[1]
         reduced = []
 
         def recording_sum(values):
             reduced[-1].append(np.array(values))
             return pairwise_sum(values)
 
-        def run(samples, block_bytes=norms._BLOCK_BYTES, workers=1, g=f, parts=()):
-            monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
+        def run(samples, width=None, workers=1, g=f, parts=()):
+            # blocks of at most `width` points (None: the default budget's) on the plan of g and its parts
+            point_bytes = norms._point_size(norms._lift_plan(g, table_2k, *parts))[1]
+            monkeypatch.setattr(norms, "_BLOCK_BYTES", budget if width is None else width * point_bytes)
             reduced.append([])
             ests = mc_norm_many(g, [1.0, 3.0], samples, 5, table_2k, workers, parts)
             return [(e.value.hex(), e.std_error.hex()) for e in ests], reduced[-1]
 
         monkeypatch.setattr(norms, "pairwise_sum", recording_sum)
         default, arrays = run(16384)
-        # blocks of 64 KB (1490 of 11 points, the last padded by 6) and the default (88 of 187,
-        # the last padded by 72), with two workers taking every other block
-        for block_bytes in (1 << 16, norms._BLOCK_BYTES):
+        # blocks of 11 points (1490, the last padded by 6) and the default (92 of 179 of the widest
+        # 180, the last padded by 84), with two workers taking every other block
+        for width in (11, None):
             for workers in (1, 2):
-                ests, other = run(16384, block_bytes, workers)
+                ests, other = run(16384, width, workers)
                 assert ests == default
                 assert all(np.array_equal(a, b) for a, b in zip(arrays, other, strict=True))
-        # blocks of one point, and at widest blocks of 7 and 187 points prefixes that leave 1 point
+        # blocks of one point, and at widest blocks of 7 and 180 points prefixes that leave 1 point
         # and all but one over a whole number of them, so the last block is padded, at one to three
         # workers: |F| and |F|^3 (reduced first and third) are the default run's prefix, and the
         # rows of |F| hold exactly the samples
-        plan = norms._lift_plan(f, table_2k)
-        for block_bytes in (1, 7 * 16 * nodes, norms._BLOCK_BYTES):
-            block = max(1, block_bytes // (16 * nodes))
+        for block in (1, 7, default_width):
             for samples in sorted({4097, 4096 // block * block + 1, 4096 // block * block + block - 1}):
                 for workers in (1, 2, 3):
-                    _, other = run(samples, block_bytes, workers)
+                    _, other = run(samples, block, workers)
                     assert np.array_equal(other[0], arrays[0][:samples])
                     assert np.array_equal(other[2], arrays[2][:samples])
                     rows = norms._abs_rows(plan, samples, 5, workers)
@@ -385,18 +423,19 @@ class TestMonteCarlo:
                               DirichletPolynomial({})]),
                          (g, [partial_sum(f, 300), partial_sum(g, 300)])):
             alone = [e for part in (h, *parts) for e in run(16384, g=part)[0]]
-            for block_bytes, workers in ((1 << 20, 1), (1 << 20, 2), (1 << 16, 1), (1 << 16, 2)):
-                assert run(16384, block_bytes, workers, g=h, parts=parts)[0] == alone
+            for width, workers in ((None, 1), (None, 2), (11, 1), (11, 2)):
+                assert run(16384, width, workers, g=h, parts=parts)[0] == alone
 
-    @pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20])
+    @pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20, norms._BLOCK_BYTES])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_arrays_are_built_once_per_worker(self, block_bytes, workers, table_2k, monkeypatch):
         # the samples run in as few blocks as the widest width allows, all of one balanced width:
         # each worker builds the hash's and the lift's arrays once, at that width, and every block
-        # runs the hash. Z_350 allows 11 or 187 points; 20 such blocks and 3 points more take 21
-        # blocks of 11 or 179, the last padded
+        # runs the hash. Z_350's workspace takes 9448 bytes a point, so the budgets allow 6, 110 or
+        # (the default) 180 points; 20 such blocks and 3 points more take 21 blocks of 6, 105 or
+        # 172, the last padded
         monkeypatch.setattr(norms, "_BLOCK_BYTES", block_bytes)
-        widest = block_bytes // (16 * 350)
+        widest = block_bytes // norms._point_size(norms._lift_plan(zeta_partial(350), table_2k))[1]
         built, hashed = [], []
         hashing, lifting, draw = norms._Hash.__init__, norms._Lift.__init__, norms._Hash.__call__
         monkeypatch.setattr(norms._Hash, "__init__",
@@ -412,6 +451,40 @@ class TestMonteCarlo:
             mc_norm_many(zeta_partial(350), [1.0], samples, 5, table_2k, workers)
             assert sorted(built) == sorted([("hash", block), ("lift", block)] * workers)
             assert hashed == [block] * blocks
+
+    def test_workspace_fits_the_block_budget(self, table_2k, monkeypatch):
+        # a worker's workspace and the hash's pair keys take at most _BLOCK_BYTES, at the width
+        # `_point_size` gives them: on plans of 2, 4, 7 and 9 nodes at 20000 samples and on
+        # Z_600^1.5 at 16384, at one and two workers. A one-term support, whose 20000 samples
+        # once ran as one block, runs in at least two
+        built, widths = [], []
+        hashing, lifting, draw = norms._Hash.__init__, norms._Lift.__init__, norms._Hash.__call__
+
+        def hash_init(self, *args, **kw):
+            hashing(self, *args, **kw)
+            built.append(("keys", self.keys.nbytes))
+
+        monkeypatch.setattr(norms._Hash, "__init__", hash_init)
+        monkeypatch.setattr(norms._Lift, "__init__", lambda self, plan, Z, *args:
+                            built.append(("workspace", Z.base.nbytes)) or lifting(self, plan, Z, *args))
+        monkeypatch.setattr(norms._Hash, "__call__",
+                            lambda self, *args: widths.append(self.hashes.shape[1]) or draw(self, *args))
+        cases = [({7: 1.0}, 2, 20000), ({6: 1.0}, 4, 20000), ({30: 1.0, 7: -1j}, 7, 20000),
+                 ({60: 2.0, 49: 0.5}, 9, 20000), (zeta_power_partial(600, 1.5, table_2k).coefficients, 600, 16384)]
+        for terms, nodes, samples in cases:
+            f = DirichletPolynomial(terms)
+            plan = norms._lift_plan(f, table_2k)
+            per_point, point_bytes = norms._point_size(plan)
+            assert plan.size == nodes
+            for workers in (1, 2):
+                built.clear()
+                widths.clear()
+                mc_norm(f, 1.0, samples, 3, table_2k, workers)
+                width = widths[0]
+                assert set(widths) == {width} and len(widths) >= (2 if len(f) == 1 else 1)
+                assert sorted(built) == sorted([("keys", 8 * plan.draw.pairs.size * width),
+                                                ("workspace", 16 * per_point * width)] * min(workers, len(widths)))
+                assert width * point_bytes <= norms._BLOCK_BYTES
 
     def test_contraction_is_a_sequential_slot_order_sum(self, table_2k):
         # each member's F is the plain loop acc = acc + Re(a_n) z(n) over its support, on the
@@ -531,11 +604,12 @@ class TestMonteCarlo:
             assert est.power_mean == pytest.approx(reference, rel=1e-12)
 
     def test_memory_cap(self, table_2k, monkeypatch):
-        # Z_350 is charged about 1.9 MB at the default block of 187 points with one worker and
-        # 3.7 MB with two; under a tighter cap the block halves until the run fits, with the same bits
+        # Z_350 is charged about 2.0 MB at the default widest block of 180 points with one worker
+        # and 3.7 MB with two; under a tighter cap the block halves until the run fits, with the
+        # same bits
         f = zeta_partial(350)
         uncapped = mc_norm(f, 1.0, 16384, 1, table_2k)
-        block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
+        block = norms._BLOCK_BYTES // norms._point_size(norms._lift_plan(f, table_2k))[1]
         counts = []
         draw = norms._Hash.__call__
         monkeypatch.setattr(norms._Hash, "__call__",
@@ -561,10 +635,15 @@ class TestMonteCarlo:
         monkeypatch.setattr(norms._Hash, "__call__",
                             lambda self, *args: counts.append(self.hashes.shape[1]) or draw(self, *args))
         f = zeta_partial(N) if alpha == 1.0 else zeta_power_partial(N, alpha, table_2k)
-        block = norms._BLOCK_BYTES // (16 * norms._lift_plan(f, table_2k).size)
-        # a process's first np.unique imports numpy.ma, about 1 MB that is not the run's
+        widest = norms._BLOCK_BYTES // norms._point_size(norms._lift_plan(f, table_2k))[1]
+
+        def balanced(widest):
+            # the width of the fewest blocks of at most `widest` points that hold the samples
+            return -(-16384 // -(-16384 // widest))
+
+        # a process's first run allocates about 1 KB that later runs do not
         mc_norm(f, 1.0, 64, 1, table_2k)
-        for cap, width in ((None, block), (1_500_000, block // 2)):
+        for cap, width in ((None, balanced(widest)), (1_500_000, balanced(widest // 2))):
             if cap is not None:
                 monkeypatch.setenv("DIRICHLET_HARDY_MEMORY_CAP", str(cap))
             charged.clear()
@@ -615,7 +694,7 @@ class TestMonteCarlo:
         assert peak <= charged[0] <= 1.25 * peak, (charged[0], peak)
 
     def test_lift_plan_is_charged_before_it_is_built(self, table_2k, monkeypatch):
-        # building the plan of Z_2000 traces about 312 KB, charged within 25%; under a cap below
+        # building the plan of Z_2000 traces about 214 KB, charged within 25%; under a cap below
         # the charge the run is refused before the closure allocates anything
         f = zeta_partial(2000)
         charged = []
@@ -643,7 +722,7 @@ class TestMonteCarlo:
 
     def test_sparse_lift_plan_is_charged_on_omega(self, table_1m, monkeypatch):
         # 2000 random indices up to 2e5 close to about 5900 nodes. The bound 1 + sum (2 Omega(n) - 1)
-        # charges about 1.9 MB where the bit-length bound charged 9.4 MB; a cap between the two
+        # charges about 1.3 MB where the bit-length bound charged 9.4 MB; a cap between the two
         # lets the plan be built, and the charge still covers the traced build, factoring included
         rng = np.random.default_rng(1)
         f = DirichletPolynomial({int(n): 1.0 for n in rng.choice(np.arange(1, 200_001), 2000, replace=False)})
@@ -812,7 +891,7 @@ class TestSteinhausSamples:
         assert plan.columns.tolist() == [0, 2, 302, 1, 5, 301]
         absF = []
         monkeypatch.setattr(norms, "pairwise_sum", lambda values: absF.append(np.array(values)) or 0.0)
-        monkeypatch.setattr(norms, "_BLOCK_BYTES", 16 * plan.size * block_points)
+        monkeypatch.setattr(norms, "_BLOCK_BYTES", norms._point_size(plan)[1] * block_points)
         mc_norm_many(f, [1.0], 40, 23, table_2k, workers)
         direct = [np.abs(evaluate_at_sample(f, steinhaus_sample(23, i, 303), table_2k)) for i in range(40)]
         assert absF[0].tolist() == direct
