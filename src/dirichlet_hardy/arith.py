@@ -2,7 +2,8 @@
 
 Primes and least-factor sieve, one vectorized factoring kernel, the
 binomial-series coefficients c_alpha(j), generalized divisor functions
-d_alpha(n), the hybrid weight Phi_alpha(n) = d_floor(alpha)(n) * (alpha/floor(alpha))^Omega(n),
+d_alpha(n), the hybrid weight Phi_alpha(n) = d_floor(alpha)(n) * (alpha/floor(alpha))^Omega(n)
+with local factor Phi_alpha(p^j) = c_floor(alpha)(j) * (alpha/floor(alpha))^j,
 truncated Euler products with certified tail bounds, and counts of integers
 by number of prime factors.
 
@@ -14,13 +15,14 @@ which underflow double precision, keep a finite `log_value`.
 `prime_power_passes` is the one loop that factors: it strips the least prime
 power from every index of an array per pass, so each index meets its prime
 powers in ascending order. Every multiplicative quantity (d_alpha, Phi_alpha,
-mu, Omega, the coefficient-functional bound, the `dseries` generators) is a
-fold over those passes, bit-identical to the scalar loop over a factorization
-because the per-exponent table is built from Python scalars
-(`binomial_series_coefficient`, `(alpha/m)**j`) and the fold combines left to
-right in ascending prime order from 1 (products) or 0 (sums). `factoring`
-lists the passes, so that several folds over the same indices (the weights of
-every p of a grid, say) share one factoring with the same bits.
+mu, Omega, the coefficient-functional bound, the `dseries` generators) is one
+fold of its local factor over those passes, bit-identical to the scalar loop
+over a factorization because the per-exponent table is built from Python
+scalars (`binomial_series_coefficient`, `divisor_weight_prime_power`) and the
+fold combines left to right in ascending prime order from 1 (products) or 0
+(sums). `factoring` lists the passes, so that several folds over the same
+indices (the weights of every p of a grid, say) share one factoring with the
+same bits.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def divisor_values(n, alpha: float, table: PrimeTable, passes=None) -> np.ndarra
 
 
 def divisor_weight_prime_power(j: int, alpha: float) -> float:
-    """The one-variable weight c_floor(alpha)(j) * (alpha/floor(alpha))^j, alpha >= 1."""
+    """Phi_alpha's local factor Phi_alpha(p^j) = c_floor(alpha)(j) * (alpha/floor(alpha))^j, alpha >= 1."""
     if alpha < 1:
         raise ValueError(f"weight defined only for alpha >= 1, got {alpha}")
     m = math.floor(alpha)
@@ -248,24 +250,11 @@ def divisor_weight_values(n, alpha: float, table: PrimeTable, passes=None) -> np
     """Phi_alpha(n) = d_m(n) * (alpha/m)^Omega(n), m = floor(alpha), at every index of `n`; alpha >= 1.
 
     Multiplicative; agrees with d_alpha(n) when alpha is an integer or n is
-    square-free, and has the same average order as d_alpha in general. Folded
-    as (alpha/m)^Omega(n), then times c_m(e) per p^e || n. Both folds read one
-    factoring: `passes` as in `multiplicative`, or else `factoring` per block of indices.
+    square-free, and has the same average order as d_alpha in general. The fold
+    of its local factor `divisor_weight_prime_power`, c_m(e) * (alpha/m)^e per
+    p^e || n; `passes` as in `multiplicative`.
     """
-    if alpha < 1:
-        raise ValueError(f"weight defined only for alpha >= 1, got {alpha}")
-    n = np.asarray(n, dtype=np.int64)
-    if passes is None:
-        # the result and the blocks' results it is joined from
-        check_memory(16 * n.size, f"weights of {n.size} indices")
-        blocks = [n[lo : lo + _BLOCK] for lo in range(0, n.size, _BLOCK)] or [n]
-        return np.concatenate([divisor_weight_values(b, alpha, table, factoring(b, table)) for b in blocks])
-    m = math.floor(alpha)
-    big_omega = multiplicative(n, table, lambda e: e, np.add, passes=passes)
-    ratio_powers = np.array([(alpha / m) ** j for j in range(int(big_omega.max(initial=0)) + 1)])
-    return multiplicative(
-        n, table, lambda e: binomial_series_coefficient(e, m), start=ratio_powers[big_omega], passes=passes
-    )
+    return multiplicative(n, table, lambda e: divisor_weight_prime_power(e, alpha), passes=passes)
 
 
 def average_order_factor(x: float, alpha: float) -> float:

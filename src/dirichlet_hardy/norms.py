@@ -155,8 +155,9 @@ def _draw(columns: np.ndarray | Sequence[int]) -> _Draw:
 
 
 class _Hash:
-    """`_uniforms`' hashes of the given pairs for blocks of `count` samples, one block a call.
+    """The hashes of (seed, sample, pair) for the given pairs, `count` samples a call.
 
+    A hash is splitmix64's finalizer of the sample's key plus (pair + 1) gamma', mod 2^64.
     Building it makes the pair keys, which no block's samples change, and every view a call
     takes. With H the number of pairs (`_draw(columns).pairs` for a set of columns), `out`
     is the C-ordered uint64 (H, count) array for the hashes and `scratch` a flat uint64
@@ -182,34 +183,27 @@ class _Hash:
         return _mix64(self.hashes, self.scratch)
 
 
-def _uniforms(seed: int, first_sample: int, count: int, columns: np.ndarray) -> np.ndarray:
-    """The splitmix64 hashes that hold the angles of samples [first_sample, first_sample+count).
-
-    `columns` holds 0-based prime positions (column j is the prime p_{j+1}). Column j's
-    22-bit angle k (the angle k 2^-22 turns) is the top 22 bits of half j & 1 of the hash
-    of (seed, sample, j >> 1): of the top 32 bits for even j, of the low 32 bits for odd
-    j. So each pair of positions is hashed once, and any partition of the sample range, or
-    any choice of columns, reproduces the same values. The result is the C-ordered uint64
-    (H, count) array of the hashes of the H pairs, in `_draw(columns).pairs` order: each
-    pair's hashes are contiguous. The Monte Carlo engine runs the same `_Hash` on its own
-    arrays, each block on a slice of the run's `_sample_keys`.
-    """
-    return _Hash(_draw(columns).pairs, count)(_sample_keys(seed, first_sample, count))
-
-
 # the shifts to an angle's two digits in a hash's top half and low half, and the digits' mask
 _A_TOP, _B_TOP, _A_LOW, _B_LOW = (np.uint64(shift) for shift in (53, 42, 21, 10))
 _M11 = np.uint64(0x7FF)
 
 
 def _angles(seed: int, first_sample: int, count: int, columns: np.ndarray | Sequence[int]) -> np.ndarray:
-    """The 22-bit angles k of the given columns, a uint64 (count, len(columns)) array; see `_uniforms`."""
-    draw = _draw(columns)
-    h = _uniforms(seed, first_sample, count, draw.columns)
+    """The 22-bit angles k of samples [first_sample, first_sample+count), a uint64 (count, len(columns)) array.
+
+    `columns` holds 0-based prime positions (column j is the prime p_{j+1}), in any order and
+    with repeats. Column j's angle k (the angle k 2^-22 turns) is the top 22 bits of half
+    j & 1 of the hash of (seed, sample, j >> 1): of the top 32 bits for even j, of the low 32
+    bits for odd j. So any partition of the sample range, or any choice of columns, reproduces
+    the same values. Here each column's pair is hashed on its own; the Monte Carlo engine runs
+    the same `_Hash` once per pair, on its own arrays, each block on a slice of the run's
+    `_sample_keys`.
+    """
+    columns = np.asarray(columns, dtype=np.int64)
+    h = _Hash(columns >> 1, count)(_sample_keys(seed, first_sample, count))
     # an angle ends at its low digit b, so it starts at b's shift
-    k = np.concatenate((h[: draw.top] >> _B_TOP, (h[draw.rows[draw.top :]] & 0xFFFFFFFF) >> _B_LOW))
-    order = np.argsort(draw.columns)
-    return k[order[np.searchsorted(draw.columns[order], columns)]].T
+    h >>= np.where(columns & 1, _B_LOW, _B_TOP)[:, None]
+    return (h & 0x3FFFFF).T
 
 
 def _phases(top: np.ndarray, low: np.ndarray, out: np.ndarray | None = None,
@@ -246,7 +240,7 @@ def steinhaus_uniforms(seed: int, first_sample: int, count: int, prime_count: in
 
     The engine's stream: column j holds k 2^-22 for the 22-bit angle k the engine draws
     for the prime p_{j+1}, the top 22 bits of half j & 1 of the hash of pair j >> 1 (see
-    `_uniforms`), so the angles are uniform on the 2^22-th roots of unity.
+    `_angles`), so the angles are uniform on the 2^22-th roots of unity.
     """
     for name, value in (("first_sample", first_sample), ("count", count), ("prime_count", prime_count)):
         if value < 0:

@@ -2,9 +2,8 @@
 
 Nothing here reads the prime table or the factoring kernel it is meant to
 check. The multiplicative functions fold in the library's order (ascending
-primes, products from 1.0, Phi_alpha from (alpha/m)^Omega) over the per-exponent
-values of `binomial_series_coefficient`, so they agree with the kernel bit for
-bit, not only to rounding.
+primes, products from 1.0) over the same per-exponent values as the library's
+local factors, so they agree with the kernel bit for bit, not only to rounding.
 
 It also keeps the random polynomials the fuzz corpus drew from a numpy Generator
 before it took its draws from the engine's splitmix64 stream: tests that need
@@ -81,11 +80,14 @@ def d_alpha(n, alpha):
 
 
 def phi_alpha(n, alpha):
-    """The hybrid weight d_m(n) (alpha/m)^Omega(n) with m = floor(alpha), alpha >= 1."""
+    """The hybrid weight d_m(n) (alpha/m)^Omega(n) with m = floor(alpha), alpha >= 1.
+
+    Multiplicative: the product of c_m(e) (alpha/m)^e over p^e || n, in ascending p.
+    """
     m = math.floor(alpha)
-    w = (alpha / m) ** big_omega(n)
+    w = 1.0
     for _, e in factor(n):
-        w *= binomial_series_coefficient(e, m)
+        w *= binomial_series_coefficient(e, m) * (alpha / m) ** e
     return w
 
 

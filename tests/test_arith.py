@@ -221,25 +221,30 @@ class TestDivisorWeight:
     def test_prime_power_weight_consistency(self, table_2k):
         # the n = p^j weight equals the one-variable weight at j
         for alpha in (1.5, 2.25, 3.0):
-            assert divisor_weight_values([2**j for j in range(5)], alpha, table_2k) == pytest.approx(
-                [divisor_weight_prime_power(j, alpha) for j in range(5)], rel=1e-12
-            )
+            assert divisor_weight_values([2**j for j in range(5)], alpha, table_2k).tolist() == [
+                divisor_weight_prime_power(j, alpha) for j in range(5)
+            ]
 
     def test_one_factoring_serves_every_fold(self, table_100k, monkeypatch):
-        # the weight's two folds read one factoring, listed a block of indices at a time, with
-        # the bits of two separate folds over the kernel; 100000 indices span two blocks
+        # the weight is one fold of its local factor, with the trial-division oracle's bits;
+        # 100000 indices span two blocks, which one factoring streams
         ns = np.arange(1, 100_001)
         for alpha in (1.5, 2.5, 2 / 0.3):
+            assert np.array_equal(divisor_weight_values(ns, alpha, table_100k),
+                                  [phi_alpha(n, alpha) for n in ns.tolist()])
+        # where every power of alpha/m is exact, as at each alpha of the default fuzz grid, the
+        # fold has the bits of the product d_m(n) (alpha/m)^Omega(n) folded from (alpha/m)^Omega
+        omega = multiplicative(ns, table_100k, lambda e: e, np.add)
+        for alpha in (1.25, 1.5, 2.5, 3.0, 4.0):
             m = math.floor(alpha)
-            omega = multiplicative(ns, table_100k, lambda e: e, np.add)
             start = np.array([(alpha / m) ** j for j in range(int(omega.max()) + 1)])[omega]
-            reference = multiplicative(ns, table_100k, lambda e: binomial_series_coefficient(e, m), start=start)
-            assert np.array_equal(divisor_weight_values(ns, alpha, table_100k), reference)
+            product = multiplicative(ns, table_100k, lambda e: binomial_series_coefficient(e, m), start=start)
+            assert np.array_equal(divisor_weight_values(ns, alpha, table_100k), product)
         factorings = []
         kernel = arith.prime_power_passes
         monkeypatch.setattr(arith, "prime_power_passes", lambda *args: factorings.append(1) or kernel(*args))
         divisor_weight_values(ns, 1.5, table_100k)
-        assert len(factorings) == 2
+        assert len(factorings) == 1
         # folds over listed passes factor nothing: the six factorings are the runs without them
         support = np.random.default_rng(3).integers(1, 100_000, size=200)
         passes = factoring(support, table_100k)

@@ -99,7 +99,7 @@ class TestCounterRng:
         u = steinhaus_uniforms(2**61 + 5, 10**6, 1, 4)[0]
         halves = ["0x1.4d5309b400000p-1", "0x1.25ff1d5800000p-2",
                   "0x1.5f8fc6e000000p-2", "0x1.507313e800000p-1"]
-        h = norms._uniforms(2**61 + 5, 10**6, 1, np.arange(4))[:, 0].tolist()
+        h = norms._Hash(np.arange(2), 1)(norms._sample_keys(2**61 + 5, 10**6, 1))[:, 0].tolist()
         assert [x * 2.0**-32 for q in h for x in (q >> 32, q & 0xFFFFFFFF)] == list(map(float.fromhex, halves))
         wide = ["0x1.4d5309b492ff8p-1", "0x1.5f8fc6e2a0e62p-2"]
         for pinned, angles in ((halves, u), (wide, u[0::2])):
@@ -123,7 +123,7 @@ class TestCounterRng:
         h = mix((j // 2 + 1) * 0xD1B54A32D192ED03 + per_sample & mask)
         half, other = (h >> 32, h & 0xFFFFFFFF) if j % 2 == 0 else (h & 0xFFFFFFFF, h >> 32)
         angle = half >> 10
-        hashes = norms._uniforms(seed, i, 1, np.array([j]))
+        hashes = norms._Hash(np.array([j // 2]), 1)(norms._sample_keys(seed, i, 1))
         assert hashes.dtype == np.uint64 and hashes.shape == (1, 1) and int(hashes[0, 0]) == h
         k = norms._angles(seed, i, 1, [j])
         assert k.shape == (1, 1) and int(k[0, 0]) == angle
@@ -132,7 +132,7 @@ class TestCounterRng:
         assert int(norms._angles(seed, i, 1, [j ^ 1])[0, 0]) == other >> 10
 
     @pytest.mark.parametrize("columns", [[], [0], [302], [0, 5, 6, 301, 302], list(range(0, 303, 7)),
-                                         [1], [2, 5], [0, 1, 302]])
+                                         [1], [2, 5], [0, 1, 302], [5, 0, 5, 302, 1, 0]])
     def test_column_draw_is_the_full_streams_columns(self, columns):
         # the engine draws only the columns it uses, one hash per pair they touch; its hashes and
         # angles are the full stream's, bit for bit, and the published stream is the same
@@ -141,11 +141,12 @@ class TestCounterRng:
         full = norms._angles(11, 40, 300, np.arange(303))
         assert np.array_equal(norms._angles(11, 40, 300, cols), full[:, cols])
         assert np.array_equal(steinhaus_uniforms(11, 40, 300, 303), full * 2.0**-22)
-        row = {q: r for r, q in enumerate(norms._draw(np.arange(303)).pairs.tolist())}
-        pairs = norms._draw(cols).pairs.tolist()
-        assert sorted(pairs) == sorted({j // 2 for j in columns})
-        hashes = norms._uniforms(11, 40, 300, np.arange(303))
-        assert np.array_equal(norms._uniforms(11, 40, 300, cols), hashes[[row[q] for q in pairs]])
+        full_pairs, pairs = norms._draw(np.arange(303)).pairs, norms._draw(cols).pairs
+        row = {q: r for r, q in enumerate(full_pairs.tolist())}
+        assert sorted(pairs.tolist()) == sorted({j // 2 for j in columns})
+        keys = norms._sample_keys(11, 40, 300)
+        hashes = norms._Hash(full_pairs, 300)(keys)
+        assert np.array_equal(norms._Hash(pairs, 300)(keys), hashes[[row[q] for q in pairs.tolist()]])
 
     @pytest.mark.parametrize("columns, drawn, pairs, top", [
         ([], [], [], 0),
@@ -252,7 +253,7 @@ class TestCounterRng:
         # angle, alone or stacked with other halves
         edges = np.array([j * 2**11 + d for j in range(2048) for d in (-1, 0, 1)
                           if 0 <= j * 2**11 + d < 2**22] + [0, 1, 2**22 - 1], dtype=np.uint64)
-        h = np.concatenate((norms._uniforms(4, 0, 1000, np.arange(6)).ravel(),
+        h = np.concatenate((norms._Hash(np.arange(3), 1000)(norms._sample_keys(4, 0, 1000)).ravel(),
                             *((edges << np.uint64(42)) | (edges[::-1] << np.uint64(10)) | np.uint64(below)
                               for below in (0, 0x3FF000003FF))))
         for top, low in ((h, h[:0]), (h[:0], h), (h, h), (h[:7], h), (h, h[5:9])):
